@@ -9,8 +9,11 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-use confanon_asnanon::rewrite::{rewrite_aspath_regex_full, rewrite_community_regex_full};
+use confanon_asnanon::rewrite::{
+    rewrite_aspath_regex_full, rewrite_community_regex_full, RewriteOutcome,
+};
 use confanon_asnanon::{AsnMap, CommunityMap, LargeCommunityMap, RewriteOptions};
 use confanon_crypto::TokenHasher;
 use confanon_iosparse::{
@@ -33,6 +36,59 @@ use crate::stats::{AnonymizationStats, RewriteStats};
 /// function of (owner secret, token), so capping — like clearing or
 /// cloning it — can never change an output byte.
 const HASH_MEMO_CAP: usize = 65_536;
+
+/// Byte budget of the regexp-rewrite memo (pattern texts plus rewritten
+/// patterns). A generated E9-shaped corpus's distinct patterns take
+/// ~20 KB in all, but one wide image alternation can run to ~390 KB, so
+/// the budget holds some forty of those; beyond it rewrites are still
+/// computed but no longer interned. Like the hash memo, the memo is a
+/// pure function of its key and the keyed maps, so no budget can change
+/// an output byte.
+const REGEX_MEMO_BUDGET: usize = 16 << 20;
+
+/// Bytes charged per memo entry beyond its strings (table slot, `Arc`
+/// header, vector headers) — so a flood of tiny patterns is bounded too.
+const REGEX_MEMO_ENTRY_OVERHEAD: usize = 96;
+
+/// One interned §4.4 rewrite: `None` when the pattern does not parse
+/// (the occurrence is hashed whole instead).
+type InternedRewrite = Option<Arc<RewriteOutcome>>;
+
+/// Interned regexp-language rewrites, keyed by (domain, pattern text).
+///
+/// The rewrite of an as-path or community regexp enumerates the §4.4
+/// atom languages over all 2^16 ASNs — milliseconds per pattern — and
+/// is a pure function of the pattern and the keyed permutations, while
+/// the same patterns repeat across a network's routers. Discovery fills
+/// the memo; the rewrite clones inherit it and enumerate nothing.
+/// Outcomes sit behind `Arc`, so cloning the anonymizer shares them.
+#[derive(Clone, Default)]
+struct RegexMemo {
+    entries: HashMap<(RegexDomain, String), InternedRewrite>,
+    bytes: usize,
+}
+
+impl RegexMemo {
+    /// Interns `value` under `key` unless the byte budget is spent.
+    fn insert(&mut self, key: &(RegexDomain, String), value: &InternedRewrite) {
+        let cost = REGEX_MEMO_ENTRY_OVERHEAD
+            + key.1.len()
+            + value.as_ref().map_or(0, |r| {
+                r.pattern.len() + std::mem::size_of_val(r.public_asns_named.as_slice())
+            });
+        if self.bytes + cost <= REGEX_MEMO_BUDGET && !self.entries.contains_key(key) {
+            self.bytes += cost;
+            self.entries.insert(key.clone(), value.clone());
+        }
+    }
+
+    /// Interns every entry of `other` this memo lacks (budget permitting).
+    fn merge(&mut self, other: &RegexMemo) {
+        for (key, value) in &other.entries {
+            self.insert(key, value);
+        }
+    }
+}
 
 /// Which IP-address mapping the pipeline uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -158,6 +214,9 @@ pub struct Anonymizer {
     /// most SHA-1 invocations are answered by one lookup). Capped at
     /// [`HASH_MEMO_CAP`].
     hash_memo: HashMap<String, String>,
+    /// Interned regexp-language rewrites (see [`RegexMemo`]); like
+    /// `hash_memo`, a cache that persisted state never serializes.
+    regex_memo: RegexMemo,
     /// Borrow-or-own accounting for the zero-copy rewrite path. Kept
     /// outside [`AnonymizationStats`] deliberately: borrow verdicts only
     /// exist in emit mode, and per-file stats must stay identical
@@ -225,6 +284,7 @@ impl Anonymizer {
             line_cache: LineClassCache::default(),
             prefilter_stats: PrefilterStats::default(),
             hash_memo: HashMap::new(),
+            regex_memo: RegexMemo::default(),
             rewrite_stats: RewriteStats::default(),
             observe: None,
             journal: IdJournal::default(),
@@ -774,6 +834,13 @@ impl Anonymizer {
     }
 
     /// Rewrites the regexp occupying tokens `from..` (joined by spaces).
+    ///
+    /// The §4.4 enumeration runs once per distinct (domain, pattern) and
+    /// is interned in [`Anonymizer::regex_memo`]; everything else — the
+    /// rule fire, the counters, the R28 leak-record and emitted-image
+    /// inserts, and the whole-pattern hash of an unparseable pattern —
+    /// happens per occurrence, so a memo hit is indistinguishable from
+    /// a fresh rewrite.
     fn rewrite_regex_tokens(
         &mut self,
         from: usize,
@@ -789,19 +856,27 @@ impl Anonymizer {
         if !self.enabled(rule) || from >= texts.len() {
             return;
         }
-        let pattern = texts[from..].join(" ");
-        let opts = RewriteOptions {
-            compact: self.cfg.compact_regexps,
-        };
-        let rewritten = match domain {
-            RegexDomain::AsPath => rewrite_aspath_regex_full(&pattern, self.asn_map(), opts),
-            RegexDomain::Community => {
-                rewrite_community_regex_full(&pattern, &self.community, opts)
+        let key = (domain, texts[from..].join(" "));
+        let rewritten = match self.regex_memo.entries.get(&key) {
+            Some(interned) => interned.clone(),
+            None => {
+                let opts = RewriteOptions {
+                    compact: self.cfg.compact_regexps,
+                };
+                let fresh = match domain {
+                    RegexDomain::AsPath => rewrite_aspath_regex_full(&key.1, self.asn_map(), opts),
+                    RegexDomain::Community => {
+                        rewrite_community_regex_full(&key.1, &self.community, opts)
+                    }
+                };
+                let fresh = fresh.ok().map(Arc::new);
+                self.regex_memo.insert(&key, &fresh);
+                fresh
             }
         };
         stats.fire(rule);
-        match rewritten {
-            Ok(r) => {
+        out[from] = Some(match rewritten {
+            Some(r) => {
                 // Record exactly the public ASNs the original pattern
                 // named (R28): the pre-image language of its atoms.
                 if self.enabled(RuleId::R28LeakHighlighting) {
@@ -812,28 +887,26 @@ impl Anonymizer {
                 stats.regexps_rewritten += 1;
                 // Every digit run the rewritten pattern contains is an
                 // emitted image.
-                let mut run = String::new();
-                for c in r.pattern.chars().chain(std::iter::once('|')) {
-                    if c.is_ascii_digit() {
-                        run.push(c);
-                    } else if !run.is_empty() {
-                        self.emitted.insert(std::mem::take(&mut run));
+                for run in r.pattern.split(|c: char| !c.is_ascii_digit()) {
+                    if !run.is_empty() && !self.emitted.contains(run) {
+                        self.emitted.insert(run.to_string());
                     }
                 }
-                out[from] = Some(r.pattern);
-                for slot in out.iter_mut().take(texts.len()).skip(from + 1) {
-                    *slot = Some(String::new());
+                if self.emit {
+                    r.pattern.clone()
+                } else {
+                    String::new()
                 }
             }
-            Err(_) => {
+            None => {
                 // Conservative fallback: an unparseable pattern is hashed
                 // whole. Structure dies, anonymity survives.
                 stats.regexps_fallback_hashed += 1;
-                out[from] = Some(self.hash_emit(&pattern));
-                for slot in out.iter_mut().take(texts.len()).skip(from + 1) {
-                    *slot = Some(String::new());
-                }
+                self.hash_emit(&key.1)
             }
+        });
+        for slot in out.iter_mut().take(texts.len()).skip(from + 1) {
+            *slot = Some(String::new());
         }
     }
 
@@ -1375,6 +1448,7 @@ impl Anonymizer {
         self.total_stats.merge(&shard.total_stats);
         self.prefilter_stats.absorb(&shard.prefilter_stats);
         self.rewrite_stats.absorb(&shard.rewrite_stats);
+        self.regex_memo.merge(&shard.regex_memo);
         shard.observe.unwrap_or_default()
     }
 
@@ -1481,7 +1555,7 @@ impl Anonymizer {
 }
 
 /// Regexp domains for [`Anonymizer::rewrite_regex_tokens`].
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum RegexDomain {
     AsPath,
     Community,
@@ -1712,6 +1786,94 @@ mod tests {
         }
         assert!(!re.is_match(&m.map(700).to_string()));
         assert_eq!(out.stats.regexps_rewritten, 1);
+    }
+
+    /// Regexp lines repeating across three routers: two as-path
+    /// patterns, a community regexp, and an unparseable pattern.
+    const REPEATED_REGEXPS: &str = "ip as-path access-list 10 permit _701_\n\
+        ip as-path access-list 11 permit ^(1239|3356)_[0-9]+$\n\
+        ip community-list 5 permit ^701:1[0-9][0-9]$\n\
+        ip as-path access-list 12 permit _(70[0-9]_\n";
+
+    fn repeated_corpus() -> Vec<String> {
+        (0..3)
+            .map(|i| format!("hostname r{i}\nrouter bgp 701\n{REPEATED_REGEXPS}{REPEATED_REGEXPS}"))
+            .collect()
+    }
+
+    #[test]
+    fn regex_memo_interns_each_distinct_pattern_and_serves_every_repeat() {
+        let mut warmed = Anonymizer::new(AnonymizerConfig::new(b"s".to_vec()));
+        for f in repeated_corpus() {
+            warmed.discover_config(&f);
+        }
+        assert_eq!(
+            warmed.regex_memo.entries.len(),
+            4,
+            "one entry per distinct pattern"
+        );
+        let unparseable = (RegexDomain::AsPath, "_(70[0-9]_".to_string());
+        assert!(matches!(warmed.regex_memo.entries.get(&unparseable), Some(None)));
+
+        // A rewrite clone answers every occurrence from the memo: with
+        // the interned outcomes swapped for a sentinel, every parseable
+        // regexp line carries the sentinel, so nothing was enumerated.
+        let mut emit = warmed.clone();
+        for interned in emit.regex_memo.entries.values_mut().flatten() {
+            *interned = Arc::new(RewriteOutcome {
+                pattern: "interned".to_string(),
+                public_asns_named: Vec::new(),
+            });
+        }
+        for f in repeated_corpus() {
+            let out = emit.anonymize_config(&f);
+            assert_eq!(out.stats.regexps_rewritten, 6);
+            assert_eq!(out.stats.regexps_fallback_hashed, 2);
+            let sentinels = out
+                .text
+                .lines()
+                .filter(|l| l.ends_with(" interned"))
+                .count();
+            assert_eq!(sentinels, 6, "{}", out.text);
+        }
+        assert_eq!(emit.regex_memo.entries.len(), 4);
+    }
+
+    #[test]
+    fn regex_memo_stays_within_its_byte_budget() {
+        // 64 distinct wide patterns, each rewritten to a ~390 KB image
+        // alternation naming 50,000 public ASNs — ~25 MB in all. The
+        // outcome is synthetic: enumerating 64 real ones is slow in an
+        // unoptimized test build, and the budget charges only sizes.
+        let wide: InternedRewrite = Some(Arc::new(RewriteOutcome {
+            pattern: "65534|".repeat(65_000),
+            public_asns_named: vec![701; 50_000],
+        }));
+        let key = |i: usize| {
+            (
+                RegexDomain::AsPath,
+                format!("^{i}_[1-5][0-9][0-9][0-9][0-9]$"),
+            )
+        };
+        let mut memo = RegexMemo::default();
+        for i in 0..64 {
+            memo.insert(&key(i), &wide);
+        }
+        assert!(memo.bytes <= REGEX_MEMO_BUDGET, "{}", memo.bytes);
+        let held = memo.entries.len();
+        assert!(
+            (30..64).contains(&held),
+            "the budget bound the memo: {held}"
+        );
+
+        // Merging shard memos (sharded discovery) respects it too.
+        let mut shard = RegexMemo::default();
+        for i in 64..128 {
+            shard.insert(&key(i), &wide);
+        }
+        memo.merge(&shard);
+        assert!(memo.bytes <= REGEX_MEMO_BUDGET, "{}", memo.bytes);
+        assert_eq!(memo.entries.len(), held, "a full memo interns nothing more");
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub use iterate::{iterate_to_closure, IterationTrace};
 pub use leak::{LeakRecord, LeakReport, LeakScanner};
 pub use manifest::{FileEntry, FileStatus, RunManifest, RUN_MANIFEST_NAME, RUN_MANIFEST_SCHEMA};
 pub use passlist::PassList;
-pub use publish::Publisher;
+pub use publish::{CommitGroup, Publisher};
 pub use rules::{LineClass, Prefilter, PrefilterStats, RuleCategory, RuleId, ALL_RULES};
 pub use serve::{
     run_daemon, ServeConfig, ServeOptions, ServeSummary, Status, Verb, MAX_PAYLOAD, PROTOCOL,

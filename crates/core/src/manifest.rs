@@ -1,12 +1,13 @@
 //! The durable run journal: `run_manifest.json`.
 //!
 //! A corpus run records its intent and progress in a manifest inside the
-//! output directory, rewritten through [`crate::fsx::write_atomic`]
-//! after every file state change. The discipline is write-ahead: a
-//! file's digest enters the journal *before* its bytes are published,
-//! so at no observable point does the output directory contain a file
-//! the journal cannot account for — the storage-layer mirror of the
-//! leak gate's "nothing unaccounted is released".
+//! output directory, written through [`crate::fsx::write_atomic`] at
+//! begin and once per commit group ([`crate::publish::Publisher::commit`]
+//! — one group for a whole `confanon batch` run). The discipline is
+//! write-ahead: a file's digest enters the journal *before* its bytes
+//! are published, so at no observable point does the output directory
+//! contain a file the journal cannot account for — the storage-layer
+//! mirror of the leak gate's "nothing unaccounted is released".
 //!
 //! The manifest is what makes `--resume` sound. On restart the run
 //! re-reads it, verifies every file claimed `released` against its

@@ -2,21 +2,25 @@
 //! here.
 //!
 //! [`Publisher`] enforces the write-ahead discipline around
-//! [`crate::manifest::RunManifest`]:
+//! [`crate::manifest::RunManifest`], one commit group at a time:
 //!
-//! 1. **journal first** — a file's new state (and the digest of the
-//!    bytes about to appear) is written durably into
-//!    `run_manifest.json` *before* the bytes themselves;
-//! 2. **publish second** — the bytes land via
-//!    [`crate::fsx::write_atomic`], so they appear in one atomic step.
+//! 1. **journal first** — every terminal verdict of the group (failed,
+//!    and released or quarantined with the digest of the bytes about to
+//!    appear) is written durably into `run_manifest.json` in *one*
+//!    manifest write, *before* any of the group's bytes;
+//! 2. **publish second** — the bytes land one file at a time via
+//!    [`crate::fsx::write_atomic`], so each appears in one atomic step.
 //!
-//! A crash between the two steps leaves a manifest that *over*-claims
-//! (an entry says `released` but the file is absent or stale); never an
-//! output directory that over-claims. [`Publisher::resume`] exploits
-//! exactly that asymmetry: it trusts nothing, re-verifies every
-//! `released` entry against its digest, demotes anything unverifiable
-//! back to `pending`, sweeps staging files, and hands back the set of
-//! files whose outputs are already correct so the pipeline can skip
+//! A run writes the manifest at begin and once per commit group —
+//! `confanon batch` commits the whole run as one group, so its journal
+//! costs two manifest writes however many files it releases. A crash
+//! between the two steps leaves a manifest that *over*-claims (entries
+//! say `released` but files are absent or stale); never an output
+//! directory that over-claims. [`Publisher::resume`] exploits exactly
+//! that asymmetry: it trusts nothing, re-verifies every `released`
+//! entry against its digest, demotes anything unverifiable back to
+//! `pending`, sweeps staging files, and hands back the set of files
+//! whose outputs are already correct so the pipeline can skip
 //! re-emitting them.
 //!
 //! All durable writes go through the injectable [`Fs`] trait, so the
@@ -29,6 +33,33 @@ use std::path::{Path, PathBuf};
 use crate::error::AnonError;
 use crate::fsx::{self, write_atomic, DurabilityStats, Fs};
 use crate::manifest::{FileStatus, RunManifest, RUN_MANIFEST_NAME};
+use crate::signals::term_requested;
+
+/// Outputs of a commit group, `(corpus name, bytes)`, in publish order.
+pub type Outputs<'b> = Vec<(&'b str, &'b [u8])>;
+
+/// The terminal verdicts of one commit group, journaled by
+/// [`Publisher::commit`] in a single durable manifest write before any
+/// of their bytes publish.
+#[derive(Default)]
+pub struct CommitGroup<'b> {
+    /// Panic-contained files, journaled `failed` (no bytes exist).
+    pub failed: Vec<&'b str>,
+    /// Gate-clean outputs, published into the output directory.
+    pub released: Outputs<'b>,
+    /// Gate-quarantined outputs and the directory their bytes go to
+    /// (never the output directory), published after every released
+    /// file.
+    pub quarantined: Option<(&'b Path, Outputs<'b>)>,
+}
+
+impl CommitGroup<'_> {
+    fn is_empty(&self) -> bool {
+        self.failed.is_empty()
+            && self.released.is_empty()
+            && self.quarantined.as_ref().is_none_or(|(_, q)| q.is_empty())
+    }
+}
 
 /// The journaled publisher for one corpus run.
 pub struct Publisher<'a> {
@@ -45,6 +76,18 @@ pub struct Publisher<'a> {
 /// `<name>.anon` layout of `confanon batch`).
 fn released_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.anon"))
+}
+
+/// The `SIGTERM` poll of [`Publisher::commit`]: `next` names the write
+/// the run stops before.
+fn check_term(next: &str) -> Result<(), AnonError> {
+    if term_requested() {
+        return Err(AnonError::ResumableInterrupted {
+            path: next.to_string(),
+            message: "SIGTERM received; stopping after the last completed atomic write".to_string(),
+        });
+    }
+    Ok(())
 }
 
 /// Best-effort removal of `write_atomic` staging files under `dir`,
@@ -290,58 +333,64 @@ impl<'a> Publisher<'a> {
         }
     }
 
-    /// Releases one file: journals the `released` state (with the digest
-    /// of `bytes`) durably, *then* publishes the bytes atomically. At no
-    /// observable point does the output directory contain a file whose
-    /// digest is absent from the journal.
-    pub fn release(&mut self, name: &str, bytes: &[u8]) -> Result<(), AnonError> {
-        self.set_entry(
-            name,
-            FileStatus::Released,
-            Some(RunManifest::digest_hex(bytes)),
-        )?;
-        self.journal()?;
-        write_atomic(
-            self.fs,
-            &released_path(&self.out_dir, name),
-            bytes,
-            &mut self.stats,
-        )
-    }
-
-    /// Quarantines one file: journals the `quarantined` state, then
-    /// writes the bytes into `quarantine_dir` (never the output
-    /// directory).
-    pub fn quarantine(
-        &mut self,
-        quarantine_dir: &Path,
-        name: &str,
-        bytes: &[u8],
-    ) -> Result<(), AnonError> {
-        self.set_entry(
-            name,
-            FileStatus::Quarantined,
-            Some(RunManifest::digest_hex(bytes)),
-        )?;
-        self.journal()?;
-        write_atomic(
-            self.fs,
-            &released_path(quarantine_dir, name),
-            bytes,
-            &mut self.stats,
-        )
-    }
-
-    /// Journals panic-contained files as `failed` (no bytes exist for
-    /// them) in one durable write.
-    pub fn mark_failed(&mut self, names: &[String]) -> Result<(), AnonError> {
-        if names.is_empty() {
+    /// Commits one group: journals every verdict of `group` in one
+    /// durable manifest write, *then* publishes the bytes atomically —
+    /// released files in order, then quarantined ones. At no observable
+    /// point does the output directory contain a file whose digest is
+    /// absent from the journal.
+    ///
+    /// `SIGTERM` drains, it doesn't kill: the flag is polled before the
+    /// journal write and between byte writes, so an in-flight rename
+    /// always completes and the journal stays consistent. The files not
+    /// yet written are exactly what `--resume` finds missing; the error
+    /// is [`AnonError::ResumableInterrupted`] naming the next write.
+    pub fn commit(&mut self, group: &CommitGroup<'_>) -> Result<(), AnonError> {
+        if group.is_empty() {
             return Ok(());
         }
-        for n in names {
-            self.set_entry(n, FileStatus::Failed, None)?;
+        check_term(RUN_MANIFEST_NAME)?;
+        for name in &group.failed {
+            self.set_entry(name, FileStatus::Failed, None)?;
         }
-        self.journal()
+        for (name, bytes) in &group.released {
+            self.set_entry(
+                name,
+                FileStatus::Released,
+                Some(RunManifest::digest_hex(bytes)),
+            )?;
+        }
+        if let Some((_, files)) = &group.quarantined {
+            for (name, bytes) in files {
+                let digest = Some(RunManifest::digest_hex(bytes));
+                self.set_entry(name, FileStatus::Quarantined, digest)?;
+            }
+        }
+        self.journal()?;
+        for (name, bytes) in &group.released {
+            check_term(name)?;
+            write_atomic(
+                self.fs,
+                &released_path(&self.out_dir, name),
+                bytes,
+                &mut self.stats,
+            )?;
+        }
+        if let Some((dir, files)) = &group.quarantined {
+            for (name, bytes) in files {
+                check_term(name)?;
+                write_atomic(self.fs, &released_path(dir, name), bytes, &mut self.stats)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Releases one file: a [`Publisher::commit`] of a group holding
+    /// just `name`.
+    pub fn release(&mut self, name: &str, bytes: &[u8]) -> Result<(), AnonError> {
+        self.commit(&CommitGroup {
+            released: vec![(name, bytes)],
+            ..CommitGroup::default()
+        })
     }
 
     /// Journals every name in `names` as a decoy input (`--decoys N`) in
@@ -389,6 +438,9 @@ impl<'a> Publisher<'a> {
 mod tests {
     use super::*;
     use crate::fsx::StdFs;
+    use confanon_testkit::faultfs::FaultFs;
+    use std::collections::BTreeMap;
+    use std::io;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -412,6 +464,217 @@ mod tests {
         let text =
             std::fs::read_to_string(dir.join(RUN_MANIFEST_NAME)).expect("manifest readable");
         RunManifest::from_json_str(&text).expect("manifest parses")
+    }
+
+    /// Every file under `dir`, by relative path.
+    fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<String, Vec<u8>>) {
+            for entry in std::fs::read_dir(dir).expect("read_dir").flatten() {
+                let path = entry.path();
+                if path.is_dir() {
+                    walk(root, &path, out);
+                } else {
+                    let rel = path.strip_prefix(root).expect("rel");
+                    let bytes = std::fs::read(&path).expect("read");
+                    out.insert(rel.to_string_lossy().into_owned(), bytes);
+                }
+            }
+        }
+        let mut out = BTreeMap::new();
+        walk(dir, dir, &mut out);
+        out
+    }
+
+    /// One released body per name.
+    fn bodies(ns: &[String]) -> Vec<Vec<u8>> {
+        ns.iter()
+            .map(|n| format!("anon {n}\n").into_bytes())
+            .collect()
+    }
+
+    /// A group releasing `ns` (with `bodies`), in order.
+    fn released<'b>(ns: &'b [String], bodies: &'b [Vec<u8>]) -> CommitGroup<'b> {
+        CommitGroup {
+            released: ns
+                .iter()
+                .map(String::as_str)
+                .zip(bodies.iter().map(Vec::as_slice))
+                .collect(),
+            ..CommitGroup::default()
+        }
+    }
+
+    /// A quiet [`FaultFs`] that counts completed manifest writes and
+    /// switches permanent ENOSPC on at output write number `fail_at`
+    /// (1-based; 0 never fails).
+    struct ScriptedFs {
+        inner: FaultFs,
+        fail_at: u64,
+        output_writes: AtomicU64,
+        manifest_writes: AtomicU64,
+    }
+
+    impl ScriptedFs {
+        fn new(fail_at: u64) -> ScriptedFs {
+            ScriptedFs {
+                inner: FaultFs::quiet(7),
+                fail_at,
+                output_writes: AtomicU64::new(0),
+                manifest_writes: AtomicU64::new(0),
+            }
+        }
+
+        fn manifest_writes(&self) -> u64 {
+            self.manifest_writes.load(Ordering::SeqCst)
+        }
+    }
+
+    fn is_manifest(path: &Path) -> bool {
+        path.file_name()
+            .is_some_and(|n| n.to_string_lossy().contains(RUN_MANIFEST_NAME))
+    }
+
+    impl Fs for ScriptedFs {
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            self.inner.create_dir_all(dir)
+        }
+        fn write_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            if !is_manifest(path)
+                && self.output_writes.fetch_add(1, Ordering::SeqCst) + 1 == self.fail_at
+            {
+                self.inner.set_enospc(true);
+            }
+            self.inner.write_sync(path, bytes)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.inner.rename(from, to)?;
+            if is_manifest(to) {
+                self.manifest_writes.fetch_add(1, Ordering::SeqCst);
+            }
+            Ok(())
+        }
+        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+            self.inner.sync_dir(dir)
+        }
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            self.inner.remove_file(path)
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.inner.read(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+    }
+
+    #[test]
+    fn begin_and_one_commit_write_the_manifest_twice_at_any_group_size() {
+        for n in [1usize, 50] {
+            let dir = tmpdir("two-writes");
+            let ns: Vec<String> = (0..n).map(|i| format!("net/r{i}.cfg")).collect();
+            let bodies = bodies(&ns);
+            let fs = ScriptedFs::new(0);
+            let mut p = Publisher::begin(&fs, &dir, b"s", &ns).expect("begin");
+            p.commit(&released(&ns, &bodies)).expect("commit");
+            let (manifest, stats) = p.finish();
+            assert_eq!(fs.manifest_writes(), 2, "n={n}: begin + one group write");
+            assert_eq!(stats.atomic_writes, n as u64 + 2, "n={n}");
+            assert_eq!(manifest.pending_count(), 0);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn committed_manifest_vouches_for_every_file() {
+        let dir = tmpdir("vouch");
+        let qdir = tmpdir("vouch-q");
+        let ns = names(&["a.cfg", "b.cfg", "c.cfg", "d.cfg"]);
+        let mut p = Publisher::begin(&StdFs, &dir, b"s", &ns).expect("begin");
+        p.commit(&CommitGroup {
+            failed: vec!["d.cfg"],
+            released: vec![("a.cfg", b"anon a"), ("b.cfg", b"anon b")],
+            quarantined: Some((&qdir, vec![("c.cfg", b"leaky c")])),
+        })
+        .expect("commit");
+        let m = manifest_on_disk(&dir);
+        assert_eq!(m, *p.manifest(), "the journal on disk is the final one");
+        for (root, name, status) in [
+            (&dir, "a.cfg", FileStatus::Released),
+            (&dir, "b.cfg", FileStatus::Released),
+            (&qdir, "c.cfg", FileStatus::Quarantined),
+        ] {
+            let entry = m.entry(name).expect("entry");
+            let bytes = std::fs::read(root.join(format!("{name}.anon"))).expect("published");
+            assert_eq!(entry.status, status, "{name}");
+            assert_eq!(
+                entry.digest,
+                Some(RunManifest::digest_hex(&bytes)),
+                "{name}"
+            );
+        }
+        let failed = m.entry("d.cfg").expect("entry");
+        assert_eq!(
+            (failed.status, failed.digest.as_deref()),
+            (FileStatus::Failed, None)
+        );
+        assert!(
+            !dir.join("c.cfg.anon").exists(),
+            "quarantined bytes stay out"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&qdir);
+    }
+
+    #[test]
+    fn permanent_failure_mid_group_leaves_a_resumable_journal() {
+        let ns: Vec<String> = (0..5).map(|i| format!("net/r{i}.cfg")).collect();
+        let bodies = bodies(&ns);
+        let clean = tmpdir("fault-clean");
+        let mut p = Publisher::begin(&StdFs, &clean, b"s", &ns).expect("begin");
+        p.commit(&released(&ns, &bodies)).expect("clean commit");
+        drop(p);
+        let golden = snapshot(&clean);
+
+        for k in 1..=ns.len() {
+            let dir = tmpdir("fault");
+            let fs = ScriptedFs::new(k as u64);
+            let mut p = Publisher::begin(&fs, &dir, b"s", &ns).expect("begin");
+            let err = p
+                .commit(&released(&ns, &bodies))
+                .expect_err("write k fails");
+            assert!(matches!(err, AnonError::Io { .. }), "k={k}: {err}");
+            assert!(p.manifest_durable());
+            drop(p);
+
+            // The journal went first and is durable: it claims every
+            // file, and vouches for each one that made it to disk.
+            let m = manifest_on_disk(&dir);
+            assert!(
+                m.files.iter().all(|e| e.status == FileStatus::Released),
+                "k={k}"
+            );
+            let on_disk = snapshot(&dir);
+            assert_eq!(on_disk.len(), k, "k={k}: the manifest and k-1 outputs");
+            for (rel, bytes) in &on_disk {
+                if let Some(name) = rel.strip_suffix(".anon") {
+                    let entry = m.entry(name).expect("journaled");
+                    assert_eq!(entry.digest, Some(RunManifest::digest_hex(bytes)), "k={k}");
+                }
+            }
+
+            fs.inner.set_enospc(false);
+            let (mut p, verified) = Publisher::resume(&fs, &dir, b"s", &ns).expect("resume");
+            assert_eq!(verified, ns[..k - 1].iter().cloned().collect(), "k={k}");
+            p.commit(&released(&ns[k - 1..], &bodies[k - 1..]))
+                .expect("finish");
+            assert_eq!(
+                snapshot(&dir),
+                golden,
+                "k={k}: resumed run differs from a clean run"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let _ = std::fs::remove_dir_all(&clean);
     }
 
     #[test]
@@ -469,7 +732,11 @@ mod tests {
         let mut p = Publisher::begin(&StdFs, &dir, b"s", &ns).expect("begin");
         p.release("a.cfg", b"good").expect("release a");
         p.release("b.cfg", b"stale").expect("release b");
-        p.mark_failed(&names(&["c.cfg"])).expect("fail c");
+        p.commit(&CommitGroup {
+            failed: vec!["c.cfg"],
+            ..CommitGroup::default()
+        })
+        .expect("fail c");
         drop(p);
         // Corrupt b's output (a torn/stale file) and strand a staging file.
         std::fs::write(dir.join("b.cfg.anon"), b"sta").expect("corrupt");
@@ -526,7 +793,11 @@ mod tests {
         let qdir = tmpdir("quarantine-q");
         let ns = names(&["a.cfg"]);
         let mut p = Publisher::begin(&StdFs, &dir, b"s", &ns).expect("begin");
-        p.quarantine(&qdir, "a.cfg", b"leaky").expect("quarantine");
+        p.commit(&CommitGroup {
+            quarantined: Some((&qdir, vec![("a.cfg", b"leaky")])),
+            ..CommitGroup::default()
+        })
+        .expect("quarantine");
         assert!(!dir.join("a.cfg.anon").exists(), "never lands in out-dir");
         assert_eq!(std::fs::read(qdir.join("a.cfg.anon")).expect("read"), b"leaky");
         assert_eq!(

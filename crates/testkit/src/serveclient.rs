@@ -178,6 +178,9 @@ impl ServeClient {
             let s = TcpStream::connect(endpoint)?;
             s.set_read_timeout(timeout)?;
             s.set_write_timeout(timeout)?;
+            // Each frame leaves in one write (see `request`); without
+            // Nagle, that write never waits on the peer's delayed ACK.
+            s.set_nodelay(true)?;
             Transport::Tcp(s)
         };
         Ok(ServeClient { transport })
@@ -192,9 +195,12 @@ impl ServeClient {
         name: &str,
         payload: &[u8],
     ) -> io::Result<Reply> {
-        let header = format!("{PROTOCOL} {verb} {tenant} {name} {}\n", payload.len());
-        self.transport.write_all(header.as_bytes())?;
-        self.transport.write_all(payload)?;
+        // Header and payload go out in one write: split in two, the
+        // payload write would wait on the peer's delayed ACK.
+        let mut frame =
+            format!("{PROTOCOL} {verb} {tenant} {name} {}\n", payload.len()).into_bytes();
+        frame.extend_from_slice(payload);
+        self.transport.write_all(&frame)?;
         self.transport.flush()?;
         self.read_reply()
     }

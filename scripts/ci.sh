@@ -19,6 +19,19 @@ echo "==> doc build (offline, broken intra-doc links denied)"
 # a dangling [`link`] anywhere fails this step.
 cargo doc --workspace --no-deps --offline
 
+echo "==> perfbench: builds and passes its correctness gate"
+# perfbench (the benchmark of record, see BENCHMARK.json) is a package of
+# its own outside the workspace, so the steps above never compile it: an
+# API change it calls into would otherwise break the benchmark silently.
+# One short untraced e9_batch run exercises its correctness gate.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+perf_result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload e9_batch --seconds 1 --trace 0 | tail -n 1)
+echo "$perf_result"
+echo "$perf_result" | grep -q '"correct": true' || {
+    echo "perfbench correctness gate failed"; exit 1;
+}
+
 echo "==> smoke bench: batch pipeline throughput"
 # The ISSUE's smoke bench target is a corpus directory; `examples/` holds
 # Rust examples, so generate a small synthetic corpus and batch it.

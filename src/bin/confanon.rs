@@ -417,9 +417,10 @@ fn collect_cfg_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 }
 
 fn cmd_batch(args: &[String]) -> ExitCode {
-    // SIGTERM must not kill the run between journal entries: the
-    // publish loop polls the flag and converts it into the resumable
-    // exit 5 after the in-flight atomic rename completes.
+    // SIGTERM must not kill the run mid-publish: the group commit polls
+    // the flag before its journal write and between byte writes, and
+    // converts it into the resumable exit 5 after the in-flight atomic
+    // rename completes.
     confanon::core::signals::install_term_handler();
     let (opts, pos) = parse_opts(args);
     let Some(dir) = pos.first().map(PathBuf::from) else {
@@ -618,13 +619,17 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     // sanitized text — what the pipeline actually anonymizes), and
     // derive the set of files whose stored watermark still matches:
     // they skip the discovery scan entirely and, once their released
-    // bytes digest-verify, the rewrite too.
+    // bytes digest-verify, the rewrite too. Only the --state paths read
+    // the watermarks, so a stateless run computes none.
     let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
     let fingerprint = RunManifest::fingerprint(&secret_bytes);
-    let watermarks: BTreeMap<String, String> = files
-        .iter()
-        .map(|(n, t)| (n.clone(), RunManifest::digest_hex(t.as_bytes())))
-        .collect();
+    let watermarks: BTreeMap<String, String> = match &state_dir {
+        Some(_) => files
+            .iter()
+            .map(|(n, t)| (n.clone(), RunManifest::digest_hex(t.as_bytes())))
+            .collect(),
+        None => BTreeMap::new(),
+    };
     let mut loaded_state: Option<AnonState> = None;
     let mut state_file = String::new();
     if let Some(sdir) = &state_dir {
@@ -764,8 +769,9 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     let t_publish = bin_obs.span_start();
     match &mut publisher {
         Some(p) => {
-            // Journal-first publishing: failures, then released outputs
-            // in corpus order, then quarantined bytes and the report.
+            // Journal-first publishing: one manifest write records every
+            // verdict, then released outputs in corpus order, then
+            // quarantined bytes and the report.
             if let Err(e) = confanon::workflow::publish_gated_run(p, &run, qdir_opt) {
                 // The begin/resume journal write succeeded, so a later
                 // I/O failure leaves a resumable run on disk.

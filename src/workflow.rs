@@ -10,10 +10,11 @@ use std::path::Path;
 
 use confanon_confgen::{generate_decoy_routers, Network};
 use confanon_core::leak::{LeakRecord, LeakReport, LeakScanner};
+use confanon_core::publish::Outputs;
 use confanon_core::{
     AnonError, AnonState, AnonymizationStats, Anonymizer, AnonymizerConfig, BatchFailure,
-    BatchInput, BatchOutput, BatchPipeline, BatchReport, FileDiscovery, IpScheme, Publisher,
-    RunManifest, ALL_RULES,
+    BatchInput, BatchOutput, BatchPipeline, BatchReport, CommitGroup, FileDiscovery, IpScheme,
+    Publisher, RunManifest, ALL_RULES,
 };
 use confanon_crypto::Sha1;
 use confanon_design::RoutingDesign;
@@ -465,41 +466,31 @@ pub struct PublishSummary {
     pub failed: usize,
 }
 
-/// Publishes a gated run through the write-ahead journal.
+/// Publishes a gated run through the write-ahead journal as one commit
+/// group ([`Publisher::commit`]).
 ///
-/// Every state change is journaled in `run_manifest.json` *before* the
-/// corresponding bytes appear, in a deterministic order (failures
-/// first, then released outputs in corpus order, then quarantined
-/// outputs and the leak report) — which is what makes the
-/// `CONFANON_CRASH_AFTER` crash points reproducible at any `--jobs`
-/// value. Quarantined bytes and `leak_report.json` go to
-/// `quarantine_dir` when given; pass `None` only when the gate is known
-/// clean and no quarantine artifacts were requested.
+/// Every terminal verdict of the run — failures, released outputs, and
+/// quarantined outputs with their digests — is journaled in
+/// `run_manifest.json` in one durable write *before* any byte appears;
+/// the bytes then publish in a deterministic order (released outputs
+/// in corpus order, then quarantined outputs, then the leak report) —
+/// which is what makes the `CONFANON_CRASH_AFTER` crash points
+/// reproducible at any `--jobs` value. Quarantined bytes and
+/// `leak_report.json` go to `quarantine_dir` when given; pass `None`
+/// only when the gate is known clean and no quarantine artifacts were
+/// requested.
 pub fn publish_gated_run(
     publisher: &mut Publisher<'_>,
     run: &GatedCorpusRun,
     quarantine_dir: Option<&Path>,
 ) -> Result<PublishSummary, AnonError> {
-    let failed: Vec<String> = run.failures.iter().map(|f| f.name.clone()).collect();
-    publisher.mark_failed(&failed)?;
-    for o in &run.clean {
-        // SIGTERM drains, it doesn't kill: the flag is polled between
-        // atomic writes, so the in-flight rename always completes and
-        // the journal stays consistent. The remaining files are exactly
-        // what `--resume` will find missing.
-        if confanon_core::signals::term_requested() {
-            return Err(AnonError::ResumableInterrupted {
-                path: o.name.clone(),
-                message: "SIGTERM received; stopping after the last completed atomic write"
-                    .to_string(),
-            });
-        }
-        publisher.release(&o.name, o.text.as_bytes())?;
-    }
+    let quarantined = outputs(run.quarantined.iter().map(|q| &q.output));
+    publisher.commit(&CommitGroup {
+        failed: run.failures.iter().map(|f| f.name.as_str()).collect(),
+        released: outputs(run.clean.iter()),
+        quarantined: quarantine_dir.map(|dir| (dir, quarantined)),
+    })?;
     if let Some(qdir) = quarantine_dir {
-        for q in &run.quarantined {
-            publisher.quarantine(qdir, &q.output.name, q.output.text.as_bytes())?;
-        }
         publisher.write_report(
             &qdir.join("leak_report.json"),
             run.leak_report_json().to_string_pretty().as_bytes(),
@@ -508,8 +499,15 @@ pub fn publish_gated_run(
     Ok(PublishSummary {
         released: run.clean.len(),
         quarantined: run.quarantined.len(),
-        failed: failed.len(),
+        failed: run.failures.len(),
     })
+}
+
+/// `(name, bytes)` of each output, in run order.
+fn outputs<'r>(outputs: impl Iterator<Item = &'r BatchOutput>) -> Outputs<'r> {
+    outputs
+        .map(|o| (o.name.as_str(), o.text.as_bytes()))
+        .collect()
 }
 
 /// Domain separator for per-network decoy seeds.

@@ -141,6 +141,22 @@ fn anonymize_to_stdout() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Files with extension `ext` under `dir`, recursively.
+fn count_files(dir: &Path, ext: &str) -> usize {
+    std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .map(|p| {
+            if p.is_dir() {
+                count_files(&p, ext)
+            } else {
+                usize::from(p.extension().is_some_and(|x| x == ext))
+            }
+        })
+        .sum()
+}
+
 #[test]
 fn batch_clean_corpus_exits_zero_and_releases_everything() {
     let root = tmpdir("batch-clean");
@@ -163,23 +179,47 @@ fn batch_clean_corpus_exits_zero_and_releases_everything() {
         .expect("batch");
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     // Outputs mirror the corpus layout (one subdirectory per network).
-    fn count_anon(dir: &Path) -> usize {
-        std::fs::read_dir(dir)
-            .into_iter()
-            .flatten()
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .map(|p| {
-                if p.is_dir() {
-                    count_anon(&p)
-                } else {
-                    usize::from(p.extension().is_some_and(|x| x == "anon"))
-                }
-            })
-            .sum()
-    }
-    assert!(count_anon(&out_dir) >= 3, "all files released");
+    assert!(count_files(&out_dir, "anon") >= 3, "all files released");
     // No quarantine directory appears on a clean run.
     assert!(!root.join("out-quarantine").exists());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn batch_journals_with_two_manifest_writes_at_any_corpus_size() {
+    // One commit group per run: the manifest is written at begin and
+    // once for every verdict, then each output lands once — N + 2
+    // atomic writes, so the journal can never again grow with files².
+    let root = tmpdir("batch-group-commit");
+    let gen_dir = root.join("gen");
+    assert!(bin()
+        .args(["generate", "--networks", "3", "--routers", "4", "--seed", "2004"])
+        .arg("--out-dir")
+        .arg(&gen_dir)
+        .status()
+        .expect("generate")
+        .success());
+    let n = count_files(&gen_dir, "cfg");
+    assert!(n >= 6, "corpus too small: {n} file(s)");
+
+    let out = bin()
+        .args(["batch", "--secret", "s", "--jobs", "1"])
+        .arg("--out-dir")
+        .arg(root.join("out"))
+        .arg(&gen_dir)
+        .output()
+        .expect("batch");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let want = format!(
+        "durability: {} atomic write(s), {} fsync(s)",
+        n + 2,
+        2 * (n + 2)
+    );
+    assert!(
+        stderr.contains(&want),
+        "want {want:?} for {n} file(s):\n{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
