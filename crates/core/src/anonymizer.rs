@@ -17,8 +17,8 @@ use confanon_asnanon::rewrite::{
 use confanon_asnanon::{AsnMap, CommunityMap, LargeCommunityMap, RewriteOptions};
 use confanon_crypto::TokenHasher;
 use confanon_iosparse::{
-    classify_lines, rebuild, rebuild_sparse, segment, tokenize, LineKind, Segment, BYTE_CLASS,
-    CLASS_ALPHA, CLASS_DIGIT,
+    classify_lines, rebuild_sparse, segment, tokenize, LineKind, Segment, BYTE_CLASS, CLASS_ALPHA,
+    CLASS_DIGIT,
 };
 use confanon_ipanon::{Ip6Anonymizer, IpAnonymizer, RandomScramble};
 use confanon_netprim::{special6_kind, special_kind, Ip, Ip6};
@@ -127,20 +127,6 @@ pub struct AnonymizerConfig {
     /// batch pipeline's panic containment can be exercised
     /// deterministically in tests; production callers leave it `None`.
     pub fault_marker: Option<(String, crate::error::BatchPhase)>,
-    /// Disables the contextual-rule prefilter fast path
-    /// ([`crate::rules::Prefilter`]), forcing the full context matcher on
-    /// every line. Output and rule fires are identical either way — this
-    /// exists for the differential property tests and the
-    /// `--bench-json` prefilter benchmark.
-    pub disable_prefilter: bool,
-    /// Disables the zero-copy rewrite path: every command line goes
-    /// through the pre-refactor always-allocating pipeline (per-token
-    /// `String`s, dense [`confanon_iosparse::rebuild`], uncached salted
-    /// hashing). Output bytes and rule fires are identical either way —
-    /// this exists for the differential property tests and the
-    /// `--bench-json` `rewrite` benchmark's before/after comparison (see
-    /// DESIGN.md §17).
-    pub disable_zero_copy: bool,
 }
 
 impl AnonymizerConfig {
@@ -153,8 +139,6 @@ impl AnonymizerConfig {
             pass_list: PassList::builtin(),
             ip_scheme: IpScheme::default(),
             fault_marker: None,
-            disable_prefilter: false,
-            disable_zero_copy: false,
         }
     }
 
@@ -337,15 +321,11 @@ impl Anonymizer {
     /// it cannot change any mapping state a later emit pass depends on.
     ///
     /// Emitted hashes are interned in [`Anonymizer::hash_memo`]; the
-    /// legacy `disable_zero_copy` path bypasses the memo so the
-    /// differential benchmark measures the genuinely uncached
-    /// pre-refactor cost.
+    /// test-only reference line path hashes its per-token fallback
+    /// uncached, so the differential properties pin the memo too.
     fn hash_emit(&mut self, tok: &str) -> String {
         if !self.emit {
             return String::new();
-        }
-        if self.cfg.disable_zero_copy {
-            return self.hasher.hash_token(tok);
         }
         if let Some(h) = self.hash_memo.get(tok) {
             self.rewrite_stats.hash_memo_hits += 1;
@@ -537,17 +517,16 @@ impl Anonymizer {
     /// line `Borrowed`, and a coincidental identity (a permutation
     /// fixed point emitting the original digits) is normalized back to
     /// "untouched" before assembly. DESIGN.md §17 states the invariant
-    /// and the untouched-line identity proof; rule fires and output
-    /// bytes are proven identical to the `disable_zero_copy` legacy
-    /// path by the differential property suite.
+    /// and the untouched-line identity proof. Output bytes, per-line
+    /// stats, the leak record, and the emitted exclusions are pinned
+    /// against a test-only reference line path — full context matcher
+    /// on every line, every token owned, dense reassembly — by the
+    /// differential properties in this module's `reference` tests.
     pub fn anonymize_command_line<'a>(
         &mut self,
         line: &'a str,
         stats: &mut AnonymizationStats,
     ) -> Cow<'a, str> {
-        if self.cfg.disable_zero_copy {
-            return Cow::Owned(self.anonymize_command_line_legacy(line, stats));
-        }
         let toks = tokenize(line);
         let texts: Vec<&str> = toks.iter().map(|t| t.text).collect();
         stats.words_total += texts.len() as u64;
@@ -558,12 +537,7 @@ impl Anonymizer {
         // slice-pattern matcher are skipped wholesale. The verdict is a
         // conservative superset (see [`crate::rules::Prefilter`]), so
         // output bytes and rule fire counts are identical either way.
-        let class = if self.cfg.disable_prefilter {
-            LineClass::ContextScan
-        } else {
-            self.line_cache.classify(line, &mut self.prefilter_stats)
-        };
-        if class == LineClass::ContextScan {
+        if self.line_cache.classify(line, &mut self.prefilter_stats) == LineClass::ContextScan {
             // One lowercase copy of the whole line instead of one String
             // per token: ASCII lowercasing is byte-for-byte, so the token
             // spans index into the lowered copy directly.
@@ -608,49 +582,6 @@ impl Anonymizer {
             Cow::Owned(_) => self.rewrite_stats.lines_rewritten += 1,
         }
         rebuilt
-    }
-
-    /// The pre-refactor rewrite path, kept in-tree (behind
-    /// [`AnonymizerConfig::disable_zero_copy`]) as the differential
-    /// baseline: every token becomes an owned `String` and the line is
-    /// reassembled through the dense [`rebuild`].
-    fn anonymize_command_line_legacy(
-        &mut self,
-        line: &str,
-        stats: &mut AnonymizationStats,
-    ) -> String {
-        let toks = tokenize(line);
-        let texts: Vec<&str> = toks.iter().map(|t| t.text).collect();
-        stats.words_total += texts.len() as u64;
-        let mut out: Vec<Option<String>> = vec![None; texts.len()];
-
-        let class = if self.cfg.disable_prefilter {
-            LineClass::ContextScan
-        } else {
-            self.line_cache.classify(line, &mut self.prefilter_stats)
-        };
-        if class == LineClass::ContextScan {
-            let lower: Vec<String> = texts.iter().map(|t| t.to_ascii_lowercase()).collect();
-            let lref: Vec<&str> = lower.iter().map(String::as_str).collect();
-            self.apply_context_rules(&lref, &texts, &mut out, stats);
-        }
-
-        // Per-token pass for everything the context rules left alone.
-        for (i, tok) in texts.iter().enumerate() {
-            if out[i].is_some() {
-                continue;
-            }
-            out[i] = Some(self.anonymize_token(tok, stats));
-        }
-
-        if !self.emit {
-            return String::new();
-        }
-        // The per-token pass above fills every remaining slot, so `None`
-        // is unreachable; an empty replacement (token dropped) is the
-        // benign fallback if that invariant ever breaks.
-        let rewritten: Vec<String> = out.into_iter().map(Option::unwrap_or_default).collect();
-        rebuild(line, &toks, &rewritten)
     }
 
     /// The line-context rules: ASN locators (R06–R17), regexp rewriting
@@ -1048,8 +979,9 @@ impl Anonymizer {
             .collect()
     }
 
-    /// The zero-copy twin of [`Anonymizer::anonymize_token`]: identical
-    /// rule checks, mapping-state mutations, and counters, but returns
+    /// The generic per-token transformation — addresses, prefixes,
+    /// community literals, numbers, and the segmentation + pass-list +
+    /// hash fallback — in borrow-or-own form: returns
     /// `None` — no allocation — when the token is kept verbatim (pure
     /// numbers, pass-listed words, disabled-rule keeps). During
     /// discovery it always returns `None`: output is discarded, and the
@@ -1061,8 +993,8 @@ impl Anonymizer {
         // forms require a ':' somewhere in the token. One byte-class
         // table load lets the common keyword token (`interface`,
         // `neighbor`, …) skip every parse attempt wholesale; the order of
-        // checks inside each arm is the legacy order, so rule fires and
-        // side effects are unchanged.
+        // checks inside each arm is the reference path's order, so rule
+        // fires and side effects are unchanged.
         let first = tok.as_bytes().first().copied().unwrap_or(b' ');
         if BYTE_CLASS[usize::from(first)] & CLASS_DIGIT != 0 {
             // R22/R24/R25: IPv4 literal.
@@ -1215,139 +1147,6 @@ impl Anonymizer {
             }
         }
         None
-    }
-
-    /// The generic per-token transformation: addresses, prefixes,
-    /// community literals, numbers, and the segmentation + pass-list +
-    /// hash fallback. This is the pre-refactor always-allocating form,
-    /// kept for the `disable_zero_copy` differential baseline; the hot
-    /// path uses [`Anonymizer::rewrite_token`].
-    fn anonymize_token(&mut self, tok: &str, stats: &mut AnonymizationStats) -> String {
-        // R22/R24/R25: IPv4 literal.
-        if let Ok(ip) = tok.parse::<Ip>() {
-            if self.enabled(RuleId::R22Ipv4Literal) {
-                let mapped = self.map_ip(ip, stats);
-                return if self.emit { mapped.to_string() } else { String::new() };
-            }
-            return self.keep(tok);
-        }
-        // R23: prefix token `a.b.c.d/len`.
-        if let Some((addr, len)) = tok.split_once('/') {
-            if let (Ok(ip), Ok(len)) = (addr.parse::<Ip>(), len.parse::<u8>()) {
-                if len <= 32 && self.enabled(RuleId::R23PrefixToken) {
-                    stats.fire(RuleId::R23PrefixToken);
-                    let mapped = self.map_ip(ip, stats);
-                    return if self.emit {
-                        format!("{mapped}/{len}")
-                    } else {
-                        String::new()
-                    };
-                }
-                return self.keep(tok);
-            }
-        }
-        // R14: bare community attribute — classic `asn:value` or RFC 8092
-        // large `ga:d1:d2`.
-        if self.enabled(RuleId::R14CommunityAttributeToken) {
-            if let Some(mapped) = self.try_community(tok, stats) {
-                stats.fire(RuleId::R14CommunityAttributeToken);
-                return mapped;
-            }
-            if let Some(mapped) = self.large_community.map_token(tok) {
-                stats.fire(RuleId::R14CommunityAttributeToken);
-                stats.communities_mapped += 1;
-                if let Some(ga) = tok.split(':').next() {
-                    if ga
-                        .parse::<u32>()
-                        .is_ok_and(confanon_asnanon::is_public32)
-                    {
-                        self.record.asns.insert(ga.to_string());
-                    }
-                }
-                for field in mapped.split(':') {
-                    self.emitted.insert(field.to_string());
-                }
-                return mapped;
-            }
-        }
-        // R22/R23 for IPv6 (post-paper extension): `2001:db8::1` and
-        // `2001:db8::/32` tokens. Communities were ruled out above, so a
-        // colon-bearing token that parses as IPv6 is one.
-        if tok.contains(':') && self.enabled(RuleId::R22Ipv4Literal) {
-            if let Ok(ip6) = tok.parse::<Ip6>() {
-                let mapped = self.map_ip6(ip6, stats);
-                return if self.emit { mapped.to_string() } else { String::new() };
-            }
-            if let Some((addr, len)) = tok.rsplit_once('/') {
-                if let (Ok(ip6), Ok(len)) = (addr.parse::<Ip6>(), len.parse::<u8>()) {
-                    if len <= 128 {
-                        stats.fire(RuleId::R23PrefixToken);
-                        let mapped = self.map_ip6(ip6, stats);
-                        return if self.emit {
-                            format!("{mapped}/{len}")
-                        } else {
-                            String::new()
-                        };
-                    }
-                }
-            }
-        }
-        // Simple integers are generally not anonymized (§4.1).
-        if tok.bytes().all(|b| b.is_ascii_digit()) {
-            return self.keep(tok);
-        }
-        // R01/R02/R26: segmentation, pass-list, hash.
-        if !self.enabled(RuleId::R26TokenHashing) {
-            return self.keep(tok);
-        }
-        let segs = segment(tok);
-        if segs.len() > 1 {
-            // R02: punctuation split the word into independently checked
-            // segments (`cr1.lax.foo.com`, `Ethernet0/0`).
-            stats.fire(RuleId::R02SplitPunctuation);
-        }
-        let mut outb = String::with_capacity(if self.emit { tok.len() } else { 0 });
-        for seg in segs {
-            match seg {
-                Segment::Other(o) => {
-                    if self.emit {
-                        outb.push_str(o);
-                    }
-                }
-                Segment::Alpha(a) => {
-                    if self.cfg.pass_list.contains(a) {
-                        stats.segments_passed += 1;
-                        if self.emit {
-                            outb.push_str(a);
-                        }
-                    } else {
-                        stats.fire(RuleId::R26TokenHashing);
-                        stats.segments_hashed += 1;
-                        // `a` is already one non-pass-list alpha segment,
-                        // so the re-segmentation in `record_word` is
-                        // skipped.
-                        if self.enabled(RuleId::R28LeakHighlighting) {
-                            self.record_alpha(a);
-                        }
-                        if self.emit {
-                            outb.push_str(&self.hash_emit(a));
-                        }
-                    }
-                }
-            }
-        }
-        stats.fire(RuleId::R01SplitAlphaRuns);
-        outb
-    }
-
-    /// A token kept verbatim: cloned for emission, elided during
-    /// discovery (the discovery pass discards all output text).
-    fn keep(&self, tok: &str) -> String {
-        if self.emit {
-            tok.to_string()
-        } else {
-            String::new()
-        }
     }
 
     /// Maps one address with recording and stats.
@@ -1576,6 +1375,9 @@ fn banner_header_skeleton(line: &str) -> String {
     };
     format!("{} {} {}", toks[0].text, toks[1].text, delim)
 }
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {

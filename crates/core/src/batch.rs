@@ -18,10 +18,10 @@
 //!    commutatively (min position per address) and one canonical replay,
 //!    sorted by position, then drives the real tries through exactly the
 //!    insertion sequence a sequential scan of the whole corpus would
-//!    have produced. A `jobs <= 1` pipeline (or one pinned by
-//!    [`BatchPipeline::with_sequential_discovery`]) skips the machinery
-//!    and scans sequentially via [`Anonymizer::discover_config`]; both
-//!    modes warm byte-identical state.
+//!    have produced. A `jobs <= 1` pipeline, or a corpus with at most
+//!    one file to scan, skips the machinery and scans sequentially via
+//!    [`Anonymizer::discover_config`]; both modes warm byte-identical
+//!    state.
 //! 2. **Rewrite (clone workers).** Each worker takes a clone of the
 //!    warmed anonymizer and re-emits files. Every mapping the emit pass
 //!    needs already exists, so workers only perform pure lookups and
@@ -85,8 +85,7 @@ pub struct BatchOutput {
     pub stats: AnonymizationStats,
     /// Borrow-or-own accounting for this file's emit pass. Carried
     /// separately from `stats` (which is pinned byte-identical between
-    /// the discovery and emit passes); zero when the legacy
-    /// `disable_zero_copy` path ran.
+    /// the discovery and emit passes).
     pub rewrite: RewriteStats,
 }
 
@@ -162,7 +161,6 @@ pub struct BatchPipeline {
     anonymizer: Anonymizer,
     jobs: usize,
     clock: Clock,
-    sequential_discovery: bool,
 }
 
 impl BatchPipeline {
@@ -182,7 +180,6 @@ impl BatchPipeline {
             anonymizer: Anonymizer::new(cfg),
             jobs,
             clock: Clock::new(),
-            sequential_discovery: false,
         }
     }
 
@@ -191,16 +188,6 @@ impl BatchPipeline {
     /// benchmark's baseline).
     pub fn with_clock(mut self, clock: Clock) -> BatchPipeline {
         self.clock = clock;
-        self
-    }
-
-    /// Pins the discovery pass to the sequential scan even when
-    /// `jobs > 1`. Output is byte-identical either way (that equivalence
-    /// is property-tested); this switch exists for the differential
-    /// tests and the `--bench-json` discovery benchmark, which measure
-    /// the two modes against each other.
-    pub fn with_sequential_discovery(mut self, sequential: bool) -> BatchPipeline {
-        self.sequential_discovery = sequential;
         self
     }
 
@@ -341,12 +328,12 @@ impl BatchPipeline {
         }
     }
 
-    /// Runs *only* the discovery pass (sequential or sharded, per the
-    /// pipeline's configuration), warming the mapping state exactly as
-    /// [`Self::run`] would before its rewrite pass, and returns the
-    /// contained per-file failures. This is the benchmark/diagnostic
-    /// entry point behind the CLI's `--bench-json` `discovery` block;
-    /// production runs use [`Self::run`].
+    /// Runs *only* the discovery pass (sequential at `jobs <= 1` or for
+    /// a single file, sharded otherwise), warming the mapping state
+    /// exactly as [`Self::run`] would before its rewrite pass, and
+    /// returns the contained per-file failures. This is the benchmark
+    /// entry point behind the CLI's `--bench-json` `discovery` block and
+    /// the perfbench discovery layer; production runs use [`Self::run`].
     pub fn discover_corpus(&mut self, inputs: &[BatchInput]) -> Vec<BatchFailure> {
         let mut obs = ObsShard::new(self.clock);
         let mut failed: Vec<Option<BatchFailure>> = vec![None; inputs.len()];
@@ -361,8 +348,8 @@ impl BatchPipeline {
     /// their trie insertions are already present via journal replay.
     /// The remaining files scan sequentially or sharded; the sharded
     /// path pays a worker-spawn and merge/replay cost that only
-    /// amortizes over multiple files, so single-file (or single-job, or
-    /// explicitly pinned) runs take the sequential path.
+    /// amortizes over multiple files, so single-file (or single-job)
+    /// runs take the sequential path.
     fn discover_pass(
         &mut self,
         inputs: &[BatchInput],
@@ -392,7 +379,7 @@ impl BatchPipeline {
                 None => to_scan.push(i),
             }
         }
-        if self.sequential_discovery || self.jobs <= 1 || to_scan.len() <= 1 {
+        if self.jobs <= 1 || to_scan.len() <= 1 {
             self.discover_sequential(inputs, &to_scan, failed, obs, discoveries);
         } else {
             self.discover_sharded(inputs, &to_scan, failed, obs, discoveries);
@@ -972,7 +959,7 @@ mod tests {
         // record, trie node counts, and total stats all match the
         // sequential scan, at several worker counts.
         let inputs = corpus();
-        let mut seq = BatchPipeline::new(secret(), 4).with_sequential_discovery(true);
+        let mut seq = BatchPipeline::new(secret(), 1);
         seq.discover_corpus(&inputs);
         for jobs in [2, 3, 4, 8] {
             let mut par = BatchPipeline::new(secret(), jobs);
@@ -987,26 +974,6 @@ mod tests {
                 par.anonymizer().total_stats(),
                 "jobs={jobs}"
             );
-        }
-    }
-
-    #[test]
-    fn sharded_discovery_outputs_match_sequential_discovery_bytes() {
-        // End to end through the full pipeline: pinning discovery
-        // sequential vs letting it shard changes no output byte.
-        let inputs = corpus();
-        for jobs in [2, 4, 8] {
-            let pinned = BatchPipeline::new(secret(), jobs)
-                .with_sequential_discovery(true)
-                .run(&inputs);
-            let sharded = BatchPipeline::new(secret(), jobs).run(&inputs);
-            assert_eq!(pinned.outputs.len(), sharded.outputs.len());
-            for (a, b) in pinned.outputs.iter().zip(&sharded.outputs) {
-                assert_eq!(a.name, b.name);
-                assert_eq!(a.text, b.text, "jobs={jobs} diverged on {}", a.name);
-                assert_eq!(a.stats, b.stats, "jobs={jobs} stats diverged");
-            }
-            assert_eq!(pinned.totals, sharded.totals);
         }
     }
 
@@ -1166,52 +1133,53 @@ mod tests {
         );
     }
 
+    /// `BatchPipeline::new(cfg, 1)` is the sequential-discovery
+    /// reference the determinism properties compare against, so the
+    /// selection is pinned: no shards at one job or for a one-file
+    /// corpus, `min(jobs, files)` shards otherwise.
     #[test]
-    fn disabling_the_prefilter_changes_no_byte_or_fire_count() {
+    fn discovery_mode_follows_jobs_and_file_count() {
         let inputs = corpus();
-        let run = BatchPipeline::new(secret(), 4).run(&inputs);
-        let mut off = secret();
-        off.disable_prefilter = true;
-        let run_off = BatchPipeline::new(off, 4).run(&inputs);
-        for (a, b) in run.outputs.iter().zip(&run_off.outputs) {
-            assert_eq!(a.text, b.text, "prefilter changed bytes of {}", a.name);
-            assert_eq!(a.stats, b.stats);
+        let shards = |jobs: usize, inputs: &[BatchInput]| {
+            BatchPipeline::new(secret(), jobs)
+                .run(inputs)
+                .obs
+                .counters()
+                .get("discovery.shards")
+                .copied()
+        };
+        assert_eq!(shards(1, &inputs), None);
+        assert_eq!(shards(4, &inputs[..1]), None);
+        for jobs in [2, 3, 4, 8] {
+            assert_eq!(
+                shards(jobs, &inputs),
+                Some(jobs.min(inputs.len()) as u64),
+                "jobs={jobs}"
+            );
         }
-        assert_eq!(
-            run.totals.rule_fires_complete(),
-            run_off.totals.rule_fires_complete()
-        );
     }
 
-    /// The zero-copy rewrite (DESIGN.md §17) is an optimization, not a
-    /// behavior: against the retained legacy path it must produce the
-    /// same output bytes, the same per-file stats, and the same complete
-    /// fire map — at every job count.
+    /// The shipped line path (prefilter, borrow-or-own rewrite) matches
+    /// the test-only reference on this module's corpus.
     #[test]
-    fn disabling_zero_copy_changes_no_byte_or_fire_count() {
+    fn corpus_matches_reference_line_path() {
+        let texts: Vec<String> = corpus().into_iter().map(|f| f.text).collect();
+        assert!(crate::anonymizer::reference::assert_lockstep(&secret(), &texts) > 0);
+    }
+
+    /// The borrow-or-own accounting covers every emitted line exactly
+    /// once, at every job count.
+    #[test]
+    fn rewrite_stats_account_for_every_emitted_line() {
         let inputs = corpus();
         for jobs in [1, 4] {
             let run = BatchPipeline::new(secret(), jobs).run(&inputs);
-            let mut off = secret();
-            off.disable_zero_copy = true;
-            let run_off = BatchPipeline::new(off, jobs).run(&inputs);
-            assert_eq!(run.outputs.len(), run_off.outputs.len());
-            for (a, b) in run.outputs.iter().zip(&run_off.outputs) {
-                assert_eq!(a.text, b.text, "zero-copy changed bytes of {}", a.name);
-                assert_eq!(a.stats, b.stats);
-            }
-            assert_eq!(
-                run.totals.rule_fires_complete(),
-                run_off.totals.rule_fires_complete()
-            );
-            // The legacy path reports no borrow accounting; the zero-copy
-            // path accounts for every emitted line exactly once.
-            assert_eq!(run_off.rewrite, RewriteStats::default());
             assert_eq!(
                 run.rewrite.lines_total,
-                run.rewrite.lines_borrowed + run.rewrite.lines_rewritten
+                run.rewrite.lines_borrowed + run.rewrite.lines_rewritten,
+                "jobs={jobs}"
             );
-            assert!(run.rewrite.lines_total > 0);
+            assert!(run.rewrite.lines_total > 0, "jobs={jobs}");
         }
     }
 }

@@ -293,8 +293,8 @@ impl Fs for StdFs {
     }
 }
 
-/// Counters for the durability layer: what atomic persistence costs, so
-/// `BENCH_durability.json` can report the overhead against plain writes.
+/// Counters for the durability layer: what atomic persistence costs
+/// (atomic writes, fsyncs, transient retries).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct DurabilityStats {
     /// Completed atomic publishes (temp + sync + rename + dir sync).

@@ -231,9 +231,9 @@ pub struct RewriteStats {
     pub lines_borrowed: u64,
     /// Lines where at least one token changed (allocated and rebuilt).
     pub lines_rewritten: u64,
-    /// Allocations the zero-copy path skipped versus the legacy dense
-    /// path: one per token kept verbatim (`None` slot) plus one per
-    /// borrowed line (the elided rebuild `String`).
+    /// Allocations the zero-copy path skipped versus owning every token
+    /// and rebuilding every line: one per token kept verbatim (`None`
+    /// slot) plus one per borrowed line (the elided rebuild `String`).
     pub allocations_avoided: u64,
     /// Salted token hashes answered from the memo (SHA-1 skipped).
     pub hash_memo_hits: u64,

@@ -32,6 +32,6 @@ pub use commands::{parse_command, Action, Command, Direction};
 pub use config::{Config, Section};
 pub use line::{banner_delimiter, banner_self_closes, classify_lines, LineKind};
 pub use token::{
-    rebuild, rebuild_sparse, segment, segment_chars, tokenize, tokenize_chars, Segment, Token,
-    BYTE_CLASS, CLASS_ALPHA, CLASS_DIGIT, CLASS_WS,
+    rebuild_sparse, segment, tokenize, Segment, Token, BYTE_CLASS, CLASS_ALPHA, CLASS_DIGIT,
+    CLASS_WS,
 };

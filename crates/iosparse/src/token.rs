@@ -9,10 +9,9 @@
 //! ([`BYTE_CLASS`]) answers "is this byte whitespace?" and "is this byte
 //! alphabetic?" with a single indexed load, so [`tokenize`] and
 //! [`segment`] advance through a line without per-byte predicate calls
-//! or branching on byte ranges. The per-char reference scanners
-//! ([`tokenize_chars`], [`segment_chars`]) are kept in-tree as the
-//! differential baseline: the property suite proves both pairs agree on
-//! arbitrary (including chaos-mutated) input.
+//! or branching on byte ranges. This module's tests keep per-char
+//! reference scanners and prove both pairs agree on arbitrary (including
+//! chaos-mutated) input.
 
 use std::borrow::Cow;
 
@@ -103,55 +102,6 @@ pub fn tokenize(line: &str) -> Vec<Token<'_>> {
     out
 }
 
-/// The per-char reference tokenizer: byte-for-byte the pre-dispatch
-/// implementation, kept as the differential baseline for
-/// [`tokenize`]. Equivalence on arbitrary input is a property-suite
-/// invariant, not an assumption.
-pub fn tokenize_chars(line: &str) -> Vec<Token<'_>> {
-    let mut out = Vec::new();
-    let bytes = line.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i].is_ascii_whitespace() {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        out.push(Token {
-            text: &line[start..i],
-            start,
-        });
-    }
-    out
-}
-
-/// Rebuilds a line from (possibly rewritten) token texts, preserving the
-/// original inter-token whitespace layout.
-///
-/// `originals` and `rewritten` must be parallel; where a rewritten token
-/// has a different length the following whitespace is kept as a single
-/// separator run copied from the original (so columns shift but
-/// separators never vanish).
-///
-/// This is the always-allocating baseline assembler; the zero-copy
-/// pipeline uses [`rebuild_sparse`] and reaches for this one only on the
-/// `disable_zero_copy` differential path.
-pub fn rebuild(line: &str, originals: &[Token<'_>], rewritten: &[String]) -> String {
-    assert_eq!(originals.len(), rewritten.len());
-    let mut out = String::with_capacity(line.len());
-    let mut cursor = 0;
-    for (tok, new) in originals.iter().zip(rewritten) {
-        out.push_str(&line[cursor..tok.start]); // the whitespace run
-        out.push_str(new);
-        cursor = tok.end();
-    }
-    out.push_str(&line[cursor..]); // trailing whitespace, if any
-    out
-}
-
 /// Borrow-or-own line assembly: rebuilds `line` from sparse rewrites,
 /// allocating only when at least one token actually changed.
 ///
@@ -160,9 +110,8 @@ pub fn rebuild(line: &str, originals: &[Token<'_>], rewritten: &[String]) -> Str
 /// original line *is* the output — the untouched-line identity is
 /// structural, not re-assembled: interleaving the original whitespace
 /// runs with the original token slices reproduces `line`'s exact bytes
-/// (`rebuild` with unchanged texts proves this; see DESIGN.md §17), so
-/// returning `Cow::Borrowed(line)` skips both the allocation and the
-/// copy without changing a byte.
+/// (see DESIGN.md §17), so returning `Cow::Borrowed(line)` skips both
+/// the allocation and the copy without changing a byte.
 ///
 /// ```
 /// use std::borrow::Cow;
@@ -247,31 +196,106 @@ pub fn segment(word: &str) -> Vec<Segment<'_>> {
     out
 }
 
-/// The per-char reference segmenter, the differential baseline for
-/// [`segment`] (see [`tokenize_chars`]).
-pub fn segment_chars(word: &str) -> Vec<Segment<'_>> {
-    let mut out = Vec::new();
-    let bytes = word.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let start = i;
-        let alpha = bytes[i].is_ascii_alphabetic();
-        while i < bytes.len() && bytes[i].is_ascii_alphabetic() == alpha {
-            i += 1;
-        }
-        let s = &word[start..i];
-        out.push(if alpha {
-            Segment::Alpha(s)
-        } else {
-            Segment::Other(s)
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use confanon_testkit::chaos::ChaosMutator;
+    use confanon_testkit::props::any;
+
+    /// The per-char reference tokenizer: byte-for-byte the pre-dispatch
+    /// implementation of [`tokenize`].
+    fn tokenize_chars(line: &str) -> Vec<Token<'_>> {
+        let mut out = Vec::new();
+        let bytes = line.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            if bytes[i].is_ascii_whitespace() {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
+                i += 1;
+            }
+            out.push(Token {
+                text: &line[start..i],
+                start,
+            });
+        }
+        out
+    }
+
+    /// The per-char reference segmenter for [`segment`].
+    fn segment_chars(word: &str) -> Vec<Segment<'_>> {
+        let mut out = Vec::new();
+        let bytes = word.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            let start = i;
+            let alpha = bytes[i].is_ascii_alphabetic();
+            while i < bytes.len() && bytes[i].is_ascii_alphabetic() == alpha {
+                i += 1;
+            }
+            let s = &word[start..i];
+            out.push(if alpha {
+                Segment::Alpha(s)
+            } else {
+                Segment::Other(s)
+            });
+        }
+        out
+    }
+
+    /// The dense reference assembler for [`rebuild_sparse`]: every token
+    /// replaced by its (possibly unchanged) rewrite, original whitespace
+    /// runs in between.
+    fn rebuild(line: &str, originals: &[Token<'_>], rewritten: &[String]) -> String {
+        assert_eq!(originals.len(), rewritten.len());
+        let mut out = String::with_capacity(line.len());
+        let mut cursor = 0;
+        for (tok, new) in originals.iter().zip(rewritten) {
+            out.push_str(&line[cursor..tok.start]);
+            out.push_str(new);
+            cursor = tok.end();
+        }
+        out.push_str(&line[cursor..]);
+        out
+    }
+
+    /// A chaos-mutated generated config, decoded lossily (the scanners
+    /// take any `&str`).
+    fn chaos_text(seed: u64) -> String {
+        let ds = confanon_confgen::generate_dataset(&confanon_confgen::DatasetSpec {
+            seed: 0x2e20_c0de,
+            networks: 1,
+            mean_routers: 2,
+            backbone_fraction: 0.5,
+        });
+        let routers = &ds.networks[0].routers;
+        let base = &routers[seed as usize % routers.len()].config;
+        let mutated = ChaosMutator::new(seed).mutate(base.as_bytes());
+        String::from_utf8_lossy(&mutated.bytes).into_owned()
+    }
+
+    confanon_testkit::props! {
+        cases = 256;
+
+        /// The byte-class tokenizer and segmenter agree with the per-char
+        /// references on every line of a chaos-mutated config.
+        fn byte_dispatch_scanners_match_references(seed in any::<u64>()) {
+            for line in chaos_text(seed).lines() {
+                assert_eq!(tokenize(line), tokenize_chars(line), "line {line:?}");
+                for tok in tokenize(line) {
+                    assert_eq!(
+                        segment(tok.text),
+                        segment_chars(tok.text),
+                        "word {:?}",
+                        tok.text
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn byte_class_table_matches_std_predicates() {

@@ -1,17 +1,20 @@
 //! Property tests for tokenization: the byte-faithfulness contract that
 //! lets operators diff pre/post configs meaningfully.
 
-use confanon_iosparse::{rebuild, segment, tokenize, Config, Segment};
+use confanon_iosparse::{rebuild_sparse, segment, tokenize, Config, Segment};
 use confanon_testkit::props::pattern;
 
 confanon_testkit::props! {
     cases = 256;
 
-    /// Rebuilding a line from its own tokens is the identity.
+    /// Rebuilding a line from its own tokens is the identity, whether
+    /// every token is kept (the borrowed line) or rewritten to itself
+    /// (the assembled line).
     fn rebuild_identity(line in pattern("[ -~]{0,120}")) {
         let toks = tokenize(&line);
-        let same: Vec<String> = toks.iter().map(|t| t.text.to_string()).collect();
-        assert_eq!(rebuild(&line, &toks, &same), line);
+        assert_eq!(rebuild_sparse(&line, &toks, &vec![None; toks.len()]), line);
+        let same: Vec<Option<String>> = toks.iter().map(|t| Some(t.text.to_string())).collect();
+        assert_eq!(rebuild_sparse(&line, &toks, &same), line);
     }
 
     /// Tokens cover exactly the non-whitespace bytes, in order.

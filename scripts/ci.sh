@@ -44,8 +44,7 @@ trap 'rm -rf "$corpus_dir"' EXIT
 ./target/release/confanon generate --networks 2 --routers 4 --seed 2004 \
     --out-dir "$corpus_dir"
 ./target/release/confanon batch "$corpus_dir" --jobs 1 \
-    --bench-json BENCH_pipeline.json \
-    --bench-durability BENCH_durability.json
+    --bench-json BENCH_pipeline.json
 
 echo "==> BENCH_pipeline.json"
 cat BENCH_pipeline.json
@@ -63,24 +62,6 @@ awk -v t="$tps" 'BEGIN { exit !(t >= 515433) }' || {
     echo "throughput $tps tokens/sec below the 3x bar (515433)"; exit 1;
 }
 
-echo "==> rewrite bench block: equivalence invariants + speedup"
-# The zero-copy emit path must produce byte-identical outputs and
-# identical per-rule fire counts versus the retained legacy clone-always
-# path — asserted on the bench corpus itself, so an equivalence
-# regression fails CI even if no unit test covers the exact corpus.
-grep -q '"rewrite"' BENCH_pipeline.json || { echo "missing rewrite block"; exit 1; }
-grep -q '"outputs_identical": true' BENCH_pipeline.json || {
-    echo "zero-copy rewrite changed output bytes vs the legacy path"; exit 1;
-}
-rewrite_fires=$(sed -n '/"rewrite"/,$p' BENCH_pipeline.json | \
-    sed -n 's/.*"rule_fires_identical": \([a-z]*\).*/\1/p' | head -n 1)
-[ "$rewrite_fires" = "true" ] || {
-    echo "zero-copy rewrite changed per-rule fire counts"; exit 1;
-}
-grep -q '"lines_borrowed"' BENCH_pipeline.json || {
-    echo "missing borrow-or-own accounting"; exit 1;
-}
-
 echo "==> observability guard: instrumentation cost within noise"
 # tests/metrics_invariants.rs holds the instrumented-vs-stripped ratio
 # under 1.05 with retries; the single-attempt BENCH block gets noise
@@ -91,30 +72,22 @@ awk -v r="$ratio" 'BEGIN { exit !(r <= 1.25) }' || {
     echo "observability overhead ratio $ratio exceeds the 1.25 CI guard"; exit 1;
 }
 
-echo "==> discovery bench block: present, fire-count invariant, speedup"
-# The sharded-discovery bench must have run and recorded its block, the
-# prefilter must not change a single per-rule fire count, and sharded
-# discovery must beat the sequential baseline. The 1.5x bar needs real
-# cores for the scan to fan out over; on a single-core runner only the
+echo "==> discovery bench block: present, speedup"
+# The sharded-discovery bench must have run and recorded its block, and
+# sharded discovery must beat the sequential baseline. The 1.5x bar needs
+# real cores for the scan to fan out over; on a single-core runner only the
 # deferred per-identifier trie/record work can win, and the zero-copy
 # PR made that deferred keyed-hash work ~4x cheaper — the single-core
 # advantage shrank to ~1.1-1.5x with noise dips near parity, so the bar
 # there is no-regression-within-noise (>= 0.9). See PERFORMANCE.md.
 grep -q '"discovery"'     BENCH_pipeline.json || { echo "missing discovery block"; exit 1; }
 grep -q '"sharded_ns"'    BENCH_pipeline.json || { echo "missing sharded_ns"; exit 1; }
-grep -q '"rule_fires_identical": true' BENCH_pipeline.json || {
-    echo "prefilter changed per-rule fire counts"; exit 1;
-}
 speedup=$(sed -n 's/.*"sharded_speedup": \([0-9.]*\).*/\1/p' BENCH_pipeline.json)
 cores=$(sed -n 's/.*"parallelism": \([0-9]*\).*/\1/p' BENCH_pipeline.json)
 bar=0.9; [ "${cores:-1}" -ge 2 ] && bar=1.5
 awk -v s="$speedup" -v b="$bar" 'BEGIN { exit !(s >= b) }' || {
     echo "sharded discovery speedup $speedup below the $bar bar (cores=$cores)"; exit 1;
 }
-
-echo "==> BENCH_durability.json"
-cat BENCH_durability.json
-echo
 
 echo "==> observability smoke: metrics + trace, deterministic across jobs"
 # Run the batch twice at different worker counts with --metrics/--trace,
@@ -139,6 +112,9 @@ trap 'rm -rf "$corpus_dir" "$obs_dir"' EXIT
     > "$obs_dir/det-j4.json"
 diff "$obs_dir/det-j1.json" "$obs_dir/det-j4.json" || {
     echo "deterministic metrics section differs between --jobs 1 and --jobs 4"; exit 1;
+}
+grep -q '"phase.rewrite.lines_borrowed"' "$obs_dir/metrics-j1.json" || {
+    echo "metrics lack the borrow-or-own accounting"; exit 1;
 }
 
 echo "==> chaos smoke: fail-closed exit-code taxonomy"

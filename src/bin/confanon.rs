@@ -8,7 +8,7 @@
 //! confanon anonymize --secret <secret> [--compact] [--audit FILE] [--out-dir DIR] FILE...
 //! confanon batch     [--jobs N] [--secret S] [--out-dir DIR] [--quarantine-dir DIR]
 //!                    [--disable-rule NAMES] [--metrics FILE] [--trace FILE]
-//!                    [--bench-json FILE] [--bench-durability FILE] [--resume]
+//!                    [--bench-json FILE] [--resume] [--state DIR]
 //!                    [--decoys N] DIR
 //! confanon chaos     [--seed S] [--count N] --out-dir DIR
 //! confanon generate  [--networks N] [--routers M] [--seed S] --out-dir DIR
@@ -59,7 +59,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
 use std::process::ExitCode;
 
 use confanon::confgen::{generate_dataset, DatasetSpec};
@@ -75,6 +75,7 @@ use confanon::obs::{
     Clock, ObsShard,
 };
 use confanon::validate::{compare_designs, compare_properties, network_properties};
+use confanon::workflow::{anonymize_corpus_gated, GatedOptions, WarmStart};
 use confanon_testkit::json::Json;
 
 /// Everything released, nothing withheld.
@@ -124,19 +125,40 @@ fn exit_for(e: &AnonError) -> u8 {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("anonymize") => cmd_anonymize(&args[1..]),
-        Some("batch") => cmd_batch(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("validate") => cmd_validate(&args[1..]),
-        Some("scan") => cmd_scan(&args[1..]),
-        Some("metrics") => cmd_metrics(&args[1..]),
-        Some("audit") => cmd_audit(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("client") => cmd_client(&args[1..]),
-        Some("netchaos") => cmd_netchaos(&args[1..]),
-        Some("rules") => cmd_rules(),
+    // Each subcommand with the options it takes, space-separated: those
+    // with a value, then switches. Any other `--option` is refused.
+    let name = args.first().map_or("", String::as_str);
+    let (cmd, values, flags): (Handler, &str, &str) = match name {
+        "anonymize" => (cmd_anonymize, "secret audit out-dir", "compact"),
+        "batch" => (
+            cmd_batch,
+            "jobs secret out-dir quarantine-dir disable-rule metrics trace bench-json state decoys",
+            "resume",
+        ),
+        "chaos" => (cmd_chaos, "seed count out-dir", ""),
+        "generate" => (cmd_generate, "networks routers seed out-dir", ""),
+        "validate" => (cmd_validate, "pre-dir post-dir", ""),
+        "scan" => (cmd_scan, "record", ""),
+        "metrics" => (cmd_metrics, "trace serve", "deterministic"),
+        "audit" => (
+            cmd_audit,
+            "check-report pre-dir post-dir secret seed top-k known-pairs candidates \
+             disable-rule decoys jobs report",
+            "risk",
+        ),
+        "serve" => (
+            cmd_serve,
+            "config listen socket port-file queue-depth request-timeout-ms idle-timeout-ms \
+             max-connections flush",
+            "require-clean-state",
+        ),
+        "client" => (
+            cmd_client,
+            "endpoint tenant name retries backoff-base-ms backoff-cap-ms backoff-seed",
+            "",
+        ),
+        "netchaos" => (cmd_netchaos, "upstream seed profile port-file", ""),
+        "rules" => (cmd_rules, "", ""),
         _ => {
             eprintln!(
                 "usage: confanon <anonymize|batch|chaos|generate|validate|scan|metrics|audit|serve|client|netchaos|rules> [options]\n\
@@ -147,8 +169,7 @@ fn main() -> ExitCode {
                  \u{20}   prints to stdout.\n\
                  batch [--jobs N] [--secret <secret>] [--out-dir DIR] [--quarantine-dir DIR]\n\
                  \u{20}     [--disable-rule NAME[,NAME...]] [--metrics FILE] [--trace FILE]\n\
-                 \u{20}     [--bench-json FILE] [--bench-durability FILE] [--resume]\n\
-                 \u{20}     [--state DIR] [--decoys N] DIR\n\
+                 \u{20}     [--bench-json FILE] [--resume] [--state DIR] [--decoys N] DIR\n\
                  \u{20}   Anonymize every .cfg under DIR (recursively, one keyed state)\n\
                  \u{20}   using N discovery/rewrite workers. 0 = logical core count; values\n\
                  \u{20}   above the corpus size are clamped to one worker per file; values\n\
@@ -239,8 +260,12 @@ fn main() -> ExitCode {
                  rules\n\
                  \u{20}   Print the 28 contextual rules."
             );
-            ExitCode::from(EXIT_USAGE)
+            return ExitCode::from(EXIT_USAGE);
         }
+    };
+    match parse_opts(name, &args[1..], values, flags) {
+        Ok((opts, pos)) => cmd(&opts, &pos),
+        Err(code) => code,
     }
 }
 
@@ -263,21 +288,37 @@ fn read_config_lossy(path: &Path) -> Result<String, String> {
     Ok(text)
 }
 
-/// Minimal option parser: `--key value` flags, bare words are positionals.
-fn parse_opts(args: &[String]) -> (BTreeMap<String, String>, Vec<String>) {
+/// A subcommand's options: `--key value` pairs, `"true"` for switches.
+type Opts = BTreeMap<String, String>;
+
+/// A subcommand: its options and positional arguments to an exit code.
+type Handler = fn(&Opts, &[String]) -> ExitCode;
+
+/// Minimal option parser: `--key value` options, `--flag` switches, and
+/// bare-word positionals. `values` and `flags` list (space-separated)
+/// every option `cmd` takes; any other `--option` is a usage error that
+/// names it, so a typo (`--secert`) can never fall back to a default
+/// unnoticed.
+fn parse_opts(
+    cmd: &str,
+    args: &[String],
+    values: &str,
+    flags: &str,
+) -> Result<(Opts, Vec<String>), ExitCode> {
     let mut opts = BTreeMap::new();
     let mut pos = Vec::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(key) = args[i].strip_prefix("--") {
-            // Boolean flags take no value when followed by another flag
-            // or nothing.
-            let takes_value = i + 1 < args.len() && !args[i + 1].starts_with("--");
-            let boolean = matches!(
-                key,
-                "compact" | "resume" | "deterministic" | "require-clean-state" | "risk"
-            );
-            if takes_value && !boolean {
+            let flag = flags.split_whitespace().any(|f| f == key);
+            if !flag && !values.split_whitespace().any(|v| v == key) {
+                eprintln!("{cmd}: unknown option --{key}");
+                return Err(ExitCode::from(EXIT_USAGE));
+            }
+            // A value option followed by another option or nothing
+            // reads as a switch.
+            let takes_value = !flag && i + 1 < args.len() && !args[i + 1].starts_with("--");
+            if takes_value {
                 opts.insert(key.to_string(), args[i + 1].clone());
                 i += 2;
             } else {
@@ -289,11 +330,28 @@ fn parse_opts(args: &[String]) -> (BTreeMap<String, String>, Vec<String>) {
             i += 1;
         }
     }
-    (opts, pos)
+    Ok((opts, pos))
 }
 
-fn cmd_anonymize(args: &[String]) -> ExitCode {
-    let (opts, files) = parse_opts(args);
+/// The numeric option `key`, or `default` when it is absent. A value
+/// that does not parse is a usage error naming the option.
+fn num_opt<T: std::str::FromStr>(
+    cmd: &str,
+    opts: &Opts,
+    key: &str,
+    default: T,
+) -> Result<T, ExitCode> {
+    match opts.get(key).map(|v| v.parse()) {
+        None => Ok(default),
+        Some(Ok(n)) => Ok(n),
+        Some(Err(_)) => {
+            eprintln!("{cmd}: --{key} must be a non-negative integer");
+            Err(ExitCode::from(EXIT_USAGE))
+        }
+    }
+}
+
+fn cmd_anonymize(opts: &Opts, files: &[String]) -> ExitCode {
     let Some(secret) = opts.get("secret") else {
         eprintln!("anonymize: --secret is required (the owner's salt; keep it private)");
         return ExitCode::from(2);
@@ -314,7 +372,7 @@ fn cmd_anonymize(args: &[String]) -> ExitCode {
     }
 
     let mut outputs: Vec<(PathBuf, AnonymizedConfig)> = Vec::new();
-    for f in &files {
+    for f in files {
         let path = Path::new(f);
         let text = match read_config_lossy(path) {
             Ok(t) => t,
@@ -416,13 +474,39 @@ fn collect_cfg_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_batch(args: &[String]) -> ExitCode {
+/// Where the directory `path` resolves: its deepest existing ancestor
+/// canonicalized (symlinks and `..` followed), with the components that
+/// do not exist yet applied lexically — so two spellings of one
+/// directory compare equal even before `batch` creates it.
+fn resolve_dir(path: &Path) -> PathBuf {
+    let parts: Vec<Component<'_>> = path.components().collect();
+    for split in (0..=parts.len()).rev() {
+        let existing: PathBuf = match split {
+            0 => PathBuf::from("."),
+            _ => parts[..split].iter().collect(),
+        };
+        if let Ok(mut resolved) = existing.canonicalize() {
+            for part in &parts[split..] {
+                match part {
+                    Component::CurDir => {}
+                    Component::ParentDir => {
+                        resolved.pop();
+                    }
+                    other => resolved.push(other),
+                }
+            }
+            return resolved;
+        }
+    }
+    path.to_path_buf()
+}
+
+fn cmd_batch(opts: &Opts, pos: &[String]) -> ExitCode {
     // SIGTERM must not kill the run mid-publish: the group commit polls
     // the flag before its journal write and between byte writes, and
     // converts it into the resumable exit 5 after the in-flight atomic
     // rename completes.
     confanon::core::signals::install_term_handler();
-    let (opts, pos) = parse_opts(args);
     let Some(dir) = pos.first().map(PathBuf::from) else {
         eprintln!("batch: a corpus directory is required");
         return ExitCode::from(EXIT_USAGE);
@@ -469,13 +553,9 @@ fn cmd_batch(args: &[String]) -> ExitCode {
         }
     }
 
-    let decoys_per_network: usize = match opts.get("decoys").map(|d| d.parse()) {
-        None => 0,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("batch: --decoys must be a non-negative integer");
-            return ExitCode::from(EXIT_USAGE);
-        }
+    let decoys_per_network = match num_opt("batch", opts, "decoys", 0usize) {
+        Ok(n) => n,
+        Err(code) => return code,
     };
 
     let out_dir = opts.get("out-dir").map(PathBuf::from);
@@ -491,9 +571,18 @@ fn cmd_batch(args: &[String]) -> ExitCode {
             None => PathBuf::from("quarantine"),
         }
     });
-    if out_dir.as_deref() == Some(quarantine_dir.as_path()) {
-        eprintln!("batch: --quarantine-dir must differ from --out-dir");
-        return ExitCode::from(EXIT_USAGE);
+    if let Some(out) = &out_dir {
+        // Compare where the paths resolve, not how they are spelled:
+        // `./OUT`, an absolute spelling, and `OUT/q` all land inside it.
+        let (out, q) = (resolve_dir(out), resolve_dir(&quarantine_dir));
+        if q.starts_with(&out) {
+            eprintln!(
+                "batch: --quarantine-dir {} must lie outside --out-dir {}",
+                q.display(),
+                out.display()
+            );
+            return ExitCode::from(EXIT_USAGE);
+        }
     }
     let resume = opts.contains_key("resume");
     if resume && out_dir.is_none() {
@@ -724,38 +813,22 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     }
 
     let start = std::time::Instant::now();
-    let mut restored_nodes = (0u64, 0u64);
-    let mut run = match &loaded_state {
-        Some(state) => {
-            match confanon::workflow::anonymize_corpus_gated_stateful(
-                &files,
-                cfg.clone(),
-                jobs,
-                &skip,
-                clock,
-                confanon::workflow::WarmStart {
-                    state,
-                    state_file: &state_file,
-                    prewarmed: &prewarmed,
-                },
-            ) {
-                Ok((run, restored)) => {
-                    restored_nodes = restored;
-                    run
-                }
-                Err(e) => {
-                    eprintln!("batch: {e}");
-                    return ExitCode::from(exit_for(&e));
-                }
-            }
+    let gated = GatedOptions {
+        skip: skip.clone(),
+        clock,
+        warm: loaded_state.as_ref().map(|state| WarmStart {
+            state,
+            state_file: &state_file,
+            prewarmed: &prewarmed,
+        }),
+        ..GatedOptions::jobs(jobs)
+    };
+    let mut run = match anonymize_corpus_gated(&files, cfg.clone(), gated) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("batch: {e}");
+            return ExitCode::from(exit_for(&e));
         }
-        None => confanon::workflow::anonymize_corpus_gated_clocked(
-            &files,
-            cfg.clone(),
-            jobs,
-            &skip,
-            clock,
-        ),
     };
     let elapsed = start.elapsed();
 
@@ -919,8 +992,8 @@ fn cmd_batch(args: &[String]) -> ExitCode {
                     .with("created", true)
                     .with("files_skipped", prewarmed.len() as u64)
                     .with("files_processed", (files.len() - prewarmed.len()) as u64)
-                    .with("trie4_nodes_restored", restored_nodes.0)
-                    .with("trie6_nodes_restored", restored_nodes.1),
+                    .with("trie4_nodes_restored", run.restored_nodes.0)
+                    .with("trie6_nodes_restored", run.restored_nodes.1),
             );
         }
         let doc = metrics_doc(run.metrics_deterministic_json(), timing);
@@ -970,14 +1043,15 @@ fn cmd_batch(args: &[String]) -> ExitCode {
         let mut best_secs = elapsed.as_secs_f64();
         for _ in 0..4 {
             let t = std::time::Instant::now();
-            let rerun = confanon::workflow::anonymize_corpus_gated_clocked(
+            let rerun = anonymize_corpus_gated(
                 &files,
                 cfg.clone(),
-                jobs,
-                &skip,
-                Clock::new(),
+                GatedOptions {
+                    skip: skip.clone(),
+                    ..GatedOptions::jobs(jobs)
+                },
             );
-            std::hint::black_box(rerun.clean.len());
+            std::hint::black_box(rerun.map(|r| r.clean.len()).ok());
             best_secs = best_secs.min(t.elapsed().as_secs_f64());
         }
         let json = Json::obj()
@@ -991,8 +1065,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
             .with("tokens_per_sec", words as f64 / best_secs.max(1e-9))
             .with("durability", durability.to_json())
             .with("observability", observability_overhead_json(&files, &cfg, jobs))
-            .with("discovery", discovery_bench_json(&files, &cfg))
-            .with("rewrite", rewrite_bench_json(&files, &cfg, jobs));
+            .with("discovery", discovery_bench_json(&files, &cfg));
         let mut report_stats = DurabilityStats::default();
         if let Err(e) = write_atomic(
             &StdFs,
@@ -1004,28 +1077,6 @@ fn cmd_batch(args: &[String]) -> ExitCode {
             return ExitCode::from(exit_for(&e));
         }
         eprintln!("throughput written to {json_path}");
-    }
-
-    if let Some(json_path) = opts.get("bench-durability") {
-        match durability_bench_json(&run, tokens_per_sec, &durability) {
-            Ok(json) => {
-                let mut report_stats = DurabilityStats::default();
-                if let Err(e) = write_atomic(
-                    &StdFs,
-                    Path::new(json_path),
-                    json.to_string_pretty().as_bytes(),
-                    &mut report_stats,
-                ) {
-                    eprintln!("batch: {e}");
-                    return ExitCode::from(exit_for(&e));
-                }
-                eprintln!("durability bench written to {json_path}");
-            }
-            Err(e) => {
-                eprintln!("batch: durability bench: {e}");
-                return ExitCode::from(EXIT_IO);
-            }
-        }
     }
 
     if !run.quarantined.is_empty() {
@@ -1051,14 +1102,12 @@ fn observability_overhead_json(
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let t = std::time::Instant::now();
-            let run = confanon::workflow::anonymize_corpus_gated_clocked(
-                files,
-                cfg.clone(),
-                jobs,
-                &BTreeSet::new(),
+            let opts = GatedOptions {
                 clock,
-            );
-            std::hint::black_box(run.clean.len());
+                ..GatedOptions::jobs(jobs)
+            };
+            let run = anonymize_corpus_gated(files, cfg.clone(), opts);
+            std::hint::black_box(run.map(|r| r.clean.len()).ok());
             best = best.min(t.elapsed().as_secs_f64());
         }
         best
@@ -1075,15 +1124,11 @@ fn observability_overhead_json(
 /// target ("sharded ≥1.5× sequential at `--jobs 4`").
 const DISCOVERY_BENCH_JOBS: usize = 4;
 
-/// Benchmarks the discovery pass in isolation: the sharded scan versus
-/// the sequential one, and the rule-engine prefilter on versus off
-/// (min-of-3 each, observability stripped so the clock measures only the
+/// Benchmarks the discovery pass in isolation: the sharded scan at
+/// [`DISCOVERY_BENCH_JOBS`] workers versus the sequential one-job scan
+/// (min-of-5 each, observability stripped so the clock measures only the
 /// pass itself). The corpus is tiled up to at least 64 files so worker
 /// spawn and merge/replay overhead cannot dominate a small smoke corpus.
-/// Also cross-checks — on this very corpus — that the prefilter changes
-/// no per-rule fire count; that boolean is recorded alongside the
-/// timings, so a regression shows up in `BENCH_pipeline.json`, not just
-/// in the test suite.
 fn discovery_bench_json(files: &[(String, String)], cfg: &AnonymizerConfig) -> Json {
     use confanon::core::{BatchInput, BatchPipeline};
 
@@ -1100,14 +1145,10 @@ fn discovery_bench_json(files: &[(String, String)], cfg: &AnonymizerConfig) -> J
     }
     let bytes: u64 = inputs.iter().map(|f| f.text.len() as u64).sum();
 
-    let time_discover = |sequential: bool, prefilter: bool| -> f64 {
+    let time_discover = |jobs: usize| -> f64 {
         let mut best = f64::INFINITY;
         for _ in 0..5 {
-            let mut c = cfg.clone();
-            c.disable_prefilter = !prefilter;
-            let mut p = BatchPipeline::new(c, DISCOVERY_BENCH_JOBS)
-                .with_clock(Clock::disabled())
-                .with_sequential_discovery(sequential);
+            let mut p = BatchPipeline::new(cfg.clone(), jobs).with_clock(Clock::disabled());
             let t = std::time::Instant::now();
             let failures = p.discover_corpus(&inputs);
             std::hint::black_box(failures.len());
@@ -1115,18 +1156,8 @@ fn discovery_bench_json(files: &[(String, String)], cfg: &AnonymizerConfig) -> J
         }
         best
     };
-    let sequential = time_discover(true, true);
-    let sharded = time_discover(false, true);
-    let prefilter_off = time_discover(true, false);
-
-    let fires = |prefilter: bool| {
-        let mut c = cfg.clone();
-        c.disable_prefilter = !prefilter;
-        let mut p = BatchPipeline::new(c, DISCOVERY_BENCH_JOBS).with_clock(Clock::disabled());
-        p.discover_corpus(&inputs);
-        p.anonymizer().total_stats().rule_fires_complete()
-    };
-    let rule_fires_identical = fires(true) == fires(false);
+    let sequential = time_discover(1);
+    let sharded = time_discover(DISCOVERY_BENCH_JOBS);
 
     Json::obj()
         .with("files", inputs.len() as u64)
@@ -1142,159 +1173,20 @@ fn discovery_bench_json(files: &[(String, String)], cfg: &AnonymizerConfig) -> J
         .with("sequential_ns", sequential * 1e9)
         .with("sharded_ns", sharded * 1e9)
         .with("sharded_speedup", sequential / sharded.max(1e-9))
-        .with(
-            "prefilter",
-            Json::obj()
-                .with("enabled_ns", sequential * 1e9)
-                .with("disabled_ns", prefilter_off * 1e9)
-                .with("speedup", prefilter_off / sequential.max(1e-9))
-                .with("rule_fires_identical", rule_fires_identical),
-        )
 }
 
-/// Benchmarks the borrow-or-own rewrite against the retained legacy
-/// clone-always emit path (min-of-3 each, observability stripped so the
-/// clock measures only the pass), and cross-checks — on this very
-/// corpus — that disabling zero-copy changes neither a single output
-/// byte nor any per-rule fire count. Those two booleans are recorded
-/// alongside the timings, so an equivalence regression shows up in
-/// `BENCH_pipeline.json`, not just in the test suite. The borrowed-line
-/// fraction and the allocations the `Cow` path avoided come from the
-/// fastest zero-copy run itself.
-fn rewrite_bench_json(files: &[(String, String)], cfg: &AnonymizerConfig, jobs: usize) -> Json {
-    use confanon::core::RewriteStats;
-    use confanon::workflow::GatedCorpusRun;
-
-    let run_once = |zero_copy: bool| -> (f64, GatedCorpusRun) {
-        let mut c = cfg.clone();
-        c.disable_zero_copy = !zero_copy;
-        let t = std::time::Instant::now();
-        let run = confanon::workflow::anonymize_corpus_gated_clocked(
-            files,
-            c,
-            jobs,
-            &BTreeSet::new(),
-            Clock::disabled(),
-        );
-        (t.elapsed().as_secs_f64(), run)
-    };
-    let time_with = |zero_copy: bool| -> (f64, GatedCorpusRun) {
-        let (mut best, mut run) = run_once(zero_copy);
-        for _ in 0..2 {
-            let (secs, rerun) = run_once(zero_copy);
-            if secs < best {
-                best = secs;
-                run = rerun;
-            }
-        }
-        (best, run)
-    };
-    let (zc_secs, zc_run) = time_with(true);
-    let (legacy_secs, legacy_run) = time_with(false);
-
-    fn texts(run: &GatedCorpusRun) -> BTreeMap<&str, &str> {
-        run.clean
-            .iter()
-            .map(|o| (o.name.as_str(), o.text.as_str()))
-            .chain(
-                run.quarantined
-                    .iter()
-                    .map(|q| (q.output.name.as_str(), q.output.text.as_str())),
-            )
-            .collect()
-    }
-    let outputs_identical = texts(&zc_run) == texts(&legacy_run);
-    let rule_fires_identical =
-        zc_run.totals.rule_fires_complete() == legacy_run.totals.rule_fires_complete();
-
-    let mut rewrite = RewriteStats::default();
-    for o in zc_run
-        .clean
-        .iter()
-        .chain(zc_run.quarantined.iter().map(|q| &q.output))
-    {
-        rewrite.absorb(&o.rewrite);
-    }
-
-    let words = zc_run.totals.words_total as f64;
-    Json::obj()
-        .with("jobs", jobs as u64)
-        .with("zero_copy_ns", zc_secs * 1e9)
-        .with("legacy_ns", legacy_secs * 1e9)
-        .with("tokens_per_sec_zero_copy", words / zc_secs.max(1e-9))
-        .with("tokens_per_sec_legacy", words / legacy_secs.max(1e-9))
-        .with("speedup", legacy_secs / zc_secs.max(1e-9))
-        .with("outputs_identical", outputs_identical)
-        .with("rule_fires_identical", rule_fires_identical)
-        .with("rewrite_stats", rewrite.to_json())
-}
-
-/// Times re-publishing the run's released outputs through the atomic
-/// durable path versus plain buffered writes (both into throwaway
-/// scratch directories), quantifying what the journal and fsyncs cost
-/// relative to `BENCH_pipeline.json`'s anonymization throughput.
-fn durability_bench_json(
-    run: &confanon::workflow::GatedCorpusRun,
-    pipeline_tokens_per_sec: f64,
-    run_durability: &DurabilityStats,
-) -> Result<confanon_testkit::json::Json, String> {
-    let scratch = std::env::temp_dir().join(format!(
-        "confanon-bench-durability-{}",
-        std::process::id()
-    ));
-    let durable_dir = scratch.join("durable");
-    let plain_dir = scratch.join("plain");
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(&plain_dir).map_err(|e| format!("{}: {e}", plain_dir.display()))?;
-
-    // Flatten names: the scratch layout does not need the corpus tree.
-    let flat = |name: &str| format!("{}.anon", name.replace(['/', '\\'], "_"));
-    let mut bytes_total = 0u64;
-    let mut bench_stats = DurabilityStats::default();
-    let t0 = std::time::Instant::now();
-    for o in &run.clean {
-        write_atomic(
-            &StdFs,
-            &durable_dir.join(flat(&o.name)),
-            o.text.as_bytes(),
-            &mut bench_stats,
-        )
-        .map_err(|e| e.to_string())?;
-        bytes_total += o.text.len() as u64;
-    }
-    let durable_secs = t0.elapsed().as_secs_f64().max(1e-9);
-    let t1 = std::time::Instant::now();
-    for o in &run.clean {
-        let target = plain_dir.join(flat(&o.name));
-        std::fs::write(&target, o.text.as_bytes())
-            .map_err(|e| format!("{}: {e}", target.display()))?;
-    }
-    let plain_secs = t1.elapsed().as_secs_f64().max(1e-9);
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    let files = run.clean.len() as u64;
-    Ok(confanon_testkit::json::Json::obj()
-        .with("suite", "durability")
-        .with("files", files)
-        .with("bytes", bytes_total)
-        .with("durable_elapsed_ns", durable_secs * 1e9)
-        .with("plain_elapsed_ns", plain_secs * 1e9)
-        .with("durable_files_per_sec", files as f64 / durable_secs)
-        .with("plain_files_per_sec", files as f64 / plain_secs)
-        .with("overhead_ratio", durable_secs / plain_secs)
-        .with("bench_durability", bench_stats.to_json())
-        .with("run_durability", run_durability.to_json())
-        .with("pipeline_tokens_per_sec", pipeline_tokens_per_sec))
-}
-
-fn cmd_chaos(args: &[String]) -> ExitCode {
-    let (opts, _) = parse_opts(args);
+fn cmd_chaos(opts: &Opts, _pos: &[String]) -> ExitCode {
     let Some(out_dir) = opts.get("out-dir").map(PathBuf::from) else {
         eprintln!("chaos: --out-dir is required");
         return ExitCode::from(EXIT_USAGE);
     };
-    let seed: u64 = opts.get("seed").and_then(|s| s.parse().ok()).unwrap_or(2004);
-    let count: usize = opts.get("count").and_then(|s| s.parse().ok()).unwrap_or(64);
+    let (seed, count) = match (
+        num_opt("chaos", opts, "seed", 2004u64),
+        num_opt("chaos", opts, "count", 64usize),
+    ) {
+        (Ok(seed), Ok(count)) => (seed, count),
+        (Err(code), _) | (_, Err(code)) => return code,
+    };
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
         eprintln!("chaos: cannot create {}: {e}", out_dir.display());
         return ExitCode::from(EXIT_IO);
@@ -1336,17 +1228,23 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
     ExitCode::from(EXIT_OK)
 }
 
-fn cmd_generate(args: &[String]) -> ExitCode {
-    let (opts, _) = parse_opts(args);
+fn cmd_generate(opts: &Opts, _pos: &[String]) -> ExitCode {
     let Some(out_dir) = opts.get("out-dir").map(PathBuf::from) else {
         eprintln!("generate: --out-dir is required");
         return ExitCode::from(2);
     };
-    let spec = DatasetSpec {
-        seed: opts.get("seed").and_then(|s| s.parse().ok()).unwrap_or(2004),
-        networks: opts.get("networks").and_then(|s| s.parse().ok()).unwrap_or(4),
-        mean_routers: opts.get("routers").and_then(|s| s.parse().ok()).unwrap_or(8),
-        backbone_fraction: 0.35,
+    let spec = match (
+        num_opt("generate", opts, "seed", 2004),
+        num_opt("generate", opts, "networks", 4),
+        num_opt("generate", opts, "routers", 8),
+    ) {
+        (Ok(seed), Ok(networks), Ok(mean_routers)) => DatasetSpec {
+            seed,
+            networks,
+            mean_routers,
+            backbone_fraction: 0.35,
+        },
+        (Err(code), _, _) | (_, Err(code), _) | (_, _, Err(code)) => return code,
     };
     let ds = generate_dataset(&spec);
     for net in &ds.networks {
@@ -1373,8 +1271,7 @@ fn cmd_generate(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_validate(args: &[String]) -> ExitCode {
-    let (opts, _) = parse_opts(args);
+fn cmd_validate(opts: &Opts, _pos: &[String]) -> ExitCode {
     let (Some(pre), Some(post)) = (opts.get("pre-dir"), opts.get("post-dir")) else {
         eprintln!("validate: --pre-dir and --post-dir are required");
         return ExitCode::from(2);
@@ -1448,8 +1345,7 @@ fn cmd_validate(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_scan(args: &[String]) -> ExitCode {
-    let (opts, files) = parse_opts(args);
+fn cmd_scan(opts: &Opts, files: &[String]) -> ExitCode {
     let Some(record_path) = opts.get("record") else {
         eprintln!("scan: --record FILE.json is required");
         return ExitCode::from(2);
@@ -1466,7 +1362,7 @@ fn cmd_scan(args: &[String]) -> ExitCode {
     };
     let scanner = confanon::core::leak::LeakScanner::new(&record);
     let mut total = 0usize;
-    for f in &files {
+    for f in files {
         let text = match std::fs::read_to_string(f) {
             Ok(t) => t,
             Err(e) => {
@@ -1495,9 +1391,7 @@ fn cmd_scan(args: &[String]) -> ExitCode {
 ///   deterministic section (pretty), so two runs can be `diff`ed.
 /// * `confanon metrics --trace FILE` — parse and shape-check a Chrome
 ///   trace file instead.
-fn cmd_metrics(args: &[String]) -> ExitCode {
-    let (opts, files) = parse_opts(args);
-
+fn cmd_metrics(opts: &Opts, files: &[String]) -> ExitCode {
     if let Some(trace_path) = opts.get("trace") {
         let text = match std::fs::read_to_string(trace_path) {
             Ok(t) => t,
@@ -1604,12 +1498,10 @@ fn cmd_metrics(args: &[String]) -> ExitCode {
 /// before and after anonymization. Everything is seeded — the written
 /// `confanon-risk-v1` report is byte-identical across repeats and
 /// `--jobs` values for a fixed corpus, secret, and seed.
-fn cmd_audit(args: &[String]) -> ExitCode {
+fn cmd_audit(opts: &Opts, _pos: &[String]) -> ExitCode {
     use confanon::core::FileStatus;
     use confanon::obs::RISK_REPORT_FILE_NAME;
     use confanon::redteam::{tradeoff_line, validate_risk_report, AuditOptions};
-
-    let (opts, _pos) = parse_opts(args);
 
     // Validation mode: `audit --check-report FILE` mirrors `confanon
     // metrics` — parse, validate against confanon-risk-v1, exit nonzero
@@ -1665,33 +1557,23 @@ fn cmd_audit(args: &[String]) -> ExitCode {
 
     // Numeric knobs, each falling back to the AuditOptions default.
     let defaults = AuditOptions::default();
-    let parse_usize = |key: &str, fallback: usize| -> Result<usize, ExitCode> {
-        match opts.get(key).map(|v| v.parse()) {
-            None => Ok(fallback),
-            Some(Ok(n)) => Ok(n),
-            Some(Err(_)) => {
-                eprintln!("audit: --{key} must be a non-negative integer");
-                Err(ExitCode::from(EXIT_USAGE))
-            }
-        }
-    };
-    let top_k = match parse_usize("top-k", defaults.top_k) {
+    let top_k = match num_opt("audit", opts, "top-k", defaults.top_k) {
         Ok(n) => n,
         Err(c) => return c,
     };
-    let known_pairs = match parse_usize("known-pairs", defaults.known_pairs) {
+    let known_pairs = match num_opt("audit", opts, "known-pairs", defaults.known_pairs) {
         Ok(n) => n,
         Err(c) => return c,
     };
-    let candidates = match parse_usize("candidates", defaults.candidates) {
+    let candidates = match num_opt("audit", opts, "candidates", defaults.candidates) {
         Ok(n) => n,
         Err(c) => return c,
     };
-    let decoy_sweep = match parse_usize("decoys", 0) {
+    let decoy_sweep = match num_opt("audit", opts, "decoys", 0usize) {
         Ok(n) => n,
         Err(c) => return c,
     };
-    let jobs = match parse_usize("jobs", 0) {
+    let jobs = match num_opt("audit", opts, "jobs", 0usize) {
         Ok(n) if n <= MAX_JOBS => n,
         Ok(n) => {
             eprintln!("audit: --jobs {n} exceeds the {MAX_JOBS}-worker cap");
@@ -1699,13 +1581,9 @@ fn cmd_audit(args: &[String]) -> ExitCode {
         }
         Err(c) => return c,
     };
-    let seed: u64 = match opts.get("seed").map(|s| s.parse()) {
-        None => defaults.seed,
-        Some(Ok(s)) => s,
-        Some(Err(_)) => {
-            eprintln!("audit: --seed must be a non-negative integer");
-            return ExitCode::from(EXIT_USAGE);
-        }
+    let seed = match num_opt("audit", opts, "seed", defaults.seed) {
+        Ok(s) => s,
+        Err(c) => return c,
     };
     let sweep_rules: Vec<String> = match opts.get("disable-rule") {
         Some(spec) => {
@@ -1852,11 +1730,10 @@ fn cmd_audit(args: &[String]) -> ExitCode {
     ExitCode::from(EXIT_OK)
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
+fn cmd_serve(opts: &Opts, pos: &[String]) -> ExitCode {
     use confanon::core::serve::{run_daemon, ServeConfig, ServeOptions};
     use confanon::core::tenant::FlushMode;
 
-    let (opts, pos) = parse_opts(args);
     if let Some(extra) = pos.first() {
         eprintln!("serve: unexpected positional argument {extra:?}");
         return ExitCode::from(EXIT_USAGE);
@@ -1960,11 +1837,10 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 /// sysexits `EX_TEMPFAIL`, distinct from every pipeline error code.
 const EXIT_RETRIABLE: u8 = 75;
 
-fn cmd_client(args: &[String]) -> ExitCode {
+fn cmd_client(opts: &Opts, pos: &[String]) -> ExitCode {
     use confanon_testkit::serveclient::{Backoff, ServeClient};
     use std::io::Read as _;
 
-    let (opts, pos) = parse_opts(args);
     let Some(endpoint) = opts.get("endpoint") else {
         eprintln!("client: --endpoint HOST:PORT (or unix:PATH) is required");
         return ExitCode::from(EXIT_USAGE);
@@ -2108,10 +1984,9 @@ fn cmd_client(args: &[String]) -> ExitCode {
 /// `confanon_testkit::netchaos`, exposed as a subcommand so shell-level
 /// smoke tests (ci.sh) can put a hostile wire in front of a live daemon
 /// without writing Rust. Runs until SIGTERM, exits 0.
-fn cmd_netchaos(args: &[String]) -> ExitCode {
+fn cmd_netchaos(opts: &Opts, pos: &[String]) -> ExitCode {
     use confanon_testkit::netchaos::{ChaosProxy, Profile};
 
-    let (opts, pos) = parse_opts(args);
     if let Some(extra) = pos.first() {
         eprintln!("netchaos: unexpected positional argument {extra:?}");
         return ExitCode::from(EXIT_USAGE);
@@ -2159,7 +2034,7 @@ fn cmd_netchaos(args: &[String]) -> ExitCode {
     ExitCode::from(EXIT_OK)
 }
 
-fn cmd_rules() -> ExitCode {
+fn cmd_rules(_opts: &Opts, _pos: &[String]) -> ExitCode {
     println!("{:<5} {:<24} {:<14} description", "id", "name", "category");
     for (i, r) in ALL_RULES.iter().enumerate() {
         println!(

@@ -13,8 +13,8 @@ use confanon_core::leak::{LeakRecord, LeakReport, LeakScanner};
 use confanon_core::publish::Outputs;
 use confanon_core::{
     AnonError, AnonState, AnonymizationStats, Anonymizer, AnonymizerConfig, BatchFailure,
-    BatchInput, BatchOutput, BatchPipeline, BatchReport, CommitGroup, FileDiscovery, IpScheme,
-    Publisher, RunManifest, ALL_RULES,
+    BatchInput, BatchOutput, BatchPipeline, CommitGroup, FileDiscovery, IpScheme, Publisher,
+    RunManifest, ALL_RULES,
 };
 use confanon_crypto::Sha1;
 use confanon_design::RoutingDesign;
@@ -84,50 +84,6 @@ pub fn post_design(run: &NetworkRun) -> RoutingDesign {
     confanon_design::extract_design(&post)
 }
 
-/// Everything produced by anonymizing one corpus of config files.
-pub struct CorpusRun {
-    /// Per-file outputs (input order) plus aggregate counters.
-    pub report: BatchReport,
-    /// The warmed anonymizer, retained for audits.
-    pub anonymizer: Anonymizer,
-}
-
-/// Anonymizes a corpus of `(name, text)` config files under one owner
-/// secret with `jobs` rewrite workers (`0` = logical core count).
-///
-/// All files share one keyed mapping state (§3.2 consistency across the
-/// corpus) yet the emit work parallelizes: a sequential discovery pass
-/// warms every mapping, then workers re-emit files concurrently from
-/// clones of the warmed state. The output is byte-identical to a
-/// sequential run for every `jobs` value — see
-/// [`confanon_core::batch::BatchPipeline`].
-pub fn anonymize_corpus(files: &[(String, String)], owner_secret: &[u8], jobs: usize) -> CorpusRun {
-    let inputs: Vec<BatchInput> = files
-        .iter()
-        .map(|(name, text)| BatchInput {
-            name: name.clone(),
-            text: text.clone(),
-        })
-        .collect();
-    let mut pipeline = BatchPipeline::new(AnonymizerConfig::new(owner_secret.to_vec()), jobs);
-    let report = pipeline.run(&inputs);
-    CorpusRun {
-        report,
-        anonymizer: pipeline.into_anonymizer(),
-    }
-}
-
-/// Scans a corpus run's output against the anonymizer's own leak record
-/// (the §6.1 self-audit), excluding legitimately emitted images.
-pub fn audit_corpus(run: &CorpusRun) -> LeakReport {
-    let text: Vec<&str> = run.report.outputs.iter().map(|o| o.text.as_str()).collect();
-    LeakScanner::scan_excluding(
-        run.anonymizer.leak_record(),
-        run.anonymizer.emitted_exclusions(),
-        &text.join("\n"),
-    )
-}
-
 /// One output the §6.1 gate refused to release: residual recorded
 /// identifiers survived anonymization, so the bytes must not reach the
 /// output directory.
@@ -164,6 +120,9 @@ pub struct GatedCorpusRun {
     /// Observability data recorded across discovery, rewrite, and the
     /// leak gate (merged worker shards).
     pub obs: ObsShard,
+    /// (v4, v6) trie node counts rebuilt from the warm start's state
+    /// journal before discovery; `(0, 0)` on a cold run.
+    pub restored_nodes: (u64, u64),
 }
 
 impl GatedCorpusRun {
@@ -318,54 +277,40 @@ fn counters_with_prefixes(obs: &ObsShard, prefixes: &[&str]) -> Json {
     out
 }
 
-/// Anonymizes a corpus fail-closed: after the batch pipeline emits, every
-/// output is individually scanned against the anonymizer's own leak
-/// record (§6.1 made mandatory instead of advisory). Outputs with
-/// residual hits are quarantined — returned separately, never mixed with
-/// the releasable set. Takes a full [`AnonymizerConfig`] so ablation
-/// experiments (`disabled_rules`) flow through the same gate the
-/// production path uses.
-pub fn anonymize_corpus_gated(
-    files: &[(String, String)],
-    cfg: AnonymizerConfig,
-    jobs: usize,
-) -> GatedCorpusRun {
-    anonymize_corpus_gated_skipping(files, cfg, jobs, &BTreeSet::new())
+/// How [`anonymize_corpus_gated`] runs a corpus.
+pub struct GatedOptions<'a> {
+    /// Discovery and rewrite workers (`0` = logical core count).
+    pub jobs: usize,
+    /// Resume skip set: these files still take part in discovery (the
+    /// shared mapping state is corpus-order dependent) but are neither
+    /// re-emitted nor re-scanned — their released bytes were already
+    /// digest-verified on disk by [`Publisher::resume`].
+    pub skip: BTreeSet<String>,
+    /// The run's span timeline, and its observability switch:
+    /// [`Clock::disabled`] strips every recording to a no-op, which is
+    /// how the overhead benchmark measures the instrumented-vs-stripped
+    /// cost.
+    pub clock: Clock,
+    /// A persisted state to warm-start from (`batch --state DIR`).
+    pub warm: Option<WarmStart<'a>>,
 }
 
-/// [`anonymize_corpus_gated`] with a resume skip set: files named in
-/// `skip` still participate in the discovery pass (the shared mapping
-/// state is corpus-order dependent) but are neither re-emitted nor
-/// re-scanned — their released bytes were already digest-verified on
-/// disk by [`Publisher::resume`].
-pub fn anonymize_corpus_gated_skipping(
-    files: &[(String, String)],
-    cfg: AnonymizerConfig,
-    jobs: usize,
-    skip: &BTreeSet<String>,
-) -> GatedCorpusRun {
-    anonymize_corpus_gated_clocked(files, cfg, jobs, skip, Clock::new())
+impl GatedOptions<'_> {
+    /// A cold, one-shot run on `jobs` workers with live observability.
+    pub fn jobs(jobs: usize) -> Self {
+        GatedOptions {
+            jobs,
+            skip: BTreeSet::new(),
+            clock: Clock::new(),
+            warm: None,
+        }
+    }
 }
 
-/// [`anonymize_corpus_gated_skipping`] on an explicit [`Clock`]. The
-/// clock is both the run's span timeline and the observability switch:
-/// [`Clock::disabled`] strips every recording to a no-op, which is how
-/// the overhead benchmark measures the instrumented-vs-stripped cost.
-pub fn anonymize_corpus_gated_clocked(
-    files: &[(String, String)],
-    cfg: AnonymizerConfig,
-    jobs: usize,
-    skip: &BTreeSet<String>,
-    clock: Clock,
-) -> GatedCorpusRun {
-    let pipeline = BatchPipeline::new(cfg, jobs).with_clock(clock);
-    gated_run_on(pipeline, files, skip, &BTreeMap::new())
-}
-
-/// A warm start for [`anonymize_corpus_gated_stateful`]: the loaded
-/// state document, the path it came from (for error attribution), and
-/// the per-file discoveries whose content watermark matched — those
-/// files are not scanned again.
+/// A warm start for [`anonymize_corpus_gated`]: the loaded state
+/// document, the path it came from (for error attribution), and the
+/// per-file discoveries whose content watermark matched — those files
+/// are not scanned again.
 pub struct WarmStart<'a> {
     /// Loaded and owner-checked `confanon-state-v1` document.
     pub state: &'a AnonState,
@@ -375,34 +320,42 @@ pub struct WarmStart<'a> {
     pub prewarmed: &'a BTreeMap<String, FileDiscovery>,
 }
 
-/// [`anonymize_corpus_gated_clocked`] warm-started from a persisted
-/// anonymizer state (`confanon batch --state DIR`): the state's
-/// identifier journal is replayed into the fresh pipeline *before*
-/// discovery (restoring every previously-issued mapping), and files in
-/// [`WarmStart::prewarmed`] — whose content watermark matched the state
-/// — are not scanned at all; their stored per-file contributions are
-/// absorbed instead so the deterministic metrics match a cold run.
-/// Returns the run plus the restored (v4, v6) trie node counts. Fails
-/// only if the state's journal does not rebuild the tries it claims
+/// Anonymizes a corpus fail-closed: after the batch pipeline emits, every
+/// output is individually scanned against the anonymizer's own leak
+/// record (§6.1 made mandatory instead of advisory). Outputs with
+/// residual hits are quarantined — returned separately, never mixed with
+/// the releasable set. Takes a full [`AnonymizerConfig`] so ablation
+/// experiments (`disabled_rules`) flow through the same gate the
+/// production path uses.
+///
+/// With [`GatedOptions::warm`], the state's identifier journal is
+/// replayed into the fresh pipeline *before* discovery (restoring every
+/// previously issued mapping), and files in [`WarmStart::prewarmed`] are
+/// not scanned at all; their stored per-file contributions are absorbed
+/// instead so the deterministic metrics match a cold run. Fails only if
+/// the state's journal does not rebuild the tries it claims
 /// ([`AnonError::StateInvalid`]); owner/version validation happens at
-/// load time.
-pub fn anonymize_corpus_gated_stateful(
+/// load time, so a cold run never fails.
+pub fn anonymize_corpus_gated(
     files: &[(String, String)],
     cfg: AnonymizerConfig,
-    jobs: usize,
-    skip: &BTreeSet<String>,
-    clock: Clock,
-    warm: WarmStart<'_>,
-) -> Result<(GatedCorpusRun, (u64, u64)), AnonError> {
-    let mut pipeline = BatchPipeline::new(cfg, jobs).with_clock(clock);
-    let restored = warm
+    opts: GatedOptions<'_>,
+) -> Result<GatedCorpusRun, AnonError> {
+    let mut pipeline = BatchPipeline::new(cfg, opts.jobs).with_clock(opts.clock);
+    let Some(warm) = opts.warm else {
+        return Ok(gated_run_on(pipeline, files, &opts.skip, &BTreeMap::new()));
+    };
+    let restored_nodes = warm
         .state
         .restore_into(warm.state_file, pipeline.anonymizer_mut())?;
-    Ok((gated_run_on(pipeline, files, skip, warm.prewarmed), restored))
+    Ok(GatedCorpusRun {
+        restored_nodes,
+        ..gated_run_on(pipeline, files, &opts.skip, warm.prewarmed)
+    })
 }
 
-/// The shared gated-run body: batch pipeline (with optional prewarmed
-/// skip map), then the §6.1 per-output leak gate.
+/// The gated-run body: batch pipeline (with optional prewarmed skip
+/// map), then the §6.1 per-output leak gate.
 fn gated_run_on(
     mut pipeline: BatchPipeline,
     files: &[(String, String)],
@@ -453,6 +406,7 @@ fn gated_run_on(
         jobs: report.jobs,
         anonymizer,
         obs,
+        restored_nodes: (0, 0),
     }
 }
 
@@ -631,6 +585,17 @@ fn hypothetical_release(files: &[(String, String)], run: &GatedCorpusRun) -> Vec
         .collect()
 }
 
+/// One in-memory sweep re-anonymization: a cold gated run (no state to
+/// restore, so it cannot fail).
+fn sweep_run(files: &[(String, String)], cfg: AnonymizerConfig, jobs: usize) -> GatedCorpusRun {
+    gated_run_on(
+        BatchPipeline::new(cfg, jobs),
+        files,
+        &BTreeSet::new(),
+        &BTreeMap::new(),
+    )
+}
+
 /// Runs the full risk–utility audit: the attack battery against the
 /// actual released corpus (the headline numbers), then one tradeoff row
 /// per anonymization variant — each sweep re-anonymizes the original
@@ -657,7 +622,7 @@ pub fn risk_audit(input: &RiskAuditInput<'_>) -> RiskAudit {
             continue;
         };
         let cfg = AnonymizerConfig::new(input.secret.to_vec()).without_rule(rule.id);
-        let run = anonymize_corpus_gated(input.pre, cfg, input.jobs);
+        let run = sweep_run(input.pre, cfg, input.jobs);
         let release = hypothetical_release(input.pre, &run);
         rows.push(TradeoffRow {
             label: format!("disable:{rule_name}"),
@@ -668,7 +633,7 @@ pub fn risk_audit(input: &RiskAuditInput<'_>) -> RiskAudit {
 
     let mut scramble_cfg = AnonymizerConfig::new(input.secret.to_vec());
     scramble_cfg.ip_scheme = IpScheme::Scramble;
-    let run = anonymize_corpus_gated(input.pre, scramble_cfg, input.jobs);
+    let run = sweep_run(input.pre, scramble_cfg, input.jobs);
     let release = hypothetical_release(input.pre, &run);
     rows.push(TradeoffRow {
         label: "scramble".to_string(),
@@ -679,7 +644,11 @@ pub fn risk_audit(input: &RiskAuditInput<'_>) -> RiskAudit {
     if input.decoy_sweep > 0 {
         let mut chaffed = input.pre.to_vec();
         let decoys = inject_decoys(&mut chaffed, input.secret, input.decoy_sweep);
-        let run = anonymize_corpus_gated(&chaffed, AnonymizerConfig::new(input.secret.to_vec()), input.jobs);
+        let run = sweep_run(
+            &chaffed,
+            AnonymizerConfig::new(input.secret.to_vec()),
+            input.jobs,
+        );
         let release = hypothetical_release(&chaffed, &run);
         rows.push(TradeoffRow {
             label: format!("decoys:{}", input.decoy_sweep),
@@ -694,44 +663,4 @@ pub fn risk_audit(input: &RiskAuditInput<'_>) -> RiskAudit {
         rows,
         report,
     }
-}
-
-/// Anonymizes every network of a dataset in parallel (one thread per
-/// network, capped at the logical core count).
-///
-/// Parallelism is *across* networks: each network must be mapped by one
-/// consistent keyed state (§3.2), so the trie is never shared — the
-/// paper's observation that Xu's stateless scheme parallelizes trivially
-/// while the table scheme does not applies *within* a network, and the
-/// natural unit of work at clearinghouse scale is the network anyway.
-/// Returns per-network results in input order.
-pub fn anonymize_dataset_parallel(
-    networks: &[Network],
-    secret_for: impl Fn(usize) -> Vec<u8> + Sync,
-) -> Vec<NetworkRun> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let mut results: Vec<Option<NetworkRun>> = Vec::new();
-    results.resize_with(networks.len(), || None);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results_mutex = std::sync::Mutex::new(&mut results);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(networks.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= networks.len() {
-                    break;
-                }
-                let run = anonymize_network(&networks[i], &secret_for(i));
-                // Slot writes are index-disjoint, so a sibling's panic
-                // leaves no broken invariant behind the lock: recover it.
-                let mut guard = results_mutex.lock().unwrap_or_else(|e| e.into_inner());
-                guard[i] = Some(run);
-            });
-        }
-    });
-
-    results.into_iter().flatten().collect()
 }

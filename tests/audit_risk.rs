@@ -23,7 +23,8 @@ use confanon::confgen::{generate_dataset, DatasetSpec};
 use confanon::core::AnonymizerConfig;
 use confanon::redteam::{rate, run_suite, validate_risk_report, AuditOptions};
 use confanon::workflow::{
-    anonymize_corpus_gated, risk_audit, RiskAudit, RiskAuditInput, DEFAULT_SWEEP_RULES,
+    anonymize_corpus_gated, risk_audit, GatedOptions, RiskAudit, RiskAuditInput,
+    DEFAULT_SWEEP_RULES,
 };
 
 /// A small two-network corpus: enough structure for every attack to
@@ -50,7 +51,8 @@ fn corpus() -> Vec<(String, String)> {
 /// requiring a clean (nothing quarantined, nothing panicked) run: the
 /// audit properties are about released corpora.
 fn release(files: &[(String, String)], secret: &[u8]) -> Vec<(String, String)> {
-    let run = anonymize_corpus_gated(files, AnonymizerConfig::new(secret.to_vec()), 2);
+    let cfg = AnonymizerConfig::new(secret.to_vec());
+    let run = anonymize_corpus_gated(files, cfg, GatedOptions::jobs(2)).expect("cold run");
     assert!(
         run.quarantined.is_empty() && run.failures.is_empty(),
         "fixture corpus must release cleanly"

@@ -15,7 +15,7 @@ use confanon::core::{
     sanitize_bytes, write_atomic, AnonymizerConfig, DurabilityStats, LeakScanner,
 };
 use confanon::obs::{metrics_doc, validate_metrics};
-use confanon::workflow::{anonymize_corpus_gated, GatedCorpusRun};
+use confanon::workflow::{anonymize_corpus_gated, GatedCorpusRun, GatedOptions};
 use confanon_testkit::chaos::ChaosMutator;
 use confanon_testkit::faultfs::FaultFs;
 use confanon_testkit::json::Json;
@@ -51,7 +51,8 @@ fn chaos_corpus(seed: u64) -> Vec<(String, String)> {
 }
 
 fn run(files: &[(String, String)], jobs: usize) -> GatedCorpusRun {
-    anonymize_corpus_gated(files, AnonymizerConfig::new(b"chaos-secret".to_vec()), jobs)
+    let cfg = AnonymizerConfig::new(b"chaos-secret".to_vec());
+    anonymize_corpus_gated(files, cfg, GatedOptions::jobs(jobs)).expect("cold run")
 }
 
 confanon_testkit::props! {

@@ -296,6 +296,98 @@ fn batch_unknown_rule_is_a_usage_error() {
 }
 
 #[test]
+fn unknown_options_and_bad_numbers_are_usage_errors() {
+    // A misspelled --secret must not fall back to the well-known default
+    // secret: the run would "succeed" with reversible output.
+    let root = tmpdir("unknown-opt");
+    let corpus = root.join("corpus");
+    std::fs::create_dir_all(&corpus).expect("mk corpus");
+    std::fs::write(corpus.join("a.cfg"), "hostname r1.foo.com\n").expect("write");
+    let out_dir = root.join("out");
+    for args in [
+        ["batch", "--secert", "MINE"],
+        ["generate", "--networks", "two"],
+        ["generate", "--seed", "-1"],
+        ["chaos", "--count", "lots"],
+    ] {
+        let out = bin()
+            .args(args)
+            .arg("--out-dir")
+            .arg(&out_dir)
+            .arg(&corpus)
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(args[1]), "{args:?} must be named: {stderr}");
+        assert!(!out_dir.exists(), "{args:?} wrote output");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn quarantine_dir_resolving_inside_out_dir_is_a_usage_error() {
+    // Withheld bytes must never land where a release step globs, however
+    // the output directory (or a child of it) is spelled.
+    let root = tmpdir("quarantine-inside");
+    let corpus = root.join("leak-in");
+    std::fs::create_dir_all(&corpus).expect("mk corpus");
+    for (name, asn) in [("a.cfg", 701), ("b.cfg", 65001)] {
+        let text = format!("router bgp {asn}\n neighbor 10.0.0.2 remote-as 701\n");
+        std::fs::write(corpus.join(name), text).expect("write");
+    }
+    let abs_out = root.join("o").to_string_lossy().into_owned();
+    for quarantine in ["./o", abs_out.as_str(), "o/q"] {
+        let out = bin()
+            .current_dir(&root)
+            .args(["batch", "leak-in", "--disable-rule", "neighbor-remote-as"])
+            .args(["--out-dir", "o", "--quarantine-dir", quarantine])
+            .output()
+            .expect("batch");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{quarantine}: {stderr}");
+        assert!(!root.join("o").exists(), "{quarantine}: output written");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn smoke_corpus_release_is_byte_pinned_at_any_job_count() {
+    // The CI smoke corpus under the smoke secret: the manifest records
+    // the digest of all 9 released files, so its SHA-1 pins every byte.
+    let root = tmpdir("smoke-pin");
+    let corpus = root.join("corpus");
+    let status = bin()
+        .args("generate --networks 2 --routers 4 --seed 2004 --out-dir".split(' '))
+        .arg(&corpus)
+        .status()
+        .expect("generate");
+    assert!(status.success());
+    for jobs in ["1", "4"] {
+        let out_dir = root.join(format!("out-{jobs}"));
+        let out = bin()
+            .args(["batch", "--secret", "smoke-bench-secret", "--jobs", jobs])
+            .arg("--out-dir")
+            .arg(&out_dir)
+            .arg(&corpus)
+            .output()
+            .expect("batch");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let manifest = std::fs::read(out_dir.join("run_manifest.json")).expect("manifest");
+        assert_eq!(
+            confanon::core::RunManifest::digest_hex(&manifest),
+            "5a75e7d4fc58a5712b12f47f3cb7c435a5769d7a",
+            "jobs={jobs}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn batch_jobs_validation_and_clamping() {
     let root = tmpdir("batch-jobs");
     let corpus = root.join("corpus");

@@ -170,18 +170,3 @@ fn dual_stack_networks_validate_and_scan_clean() {
         assert!(!text.contains(a.as_str()), "{a} survived");
     }
 }
-
-#[test]
-fn parallel_anonymization_matches_serial() {
-    use confanon::workflow::anonymize_dataset_parallel;
-    let ds = generate_dataset(&test_spec(7));
-    let parallel = anonymize_dataset_parallel(&ds.networks, |i| format!("p-{i}").into_bytes());
-    for (i, net) in ds.networks.iter().enumerate() {
-        let serial = anonymize_network(net, format!("p-{i}").as_bytes());
-        assert_eq!(
-            serial.anonymized, parallel[i].anonymized,
-            "{} diverged between serial and parallel",
-            net.name
-        );
-    }
-}

@@ -20,13 +20,12 @@
 //! Plus the overhead guard: always-on instrumentation must cost < 5%
 //! versus a stripped ([`Clock::disabled`]) run on the smoke corpus.
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use confanon::core::{sanitize_bytes, AnonymizerConfig};
 use confanon::obs::{validate_metrics, Clock};
-use confanon::workflow::{anonymize_corpus_gated, anonymize_corpus_gated_clocked};
+use confanon::workflow::{anonymize_corpus_gated, GatedCorpusRun, GatedOptions};
 use confanon_testkit::chaos::ChaosMutator;
 use confanon_testkit::json::Json;
 
@@ -181,6 +180,11 @@ fn deterministic_section_survives_resume_from_every_crash_point() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+fn gated(files: &[(String, String)], secret: &[u8], jobs: usize) -> GatedCorpusRun {
+    let cfg = AnonymizerConfig::new(secret.to_vec());
+    anonymize_corpus_gated(files, cfg, GatedOptions::jobs(jobs)).expect("cold run")
+}
+
 /// An in-process corpus (one network, a handful of routers).
 fn base_corpus() -> Vec<(String, String)> {
     let ds = confanon::confgen::generate_dataset(&confanon::confgen::DatasetSpec {
@@ -199,7 +203,7 @@ fn base_corpus() -> Vec<(String, String)> {
 #[test]
 fn per_rule_hits_in_metrics_sum_to_batch_report_totals() {
     let files = base_corpus();
-    let run = anonymize_corpus_gated(&files, AnonymizerConfig::new(b"sum-secret".to_vec()), 2);
+    let run = gated(&files, b"sum-secret", 2);
 
     // The full-corpus run gates nothing, so BatchReport totals and the
     // warmed anonymizer agree — the metrics rules section is built from
@@ -256,9 +260,8 @@ confanon_testkit::props! {
     /// gate quarantines part of the corpus.
     fn deterministic_section_is_jobs_invariant_under_chaos(seed in 0u64..1_000_000) {
         let files = chaos_corpus(seed);
-        let cfg = || AnonymizerConfig::new(b"chaos-metrics-secret".to_vec());
-        let a = anonymize_corpus_gated(&files, cfg(), 1);
-        let b = anonymize_corpus_gated(&files, cfg(), 8);
+        let a = gated(&files, b"chaos-metrics-secret", 1);
+        let b = gated(&files, b"chaos-metrics-secret", 8);
         assert_eq!(
             a.metrics_deterministic_json().to_string_pretty(),
             b.metrics_deterministic_json().to_string_pretty(),
@@ -291,7 +294,11 @@ fn observability_overhead_is_under_five_percent() {
         let mut best = f64::INFINITY;
         for _ in 0..5 {
             let t = std::time::Instant::now();
-            let run = anonymize_corpus_gated_clocked(&files, cfg(), 2, &BTreeSet::new(), clock);
+            let opts = GatedOptions {
+                clock,
+                ..GatedOptions::jobs(2)
+            };
+            let run = anonymize_corpus_gated(&files, cfg(), opts).expect("cold run");
             std::hint::black_box(run.clean.len());
             best = best.min(t.elapsed().as_secs_f64());
         }
@@ -316,7 +323,7 @@ fn timing_section_carries_spans_and_is_separate() {
     // none of its keys may leak into the deterministic section (a span
     // count there would silently break byte-identity).
     let files = base_corpus();
-    let run = anonymize_corpus_gated(&files, AnonymizerConfig::new(b"span-secret".to_vec()), 2);
+    let run = gated(&files, b"span-secret", 2);
 
     let timing = run.metrics_timing_json();
     let spans = timing.get("spans").expect("span summary");

@@ -1,22 +1,17 @@
-//! The zero-copy equivalence suite: differential properties pinning the
-//! borrow-or-own rewrite, the byte-class tokenizer dispatch, and the
-//! mmap read path to their straightforward baselines.
-//!
-//! Each optimized path in this PR keeps its predecessor in-tree — the
-//! clone-always emit (`disable_zero_copy`), the per-char scanners
-//! (`tokenize_chars`/`segment_chars`), the buffered `Fs::read` — and
-//! this suite proves the pairs indistinguishable on seeded and
-//! chaos-mutated inputs:
+//! The zero-copy suite: the borrow-or-own verdict and the mmap read path.
 //!
 //! 1. **Borrow verdict** — `anonymize_command_line` returns
 //!    `Cow::Borrowed` *exactly* when no byte of the line changed;
-//! 2. **Rewrite identity** — whole-config output bytes and per-rule
-//!    fire counts are equal with zero-copy on and off;
-//! 3. **Scanner identity** — the byte-table tokenizer and segmenter
-//!    agree with the per-char references on arbitrary mutated lines;
-//! 4. **Read-path identity** — `read_mapped` returns the same bytes as
+//! 2. **Read-path identity** — `read_mapped` returns the same bytes as
 //!    `read` for every size class, on `StdFs` (real mmap above the
 //!    threshold) and on `FaultFs` (default-method fallback).
+//!
+//! The rewrite and scanner identities need the test-only reference
+//! paths, so they live beside them as unit properties: the shipped line
+//! path against the reference line path in `confanon-core`
+//! (`anonymizer::reference`), and the byte-class tokenizer and segmenter
+//! against the per-char references in `confanon-iosparse`
+//! (`token::tests`).
 
 use std::borrow::Cow;
 use std::path::PathBuf;
@@ -24,8 +19,7 @@ use std::path::PathBuf;
 use confanon::core::{
     sanitize_bytes, Anonymizer, AnonymizerConfig, Fs, StdFs, MMAP_MIN_LEN,
 };
-use confanon::iosparse::{segment, segment_chars, tokenize, tokenize_chars};
-use confanon_testkit::chaos::ChaosMutator;
+use confanon::workflow::{anonymize_corpus_gated, GatedOptions};
 use confanon_testkit::props::{any, pattern, Strategy};
 
 /// Strategy: one plausible config line, biased toward the shapes the
@@ -50,31 +44,8 @@ fn config_line() -> impl Strategy<Value = String> {
         })
 }
 
-/// Strategy: a small multi-line config built from [`config_line`]s.
-fn config_text() -> impl Strategy<Value = String> {
-    (config_line(), config_line(), config_line(), config_line())
-        .prop_map(|(a, b, c, d)| format!("{a}\n{b}\n{c}\n{d}\n"))
-}
-
-/// A chaos-mutated descendant of a seed corpus file: hostile bytes run
-/// through the same sanitizer the pipeline uses.
-fn chaos_text(seed: u64) -> String {
-    let ds = confanon::confgen::generate_dataset(&confanon::confgen::DatasetSpec {
-        seed: 0x2e20_c0de,
-        networks: 1,
-        mean_routers: 2,
-        backbone_fraction: 0.5,
-    });
-    let base = &ds.networks[0].routers[seed as usize % ds.networks[0].routers.len()].config;
-    let mutated = ChaosMutator::new(seed).mutate(base.as_bytes());
-    let (repaired, _) = sanitize_bytes(&mutated.bytes);
-    repaired
-}
-
-fn anon(secret: u64, zero_copy: bool) -> Anonymizer {
-    let mut cfg = AnonymizerConfig::new(secret.to_be_bytes().to_vec());
-    cfg.disable_zero_copy = !zero_copy;
-    Anonymizer::new(cfg)
+fn anon(secret: u64) -> Anonymizer {
+    Anonymizer::new(AnonymizerConfig::new(secret.to_be_bytes().to_vec()))
 }
 
 confanon_testkit::props! {
@@ -85,7 +56,7 @@ confanon_testkit::props! {
     /// input — classification-only rule fires and permutation fixed
     /// points included.
     fn borrowed_iff_no_byte_changed(line in config_line(), secret in any::<u64>()) {
-        let mut a = anon(secret, true);
+        let mut a = anon(secret);
         let mut stats = Default::default();
         let out = a.anonymize_command_line(&line, &mut stats);
         match &out {
@@ -102,50 +73,6 @@ confanon_testkit::props! {
             r.lines_borrowed == 1,
             "the counters must agree with the verdict"
         );
-    }
-
-    /// Zero-copy on vs. off: byte-identical whole-config output and
-    /// identical per-rule fire counts, on generated configs.
-    fn zero_copy_matches_legacy_on_generated(text in config_text(), secret in any::<u64>()) {
-        let new = anon(secret, true).anonymize_config(&text);
-        let old = anon(secret, false).anonymize_config(&text);
-        assert_eq!(new.text, old.text, "output bytes diverged");
-        assert_eq!(
-            new.stats.rule_fires_complete(),
-            old.stats.rule_fires_complete(),
-            "per-rule fire counts diverged"
-        );
-    }
-
-    /// The same differential on chaos-mutated corpora: hostile token
-    /// shapes, torn lines, and banner debris must not open a gap
-    /// between the two emit paths either.
-    fn zero_copy_matches_legacy_on_chaos(seed in any::<u64>(), secret in any::<u64>()) {
-        let text = chaos_text(seed);
-        let new = anon(secret, true).anonymize_config(&text);
-        let old = anon(secret, false).anonymize_config(&text);
-        assert_eq!(new.text, old.text, "chaos seed {seed}: output bytes diverged");
-        assert_eq!(
-            new.stats.rule_fires_complete(),
-            old.stats.rule_fires_complete(),
-            "chaos seed {seed}: per-rule fire counts diverged"
-        );
-    }
-
-    /// The byte-class tokenizer and segmenter agree with the per-char
-    /// references on every line of a chaos-mutated config.
-    fn byte_dispatch_scanners_match_references(seed in any::<u64>()) {
-        for line in chaos_text(seed).lines() {
-            assert_eq!(tokenize(line), tokenize_chars(line), "line {line:?}");
-            for tok in tokenize(line) {
-                assert_eq!(
-                    segment(tok.text),
-                    segment_chars(tok.text),
-                    "word {:?}",
-                    tok.text
-                );
-            }
-        }
     }
 }
 
@@ -235,7 +162,7 @@ fn pipeline_output_identical_across_read_paths() {
 
     let run = |files: &[(String, String)]| -> Vec<(String, String)> {
         let cfg = AnonymizerConfig::new(b"readpath-secret".to_vec());
-        let run = confanon::workflow::anonymize_corpus_gated(files, cfg, 2);
+        let run = anonymize_corpus_gated(files, cfg, GatedOptions::jobs(2)).expect("cold run");
         run.clean
             .into_iter()
             .map(|o| (o.name, o.text))
