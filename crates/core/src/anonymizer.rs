@@ -1377,7 +1377,7 @@ fn banner_header_skeleton(line: &str) -> String {
 }
 
 #[cfg(test)]
-pub(crate) mod reference;
+mod reference;
 
 #[cfg(test)]
 mod tests {

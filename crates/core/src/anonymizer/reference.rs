@@ -16,7 +16,6 @@
 use super::*;
 use crate::input::sanitize_bytes;
 use confanon_confgen::{generate_dataset, DatasetSpec};
-use confanon_iosparse::Token;
 use confanon_testkit::chaos::ChaosMutator;
 use confanon_testkit::props::{any, pattern, Strategy};
 
@@ -45,11 +44,10 @@ impl Anonymizer {
         if !self.emit {
             return String::new();
         }
-        let rewritten: Vec<String> = out
-            .into_iter()
-            .map(|slot| slot.expect("the per-token pass fills every slot"))
-            .collect();
-        rebuild_dense(line, &toks, &rewritten)
+        // With every slot filled, `rebuild_sparse` reassembles densely
+        // (pinned against a dense assembler in iosparse's tests).
+        assert!(out.iter().all(Option::is_some), "the per-token pass fills every slot");
+        rebuild_sparse(line, &toks, &out).into_owned()
     }
 
     /// The reference for [`Anonymizer::rewrite_token`]: the same checks
@@ -185,22 +183,6 @@ impl Anonymizer {
     }
 }
 
-/// Dense line assembly: every token is replaced by its (possibly
-/// unchanged) rewrite, with the original whitespace runs kept between
-/// them.
-fn rebuild_dense(line: &str, originals: &[Token<'_>], rewritten: &[String]) -> String {
-    assert_eq!(originals.len(), rewritten.len());
-    let mut out = String::with_capacity(line.len());
-    let mut cursor = 0;
-    for (tok, new) in originals.iter().zip(rewritten) {
-        out.push_str(&line[cursor..tok.start]);
-        out.push_str(new);
-        cursor = tok.end();
-    }
-    out.push_str(&line[cursor..]);
-    out
-}
-
 /// Runs a shipped and a reference anonymizer, both built from `cfg`, in
 /// lockstep over every `Command` line of `files` (one corpus, one keyed
 /// state): first a discovery pass over the whole corpus, then an emit
@@ -208,7 +190,7 @@ fn rebuild_dense(line: &str, originals: &[Token<'_>], rewritten: &[String]) -> S
 /// per-line statistics after every line, and an equal leak record and
 /// emitted-exclusion set at the end. Returns the number of lines
 /// compared per pass.
-pub(crate) fn assert_lockstep(cfg: &AnonymizerConfig, files: &[String]) -> usize {
+fn assert_lockstep(cfg: &AnonymizerConfig, files: &[String]) -> usize {
     let mut shipped = Anonymizer::new(cfg.clone());
     let mut reference = Anonymizer::new(cfg.clone());
     let mut compared = 0;

@@ -1159,14 +1159,6 @@ mod tests {
         }
     }
 
-    /// The shipped line path (prefilter, borrow-or-own rewrite) matches
-    /// the test-only reference on this module's corpus.
-    #[test]
-    fn corpus_matches_reference_line_path() {
-        let texts: Vec<String> = corpus().into_iter().map(|f| f.text).collect();
-        assert!(crate::anonymizer::reference::assert_lockstep(&secret(), &texts) > 0);
-    }
-
     /// The borrow-or-own accounting covers every emitted line exactly
     /// once, at every job count.
     #[test]

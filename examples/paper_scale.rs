@@ -13,6 +13,7 @@
 //! cargo run --release --example paper_scale [mean-routers]
 //! ```
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use confanon::confgen::{generate_dataset, paper_dataset_spec};
@@ -51,7 +52,9 @@ fn main() {
 
     let t1 = Instant::now();
     let mut withheld = 0usize;
-    let runs: Vec<NetworkRun> = ds
+    // One run per network; `None` when a file's processing failed, so
+    // the network has no output for every router to validate.
+    let runs: Vec<Option<NetworkRun>> = ds
         .networks
         .iter()
         .enumerate()
@@ -65,10 +68,20 @@ fn main() {
             let run = anonymize_corpus_gated(&files, cfg, GatedOptions::jobs(0))
                 .expect("a cold run restores no state");
             withheld += run.quarantined.len() + run.failures.len();
-            NetworkRun {
-                anonymized: run.clean.into_iter().map(|o| o.text).collect(),
-                anonymizer: run.anonymizer,
+            if !run.failures.is_empty() {
+                return None;
             }
+            // Validate and scan what the anonymizer produced, released or
+            // withheld by the gate, in input order.
+            let order: HashMap<&str, usize> =
+                files.iter().enumerate().map(|(k, (name, _))| (name.as_str(), k)).collect();
+            let mut outputs = run.clean;
+            outputs.extend(run.quarantined.into_iter().map(|q| q.output));
+            outputs.sort_by_key(|o| order[o.name.as_str()]);
+            Some(NetworkRun {
+                anonymized: outputs.into_iter().map(|o| o.text).collect(),
+                anonymizer: run.anonymizer,
+            })
         })
         .collect();
     let anon_time = t1.elapsed();
@@ -82,10 +95,13 @@ fn main() {
     );
 
     let t2 = Instant::now();
+    let mut validated = 0;
     let mut s1_pass = 0;
     let mut s2_pass = 0;
     let mut leaks = 0usize;
     for (net, run) in ds.networks.iter().zip(&runs) {
+        let Some(run) = run else { continue };
+        validated += 1;
         s1_pass += usize::from(run_suite1(net, run).passed());
         s2_pass += usize::from(run_suite2(net, run).passed());
         let record = ground_truth_record(net);
@@ -95,12 +111,15 @@ fn main() {
             .len();
     }
     println!(
-        "validated in {:.1?}: suite1 {}/{}, suite2 {}/{}, residual leaks {}",
+        "validated {}/{} networks (released and withheld outputs) in {:.1?}: \
+         suite1 {}/{}, suite2 {}/{}, residual leaks {}",
+        validated,
+        ds.networks.len(),
         t2.elapsed(),
         s1_pass,
-        ds.networks.len(),
+        validated,
         s2_pass,
-        ds.networks.len(),
+        validated,
         leaks
     );
 }

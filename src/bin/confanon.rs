@@ -296,9 +296,9 @@ type Handler = fn(&Opts, &[String]) -> ExitCode;
 
 /// Minimal option parser: `--key value` options, `--flag` switches, and
 /// bare-word positionals. `values` and `flags` list (space-separated)
-/// every option `cmd` takes; any other `--option` is a usage error that
-/// names it, so a typo (`--secert`) can never fall back to a default
-/// unnoticed.
+/// every option `cmd` takes; any other `--option`, or a value option
+/// without its value, is a usage error that names it, so a typo
+/// (`--secert`) can never fall back to a default unnoticed.
 fn parse_opts(
     cmd: &str,
     args: &[String],
@@ -315,15 +315,23 @@ fn parse_opts(
                 eprintln!("{cmd}: unknown option --{key}");
                 return Err(ExitCode::from(EXIT_USAGE));
             }
-            // A value option followed by another option or nothing
-            // reads as a switch.
-            let takes_value = !flag && i + 1 < args.len() && !args[i + 1].starts_with("--");
-            if takes_value {
-                opts.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
+            if flag {
                 opts.insert(key.to_string(), "true".to_string());
                 i += 1;
+                continue;
+            }
+            // A value option must not swallow the next option, nor read
+            // as a switch: `--secret --jobs 1` would key the run with a
+            // guessable secret.
+            match args.get(i + 1).filter(|v| !v.starts_with("--")) {
+                Some(value) => {
+                    opts.insert(key.to_string(), value.clone());
+                    i += 2;
+                }
+                None => {
+                    eprintln!("{cmd}: --{key} needs a value");
+                    return Err(ExitCode::from(EXIT_USAGE));
+                }
             }
         } else {
             pos.push(args[i].clone());
@@ -564,7 +572,14 @@ fn cmd_batch(opts: &Opts, pos: &[String]) -> ExitCode {
     let quarantine_dir = opts.get("quarantine-dir").map(PathBuf::from).unwrap_or_else(|| {
         match &out_dir {
             Some(d) => {
-                let mut s = d.as_os_str().to_os_string();
+                // A sibling named after the directory itself: `upload/`
+                // gives `upload-quarantine`, and `.` or `..` the
+                // sibling of the directory they resolve to.
+                let d: PathBuf = match d.components().next_back() {
+                    Some(Component::Normal(_)) => d.components().collect(),
+                    _ => resolve_dir(d),
+                };
+                let mut s = d.into_os_string();
                 s.push("-quarantine");
                 PathBuf::from(s)
             }

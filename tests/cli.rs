@@ -304,12 +304,14 @@ fn unknown_options_and_bad_numbers_are_usage_errors() {
     std::fs::create_dir_all(&corpus).expect("mk corpus");
     std::fs::write(corpus.join("a.cfg"), "hostname r1.foo.com\n").expect("write");
     let out_dir = root.join("out");
-    for args in [
-        ["batch", "--secert", "MINE"],
-        ["generate", "--networks", "two"],
-        ["generate", "--seed", "-1"],
-        ["chaos", "--count", "lots"],
-    ] {
+    let cases: [&[&str]; 5] = [
+        &["batch", "--secert", "MINE"],
+        &["batch", "--secret", "--jobs", "1"],
+        &["generate", "--networks", "two"],
+        &["generate", "--seed", "-1"],
+        &["chaos", "--count", "lots"],
+    ];
+    for args in cases {
         let out = bin()
             .args(args)
             .arg("--out-dir")
@@ -348,6 +350,19 @@ fn quarantine_dir_resolving_inside_out_dir_is_a_usage_error() {
         assert_eq!(out.status.code(), Some(2), "{quarantine}: {stderr}");
         assert!(!root.join("o").exists(), "{quarantine}: output written");
     }
+    // The default is the output directory's sibling however it is
+    // spelled: `o/` quarantines to `o-quarantine`, not `o/-quarantine`.
+    let out = bin()
+        .current_dir(&root)
+        .args(["batch", "leak-in", "--disable-rule", "neighbor-remote-as"])
+        .args(["--out-dir", "o/"])
+        .output()
+        .expect("batch");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(root.join("o-quarantine/leak_report.json").exists(), "{stderr}");
+    assert!(!root.join("o/-quarantine").exists(), "{stderr}");
+    assert!(!root.join("o/leak_report.json").exists(), "{stderr}");
     let _ = std::fs::remove_dir_all(&root);
 }
 
