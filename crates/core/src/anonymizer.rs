@@ -14,7 +14,7 @@ use std::sync::Arc;
 use confanon_asnanon::rewrite::{
     rewrite_aspath_regex_full, rewrite_community_regex_full, RewriteOutcome,
 };
-use confanon_asnanon::{AsnMap, CommunityMap, LargeCommunityMap, RewriteOptions};
+use confanon_asnanon::{is_public32, AsnMap, CommunityMap, LargeCommunityMap, RewriteOptions};
 use confanon_crypto::TokenHasher;
 use confanon_iosparse::{
     classify_lines, rebuild_sparse, segment, tokenize, LineKind, Segment, BYTE_CLASS, CLASS_ALPHA,
@@ -27,7 +27,10 @@ use crate::discover::{ObservationLog, ObservedIp};
 use crate::error::BatchPhase;
 use crate::leak::LeakRecord;
 use crate::passlist::PassList;
-use crate::rules::{LineClass, LineClassCache, PrefilterStats, RuleId};
+use crate::rules::{
+    anchor_for, LineClass, LineClassCache, Locator, PrefilterStats, RuleId, REMOTE_AS,
+    SECRET_KEYWORDS,
+};
 use crate::stats::{AnonymizationStats, RewriteStats};
 
 /// Distinct-token cap for the salted-hash memo: beyond it, hashes are
@@ -584,9 +587,11 @@ impl Anonymizer {
         rebuilt
     }
 
-    /// The line-context rules: ASN locators (R06–R17), regexp rewriting
-    /// (R09, R12), and the miscellaneous identity rules (R18–R21). Fills
-    /// `out[i]` for every token it decides; leaves the rest `None`.
+    /// The line-context rules: the first anchor whose head the lowered
+    /// line starts with runs its locator, if its rule is enabled (see
+    /// [`crate::rules::Anchor`]); then R20's keyword trailer scans the
+    /// whole line. Fills `out[i]` for every token it decides; leaves the
+    /// rest `None`.
     fn apply_context_rules(
         &mut self,
         lower: &[&str],
@@ -594,126 +599,82 @@ impl Anonymizer {
         out: &mut [Option<String>],
         stats: &mut AnonymizationStats,
     ) {
-        match lower {
-            ["router", "bgp", ..] if lower.len() >= 3 => {
-                self.asn_at(2, texts, out, stats, RuleId::R06RouterBgpAsn);
-            }
-            ["neighbor", _, "remote-as", ..] if lower.len() >= 4 => {
-                self.asn_at(3, texts, out, stats, RuleId::R07NeighborRemoteAs);
-            }
-            ["neighbor", _, "local-as", ..] if lower.len() >= 4 => {
-                self.asn_at(3, texts, out, stats, RuleId::R15NeighborLocalAs);
-            }
-            ["set", "as-path", "prepend", ..] => {
-                for i in 3..texts.len() {
-                    self.asn_at(i, texts, out, stats, RuleId::R08AsPathPrepend);
-                }
-            }
-            ["bgp", "confederation", "identifier", ..] if lower.len() >= 4 => {
-                self.asn_at(3, texts, out, stats, RuleId::R10ConfederationIdentifier);
-            }
-            ["bgp", "confederation", "peers", ..] => {
-                for i in 3..texts.len() {
-                    self.asn_at(i, texts, out, stats, RuleId::R11ConfederationPeers);
-                }
-            }
-            ["bgp", "listen", "range", ..] => {
-                if let Some(pos) = lower.iter().position(|t| *t == "remote-as") {
-                    if pos + 1 < texts.len() {
-                        self.asn_at(pos + 1, texts, out, stats, RuleId::R16BgpListenRange);
+        let n = texts.len();
+        if let Some((rule, anchor)) = anchor_for(lower).filter(|(rule, _)| self.enabled(*rule)) {
+            match anchor.locator {
+                Locator::Asn(i) => self.asn_at(i, texts, out, stats, rule),
+                Locator::AsnsFrom(from) => {
+                    for i in from..n {
+                        self.asn_at(i, texts, out, stats, rule);
                     }
                 }
-            }
-            ["set", "extcommunity", _, ..] => {
-                for i in 3..texts.len() {
-                    if self.enabled(RuleId::R17ExtCommunityContext) {
+                Locator::AsnAfterRemoteAs => {
+                    if let Some(pos) = lower.iter().position(|t| *t == REMOTE_AS) {
+                        self.asn_at(pos + 1, texts, out, stats, rule);
+                    }
+                }
+                Locator::CommunitiesFrom(from) => {
+                    for i in from..n {
                         if let Some(mapped) = self.try_community(texts[i], stats) {
-                            stats.fire(RuleId::R17ExtCommunityContext);
+                            stats.fire(rule);
                             out[i] = Some(mapped);
                         }
                     }
                 }
-            }
-            ["ip", "as-path", "access-list", _, act, ..]
-                if lower.len() >= 6 && matches!(*act, "permit" | "deny") =>
-            {
-                self.rewrite_regex_tokens(5, texts, out, stats, RegexDomain::AsPath);
-            }
-            ["ip", "community-list", _, act, ..]
-                if lower.len() >= 5 && matches!(*act, "permit" | "deny") =>
-            {
-                self.community_list_tokens(4, texts, out, stats);
-            }
-            // Named/expanded community-list form:
-            // `ip community-list expanded NAME permit <regexp>`.
-            ["ip", "community-list", kind, _, act, ..]
-                if lower.len() >= 6
-                    && matches!(*kind, "standard" | "expanded")
-                    && matches!(*act, "permit" | "deny") =>
-            {
-                self.community_list_tokens(5, texts, out, stats);
-            }
-            ["set", "community", ..] => {
-                for i in 2..texts.len() {
-                    if matches!(lower[i], "additive" | "none" | "internet") {
-                        continue;
-                    }
-                    if self.enabled(RuleId::R13SetCommunity) {
-                        if let Some(mapped) = self.try_community(texts[i], stats) {
-                            stats.fire(RuleId::R13SetCommunity);
+                Locator::AsPathRegex(from) => {
+                    self.rewrite_regex_tokens(from, texts, out, stats, RegexDomain::AsPath);
+                }
+                // Literal communities map one by one (a token the map
+                // then refuses hashes whole: never emit the original);
+                // anything else is one community regexp.
+                Locator::CommunityList(from) if from < n => {
+                    if texts[from..]
+                        .iter()
+                        .all(|t| self.community.map_token(t).is_some())
+                    {
+                        for i in from..n {
+                            let mapped = match self.try_community(texts[i], stats) {
+                                Some(m) => m,
+                                None => self.hash_emit(texts[i]),
+                            };
+                            stats.fire(rule);
                             out[i] = Some(mapped);
                         }
+                    } else {
+                        self.rewrite_regex_tokens(from, texts, out, stats, RegexDomain::Community);
                     }
                 }
-            }
-            ["hostname", ..] if lower.len() >= 2 => {
-                self.hash_whole(1, texts, out, stats, RuleId::R19HostnameDomain);
-            }
-            ["ip", "domain-name", ..] if lower.len() >= 3 => {
-                self.hash_whole(2, texts, out, stats, RuleId::R19HostnameDomain);
-            }
-            ["ip", "domain", "name", ..] if lower.len() >= 4 => {
-                self.hash_whole(3, texts, out, stats, RuleId::R19HostnameDomain);
-            }
-            ["snmp-server", "community", ..] if lower.len() >= 3 => {
-                self.hash_secret(2, texts, out, stats);
-            }
-            ["username", ..] if lower.len() >= 2 => {
-                self.hash_secret(1, texts, out, stats);
-                self.hash_after_keyword(lower, texts, out, stats);
-            }
-            ["dialer", "string", ..] if lower.len() >= 3
-                && self.enabled(RuleId::R18DialerStrings) => {
-                    stats.fire(RuleId::R18DialerStrings);
+                Locator::Phone(i) if i < n => {
+                    stats.fire(rule);
                     stats.phone_numbers_mapped += 1;
-                    let image = self.map_phone(texts[2]);
+                    let image = self.map_phone(texts[i]);
                     self.emitted.insert(image.clone());
-                    out[2] = Some(image);
+                    out[i] = Some(image);
                 }
-            ["ntp", "server", ..] | ["logging", "host", ..] | ["tacacs-server", "host", ..]
-            | ["radius-server", "host", ..]
-                // Addresses are handled by the per-token IP rule; a *name*
-                // argument hashes whole so domain structure dies (R21).
-                if self.enabled(RuleId::R21ServerLiterals) && texts.len() >= 3 => {
-                    let arg = texts[2];
-                    if arg.parse::<Ip>().is_err() {
-                        stats.fire(RuleId::R21ServerLiterals);
-                        self.record_word(arg);
-                        out[2] = Some(self.hash_emit(arg));
+                // A server address is left to the per-token IP rule.
+                Locator::ServerName(i) if i < n && texts[i].parse::<Ip>().is_ok() => {}
+                Locator::HashWhole(i) | Locator::Secret(i) | Locator::ServerName(i) if i < n => {
+                    stats.fire(rule);
+                    if matches!(anchor.locator, Locator::Secret(_)) {
+                        stats.secrets_hashed += 1;
                     }
+                    self.record_word(texts[i]);
+                    out[i] = Some(self.hash_emit(texts[i]));
                 }
-            ["ip", "name-server", ..] => { /* per-token IP rule covers it */ }
-            _ => {}
+                // Out of range: the line ends at the head.
+                Locator::CommunityList(_)
+                | Locator::HashWhole(_)
+                | Locator::Secret(_)
+                | Locator::Phone(_)
+                | Locator::ServerName(_) => {}
+            }
         }
-
-        // Secrets appearing behind `password` / `secret` / `key` keywords
-        // anywhere on the line (R20), e.g. `enable secret 5 $1$...`.
-        if lower.first().is_some_and(|h| *h != "username") {
-            self.hash_after_keyword(lower, texts, out, stats);
-        }
+        self.hash_after_keyword(lower, texts, out, stats);
     }
 
-    /// Permutes the ASN token at `i` if it parses as a 16-bit number.
+    /// Permutes the ASN token at `i` if it parses as a 16-bit number; a
+    /// wider one is declined and recorded if public (see
+    /// [`Locator::Asn`]).
     fn asn_at(
         &mut self,
         i: usize,
@@ -722,10 +683,11 @@ impl Anonymizer {
         stats: &mut AnonymizationStats,
         rule: RuleId,
     ) {
-        if !self.enabled(rule) || i >= texts.len() {
+        let Some(tok) = texts.get(i) else {
             return;
-        }
-        let Ok(asn) = texts[i].parse::<u16>() else {
+        };
+        let Ok(asn) = tok.parse::<u16>() else {
+            self.record_wide_asn(tok);
             return;
         };
         stats.fire(rule);
@@ -738,16 +700,31 @@ impl Anonymizer {
         out[i] = Some(image);
     }
 
+    /// Records an all-digit ASN the 16-bit map declined when it is public
+    /// in the 4-byte space, so the leak gate withholds any output that
+    /// releases it.
+    fn record_wide_asn(&mut self, digits: &str) {
+        if digits.bytes().all(|b| b.is_ascii_digit())
+            && digits.parse::<u32>().is_ok_and(is_public32)
+        {
+            self.record.asns.insert(digits.to_string());
+        }
+    }
+
     /// Maps a community literal token, recording the ASN half. With R27
     /// disabled (ablation) the value half keeps its original integer —
-    /// exactly the information/anonymity trade-off of §4.5.
+    /// exactly the information/anonymity trade-off of §4.5. A community
+    /// with a half wider than 16 bits is declined, its ASN half recorded
+    /// if public.
     fn try_community(&mut self, token: &str, stats: &mut AnonymizationStats) -> Option<String> {
         let (a, v) = token.split_once(':')?;
         if !a.bytes().all(|b| b.is_ascii_digit()) || !v.bytes().all(|b| b.is_ascii_digit()) {
             return None;
         }
-        let asn: u16 = a.parse().ok()?;
-        let value: u16 = v.parse().ok()?;
+        let (Ok(asn), Ok(value)) = (a.parse::<u16>(), v.parse::<u16>()) else {
+            self.record_wide_asn(a);
+            return None;
+        };
         stats.communities_mapped += 1;
         if confanon_asnanon::map::is_public(asn) {
             self.record.asns.insert(asn.to_string());
@@ -780,13 +757,13 @@ impl Anonymizer {
         stats: &mut AnonymizationStats,
         domain: RegexDomain,
     ) {
+        if from >= texts.len() {
+            return;
+        }
         let rule = match domain {
             RegexDomain::AsPath => RuleId::R09AsPathAccessListRegex,
             RegexDomain::Community => RuleId::R12CommunityListPattern,
         };
-        if !self.enabled(rule) || from >= texts.len() {
-            return;
-        }
         let key = (domain, texts[from..].join(" "));
         let rewritten = match self.regex_memo.entries.get(&key) {
             Some(interned) => interned.clone(),
@@ -809,17 +786,24 @@ impl Anonymizer {
         out[from] = Some(match rewritten {
             Some(r) => {
                 // Record exactly the public ASNs the original pattern
-                // named (R28): the pre-image language of its atoms.
+                // named (R28): the pre-image language of its atoms, plus
+                // the public 4-byte ASNs it spells, which match no
+                // 16-bit ASN and so survive the rewrite.
                 if self.enabled(RuleId::R28LeakHighlighting) {
                     for asn in &r.public_asns_named {
                         self.record.asns.insert(asn.to_string());
                     }
+                    for run in key.1.split(|c: char| !c.is_ascii_digit()) {
+                        if !run.is_empty() && run.parse::<u16>().is_err() {
+                            self.record_wide_asn(run);
+                        }
+                    }
                 }
                 stats.regexps_rewritten += 1;
-                // Every digit run the rewritten pattern contains is an
-                // emitted image.
+                // Every 16-bit digit run the rewritten pattern contains
+                // is an emitted image; no image is wider.
                 for run in r.pattern.split(|c: char| !c.is_ascii_digit()) {
-                    if !run.is_empty() && !self.emitted.contains(run) {
+                    if run.parse::<u16>().is_ok() && !self.emitted.contains(run) {
                         self.emitted.insert(run.to_string());
                     }
                 }
@@ -841,74 +825,9 @@ impl Anonymizer {
         }
     }
 
-    /// `ip community-list … permit <patterns…>`: literal communities map
-    /// directly; anything else is treated as one community regexp.
-    fn community_list_tokens(
-        &mut self,
-        from: usize,
-        texts: &[&str],
-        out: &mut [Option<String>],
-        stats: &mut AnonymizationStats,
-    ) {
-        if !self.enabled(RuleId::R12CommunityListPattern) || from >= texts.len() {
-            return;
-        }
-        let all_literals = texts[from..]
-            .iter()
-            .all(|t| self.community.map_token(t).is_some());
-        if all_literals {
-            for i in from..texts.len() {
-                // `all_literals` proved each token maps; if the map ever
-                // disagrees, hashing the token whole is still safe
-                // (fail-closed: never emit the original).
-                let mapped = match self.try_community(texts[i], stats) {
-                    Some(m) => m,
-                    None => self.hash_emit(texts[i]),
-                };
-                stats.fire(RuleId::R12CommunityListPattern);
-                out[i] = Some(mapped);
-            }
-        } else {
-            self.rewrite_regex_tokens(from, texts, out, stats, RegexDomain::Community);
-        }
-    }
-
-    /// Hashes the token at `i` as a whole (no segmentation), recording it.
-    fn hash_whole(
-        &mut self,
-        i: usize,
-        texts: &[&str],
-        out: &mut [Option<String>],
-        stats: &mut AnonymizationStats,
-        rule: RuleId,
-    ) {
-        if !self.enabled(rule) || i >= texts.len() {
-            return;
-        }
-        stats.fire(rule);
-        self.record_word(texts[i]);
-        out[i] = Some(self.hash_emit(texts[i]));
-    }
-
-    /// Hashes the secret token at `i` (R20).
-    fn hash_secret(
-        &mut self,
-        i: usize,
-        texts: &[&str],
-        out: &mut [Option<String>],
-        stats: &mut AnonymizationStats,
-    ) {
-        if !self.enabled(RuleId::R20SecretsAndKeys) || i >= texts.len() {
-            return;
-        }
-        stats.fire(RuleId::R20SecretsAndKeys);
-        stats.secrets_hashed += 1;
-        self.record_word(texts[i]);
-        out[i] = Some(self.hash_emit(texts[i]));
-    }
-
-    /// Hashes every token following a `password`/`secret`/`key` keyword,
-    /// skipping a single-digit encryption-type code (`password 7 ABCDEF`).
+    /// R20's trailer: hashes every token following one of the
+    /// [`SECRET_KEYWORDS`], skipping a single-digit encryption-type code
+    /// (`password 7 ABCDEF`).
     fn hash_after_keyword(
         &mut self,
         lower: &[&str],
@@ -921,7 +840,7 @@ impl Anonymizer {
         }
         #[allow(clippy::needless_range_loop)] // indexes three slices
         for i in 0..lower.len() {
-            if matches!(lower[i], "password" | "secret" | "key" | "md5") {
+            if SECRET_KEYWORDS.contains(&lower[i]) {
                 let mut j = i + 1;
                 if j < texts.len() && texts[j].len() == 1 && texts[j].chars().all(|c| c.is_ascii_digit()) {
                     j += 1; // encryption type code

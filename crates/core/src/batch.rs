@@ -61,7 +61,7 @@ use confanon_obs::{Clock, ObsShard};
 
 use crate::anonymizer::{Anonymizer, AnonymizerConfig};
 use crate::discover::ObservationLog;
-use crate::error::{BatchFailure, BatchPhase};
+use crate::error::{panic_message, BatchFailure, BatchPhase};
 use crate::fsx::DurabilityStats;
 use crate::stats::{AnonymizationStats, RewriteStats};
 
@@ -141,17 +141,6 @@ pub struct BatchReport {
     /// report under the `discovery.*` prefix, which the metrics document
     /// files in its timing section.
     pub obs: ObsShard,
-}
-
-/// Renders a contained panic payload for the failure report.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
 }
 
 /// A corpus anonymizer: one keyed state, many files, optional
@@ -562,6 +551,14 @@ impl BatchPipeline {
     /// Single-worker rewrite. Uses a clone (not the retained anonymizer)
     /// so the retained state keeps exactly one pass of total statistics,
     /// matching the parallel mode.
+    ///
+    /// It stays separate from [`BatchPipeline::rewrite_parallel`] for
+    /// memory, not speed: running the one-job rewrite on a one-worker
+    /// pool raised perfbench's warm_append peak RSS from 85.2 to 100.4 MB
+    /// (two alternating 15 s pairs, 2-core Linux host; e9_batch moved
+    /// from 79.8 to 80.1 MB), past the benchmark's 15% bound. The cause
+    /// is unverified; the spawned thread's separate malloc arena is one
+    /// candidate.
     fn rewrite_inline(
         &self,
         inputs: &[BatchInput],

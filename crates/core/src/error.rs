@@ -47,6 +47,18 @@ impl fmt::Display for BatchPhase {
     }
 }
 
+/// Renders a contained panic payload: the batch pipeline's per-file
+/// failure cause, and a serve tenant's per-request one.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_string()
+    }
+}
+
 /// One file the batch pipeline could not process. The file's output is
 /// withheld (fail closed); every other file of the corpus still emits.
 #[derive(Debug, Clone, PartialEq, Eq)]

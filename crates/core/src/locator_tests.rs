@@ -349,7 +349,7 @@ something 702:44
         if r.name == "leak-highlighting" {
             continue;
         }
-        if !out.stats.rule_fires.contains_key(r.name) {
+        if out.stats.fires(r.id) == 0 {
             missing.push(r.name);
         }
     }

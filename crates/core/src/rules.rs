@@ -4,7 +4,11 @@
 //! for anonymizing the 200-plus IOS versions we have tested them on"
 //! (§4.2). The paper gives the breakdown — 2 segmentation, 3 comment
 //! stripping, 12 ASN location, 4 miscellaneous — and this registry names
-//! our concrete realization of each. The [`crate::Anonymizer`] consults
+//! our concrete realization of each. A rule is declared once, as its
+//! [`RuleInfo`] entry: a contextual rule lists its [`Anchor`]s — the
+//! leading words of the lines it fires on, each with the [`Locator`]
+//! that maps tokens there — and the prefilter, the context matcher and
+//! the fire counters all read that entry. The [`crate::Anonymizer`] consults
 //! the enabled-rule set before applying each behaviour, which is what
 //! makes the §6.1 ablation/iteration experiments possible: disable a
 //! locator, watch the leak scanner light up, re-enable it, converge.
@@ -85,9 +89,75 @@ pub struct RuleInfo {
     pub name: &'static str,
     /// What the rule does and why.
     pub description: &'static str,
+    /// The lines a contextual rule fires on; empty for the rules the line
+    /// classifier and the per-token pass apply.
+    pub anchors: &'static [Anchor],
+}
+
+/// A line shape a contextual rule fires on, and what it maps there.
+#[derive(Debug, Clone, Copy)]
+pub struct Anchor {
+    /// Lowercased leading words: a literal (always first), `*` for any
+    /// word, or alternatives joined by `|` (`permit|deny`).
+    pub head: &'static [&'static str],
+    /// Which tokens the rule maps on a matching line, and how.
+    pub locator: Locator,
+}
+
+/// Which tokens of an anchored line a rule maps (positions are token
+/// indexes), and how. A declined token falls to the per-token pass, and
+/// the leak gate sees only what was recorded, so each variant says what
+/// it declines: a non-identifier, or one it records for the gate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Locator {
+    /// Permutes the 16-bit ASN at the position. Declines words, which the
+    /// per-token pass hashes or passes as keywords, and wider numbers: a
+    /// public 4-byte ASN (RFC 6793) is recorded, a private one (RFC 6996)
+    /// names no network, and one past 32 bits is no ASN. Asdot (`1.10`)
+    /// is declined and not yet located (ROADMAP.md).
+    Asn(usize),
+    /// [`Locator::Asn`] on every token from the position on.
+    AsnsFrom(usize),
+    /// [`Locator::Asn`] after the line's first `remote-as`, if any.
+    AsnAfterRemoteAs,
+    /// Maps every `asn:value` community from the position on. Declines
+    /// symbolic ones (`additive`, `no-export`), which name nobody, and
+    /// wider halves, recording a public ASN half. `a.b.c.d:nn` route
+    /// targets are declined and not yet located (ROADMAP.md).
+    CommunitiesFrom(usize),
+    /// Rewrites the as-path regexp from the position to the line's end by
+    /// language enumeration over 16-bit ASNs, or hashes it whole if it
+    /// does not parse. A wider digit run survives; a public one is recorded.
+    AsPathRegex(usize),
+    /// Maps literal communities from the position on, or else rewrites the
+    /// rest as one community regexp, declining as the two variants above.
+    CommunityList(usize),
+    /// Hashes the token at the position whole, so a domain's structure
+    /// does not survive segmentation. Declines nothing.
+    HashWhole(usize),
+    /// Hashes the secret at the position whole. Declines nothing.
+    Secret(usize),
+    /// Re-digits the phone number at the position. Declines nothing.
+    Phone(usize),
+    /// Hashes the server name at the position whole. Declines an IPv4
+    /// literal, which the per-token pass maps through the trie.
+    ServerName(usize),
+}
+
+/// The keyword [`Locator::AsnAfterRemoteAs`] looks for.
+pub(crate) const REMOTE_AS: &str = "remote-as";
+
+/// Keywords whose presence anywhere on a line fires R20's trailer: the
+/// token after each (past a one-digit encryption type) hashes as a secret.
+pub(crate) const SECRET_KEYWORDS: [&str; 4] = ["password", "secret", "key", "md5"];
+
+/// Shorthand for the table below.
+const fn at(head: &'static [&'static str], locator: Locator) -> Anchor {
+    Anchor { head, locator }
 }
 
 /// All 28 rules, in order.
+#[rustfmt::skip] // a table: one anchor per line
 pub const ALL_RULES: [RuleInfo; 28] = [
     RuleInfo {
         id: RuleId::R01SplitAlphaRuns,
@@ -95,6 +165,7 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         name: "split-alpha-runs",
         description: "Segment words into alphabetic and non-alphabetic runs so \
                       `Ethernet0/0` checks `ethernet` against the pass-list and leaves `0/0`.",
+        anchors: &[],
     },
     RuleInfo {
         id: RuleId::R02SplitPunctuation,
@@ -102,12 +173,14 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         name: "split-punctuation",
         description: "Treat punctuation runs as separators between independently \
                       checked alphabetic segments (`cr1.lax.foo.com`).",
+        anchors: &[],
     },
     RuleInfo {
         id: RuleId::R03BangComments,
         category: RuleCategory::Comments,
         name: "bang-comments",
         description: "Strip `!` comment text; keep the bare bang as a structural separator.",
+        anchors: &[],
     },
     RuleInfo {
         id: RuleId::R04DescriptionText,
@@ -115,30 +188,35 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         name: "description-text",
         description: "Drop `description`/`remark` free text entirely — pass-list words in \
                       comments can still leak (`global crossing`).",
+        anchors: &[],
     },
     RuleInfo {
         id: RuleId::R05BannerBlocks,
         category: RuleCategory::Comments,
         name: "banner-blocks",
         description: "Drop multi-line banner bodies, tracking the per-banner delimiter.",
+        anchors: &[],
     },
     RuleInfo {
         id: RuleId::R06RouterBgpAsn,
         category: RuleCategory::AsnLocation,
         name: "router-bgp-asn",
         description: "`router bgp <asn>`: permute the process ASN.",
+        anchors: &[at(&["router", "bgp"], Locator::Asn(2))],
     },
     RuleInfo {
         id: RuleId::R07NeighborRemoteAs,
         category: RuleCategory::AsnLocation,
         name: "neighbor-remote-as",
         description: "`neighbor <ip> remote-as <asn>`: permute the peer ASN.",
+        anchors: &[at(&["neighbor", "*", REMOTE_AS], Locator::Asn(3))],
     },
     RuleInfo {
         id: RuleId::R08AsPathPrepend,
         category: RuleCategory::AsnLocation,
         name: "as-path-prepend",
         description: "`set as-path prepend <asn>…`: permute every prepended ASN.",
+        anchors: &[at(&["set", "as-path", "prepend"], Locator::AsnsFrom(3))],
     },
     RuleInfo {
         id: RuleId::R09AsPathAccessListRegex,
@@ -146,18 +224,23 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         name: "as-path-regexp",
         description: "`ip as-path access-list <n> permit <regexp>`: rewrite the regexp by \
                       language enumeration over all 2^16 ASNs.",
+        anchors: &[
+            at(&["ip", "as-path", "access-list", "*", "permit|deny"], Locator::AsPathRegex(5)),
+        ],
     },
     RuleInfo {
         id: RuleId::R10ConfederationIdentifier,
         category: RuleCategory::AsnLocation,
         name: "confed-identifier",
         description: "`bgp confederation identifier <asn>`: permute.",
+        anchors: &[at(&["bgp", "confederation", "identifier"], Locator::Asn(3))],
     },
     RuleInfo {
         id: RuleId::R11ConfederationPeers,
         category: RuleCategory::AsnLocation,
         name: "confed-peers",
         description: "`bgp confederation peers <asn>…`: permute each.",
+        anchors: &[at(&["bgp", "confederation", "peers"], Locator::AsnsFrom(3))],
     },
     RuleInfo {
         id: RuleId::R12CommunityListPattern,
@@ -165,30 +248,41 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         name: "community-list-pattern",
         description: "`ip community-list <n> permit <pattern>`: map literal communities; \
                       rewrite community regexps (both halves).",
+        // The numbered form comes first: a line both forms match
+        // (`ip community-list standard permit permit …`) takes it.
+        anchors: &[
+            at(&["ip", "community-list", "*", "permit|deny"], Locator::CommunityList(4)),
+            at(&["ip", "community-list", "standard|expanded", "*", "permit|deny"],
+               Locator::CommunityList(5)),
+        ],
     },
     RuleInfo {
         id: RuleId::R13SetCommunity,
         category: RuleCategory::AsnLocation,
         name: "set-community",
         description: "`set community <asn:value>…`: map each community attribute.",
+        anchors: &[at(&["set", "community"], Locator::CommunitiesFrom(2))],
     },
     RuleInfo {
         id: RuleId::R14CommunityAttributeToken,
         category: RuleCategory::AsnLocation,
         name: "community-token",
         description: "Any bare `<asn>:<value>` token in BGP context: map both halves.",
+        anchors: &[],
     },
     RuleInfo {
         id: RuleId::R15NeighborLocalAs,
         category: RuleCategory::AsnLocation,
         name: "neighbor-local-as",
         description: "`neighbor <ip> local-as <asn>`: permute.",
+        anchors: &[at(&["neighbor", "*", "local-as"], Locator::Asn(3))],
     },
     RuleInfo {
         id: RuleId::R16BgpListenRange,
         category: RuleCategory::AsnLocation,
         name: "bgp-listen-range",
         description: "`bgp listen range <prefix> peer-group … remote-as <asn>` forms: permute.",
+        anchors: &[at(&["bgp", "listen", "range"], Locator::AsnAfterRemoteAs)],
     },
     RuleInfo {
         id: RuleId::R17ExtCommunityContext,
@@ -196,12 +290,14 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         name: "extcommunity-context",
         description: "`set extcommunity rt|soo <asn:value>…`: permute the ASN half and \
                       the value half of extended-community route targets.",
+        anchors: &[at(&["set", "extcommunity", "*"], Locator::CommunitiesFrom(3))],
     },
     RuleInfo {
         id: RuleId::R18DialerStrings,
         category: RuleCategory::Misc,
         name: "dialer-strings",
         description: "`dialer string <digits>`: phone numbers map to same-length keyed digits.",
+        anchors: &[at(&["dialer", "string"], Locator::Phone(2))],
     },
     RuleInfo {
         id: RuleId::R19HostnameDomain,
@@ -209,6 +305,11 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         name: "hostname-domain",
         description: "`hostname`/`ip domain-name` arguments hash as whole tokens so domain \
                       structure does not survive segmentation.",
+        anchors: &[
+            at(&["hostname"], Locator::HashWhole(1)),
+            at(&["ip", "domain-name"], Locator::HashWhole(2)),
+            at(&["ip", "domain", "name"], Locator::HashWhole(3)),
+        ],
     },
     RuleInfo {
         id: RuleId::R20SecretsAndKeys,
@@ -216,6 +317,11 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         name: "secrets-and-keys",
         description: "SNMP community strings, `username`/`password`/`secret`, tacacs/radius \
                       keys: hash as whole tokens.",
+        // Plus the keyword trailer on every line (`SECRET_KEYWORDS`).
+        anchors: &[
+            at(&["snmp-server", "community"], Locator::Secret(2)),
+            at(&["username"], Locator::Secret(1)),
+        ],
     },
     RuleInfo {
         id: RuleId::R21ServerLiterals,
@@ -223,18 +329,26 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         name: "server-literals",
         description: "`ntp server`, `logging host`, `tacacs-server host`, name-server \
                       literals: addresses map, names hash whole.",
+        anchors: &[
+            at(&["ntp", "server"], Locator::ServerName(2)),
+            at(&["logging", "host"], Locator::ServerName(2)),
+            at(&["tacacs-server", "host"], Locator::ServerName(2)),
+            at(&["radius-server", "host"], Locator::ServerName(2)),
+        ],
     },
     RuleInfo {
         id: RuleId::R22Ipv4Literal,
         category: RuleCategory::Identifiers,
         name: "ipv4-literal",
         description: "Every dotted-quad token maps through the prefix-preserving trie.",
+        anchors: &[],
     },
     RuleInfo {
         id: RuleId::R23PrefixToken,
         category: RuleCategory::Identifiers,
         name: "prefix-token",
         description: "`a.b.c.d/len` tokens map the network part, keep the length.",
+        anchors: &[],
     },
     RuleInfo {
         id: RuleId::R24SubnetAddressPreserve,
@@ -242,6 +356,7 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         name: "subnet-address-preserve",
         description: "Host-part-all-zeros addresses map to all-zeros-suffix addresses \
                       (readability property of §3.2).",
+        anchors: &[],
     },
     RuleInfo {
         id: RuleId::R25SpecialAddressPassthrough,
@@ -249,6 +364,7 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         name: "special-passthrough",
         description: "Netmasks, wildcards, multicast, loopback, link-local pass through \
                       unchanged; colliding images are recursively remapped.",
+        anchors: &[],
     },
     RuleInfo {
         id: RuleId::R26TokenHashing,
@@ -256,6 +372,7 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         name: "token-hashing",
         description: "Alphabetic segments missing from the pass-list are replaced by salted \
                       SHA-1 digests, preserving referential integrity.",
+        anchors: &[],
     },
     RuleInfo {
         id: RuleId::R27CommunityValueHashing,
@@ -263,6 +380,7 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         name: "community-value-permutation",
         description: "The integer half of community attributes is permuted — \"we have \
                       chosen to favor anonymity over information\".",
+        anchors: &[],
     },
     RuleInfo {
         id: RuleId::R28LeakHighlighting,
@@ -270,6 +388,7 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         name: "leak-highlighting",
         description: "Record every public ASN and address seen pre-anonymization and grep \
                       the output for survivors (the §6.1 defence).",
+        anchors: &[],
     },
 ];
 
@@ -281,12 +400,42 @@ impl RuleId {
     pub fn info(self) -> &'static RuleInfo {
         &ALL_RULES[self as usize]
     }
+
+    /// The rule called `name` (its [`RuleInfo::name`]), if any.
+    pub fn from_name(name: &str) -> Option<RuleId> {
+        ALL_RULES.iter().find(|r| r.name == name).map(|r| r.id)
+    }
 }
 
 impl fmt::Display for RuleId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.info().name)
     }
+}
+
+impl Anchor {
+    /// Does the lowered line `words` start with this anchor's head?
+    pub(crate) fn matches(&self, words: &[&str]) -> bool {
+        self.head.len() <= words.len()
+            && self.head.iter().zip(words).all(|(pat, word)| {
+                pat == word || *pat == "*" || pat.split('|').any(|alt| alt == *word)
+            })
+    }
+}
+
+/// Every anchor with its rule, in table order.
+pub(crate) fn anchors() -> impl Iterator<Item = (RuleId, &'static Anchor)> {
+    ALL_RULES
+        .iter()
+        .flat_map(|r| r.anchors.iter().map(move |a| (r.id, a)))
+}
+
+/// The first anchor whose head the lowered line `words` starts with.
+/// Anchors of different rules never match the same line, so only
+/// R12's two forms depend on this order.
+pub(crate) fn anchor_for(words: &[&str]) -> Option<(RuleId, &'static Anchor)> {
+    let first = *words.first()?;
+    anchors().find(|(_, a)| a.head[0] == first && a.matches(words))
 }
 
 /// Verdict of the rule-engine prefilter for one command line.
@@ -303,77 +452,31 @@ pub enum LineClass {
 /// The contextual-rule prefilter: one cheap scan that decides whether a
 /// line can trigger any of the context rules at all.
 ///
-/// Every context arm in the anonymizer anchors a literal head keyword at
-/// token 0 (`router`, `neighbor`, `set`, …), and the only context rule
-/// that fires at an arbitrary token position — R20's
-/// `password`/`secret`/`key`/`md5` trailer — requires one of those four
-/// literals to appear *somewhere* in the line. So a line whose first
-/// token matches none of the 13 heads and which contains none of the
-/// four secret keywords as a substring provably cannot fire a context
-/// rule, and the expensive path (lowercasing every token, running the
-/// slice-pattern matcher, scanning for secret keywords token by token)
-/// can be skipped without changing a byte of output or a single rule
-/// fire count.
+/// A contextual rule fires only on a line whose first word is the first
+/// word of one of its [`Anchor`]s, except R20's trailer, which needs one
+/// of the [`SECRET_KEYWORDS`] in the line. Both checks read the rule
+/// table, so a line that passes neither provably cannot fire a context
+/// rule, and the context matcher can skip it without changing a byte of
+/// output or a rule fire count.
 ///
-/// The filter is a *conservative superset*: false positives (e.g. a line
-/// containing `keyboard`, which contains the substring `key`) merely run
-/// the full matcher needlessly; false negatives are impossible by
-/// construction. The determinism property suite cross-checks this on
-/// random and chaos-mutated corpora.
+/// The filter is a *conservative superset*: a false positive (`keyboard`
+/// contains `key`) merely runs the matcher needlessly. The lockstep
+/// properties cross-check it on random and chaos-mutated corpora.
 pub struct Prefilter;
 
-/// First tokens that can anchor a contextual-rule arm, grouped by first
-/// byte. This is the *source* description; classification dispatches
-/// through the fully-widened 256-entry tables below.
-const RULE_HEADS_BY_BYTE: [(u8, &[&str]); 10] = [
-    (b'b', &["bgp"]),
-    (b'd', &["dialer"]),
-    (b'h', &["hostname"]),
-    (b'i', &["ip"]),
-    (b'l', &["logging"]),
-    (b'n', &["neighbor", "ntp"]),
-    (b'r', &["router", "radius-server"]),
-    (b's', &["set", "snmp-server"]),
-    (b't', &["tacacs-server"]),
-    (b'u', &["username"]),
-];
-
-/// Keywords whose presence *anywhere* on a line can trigger R20's
-/// hash-after-keyword trailer.
-const SECRET_KEYWORDS: [&[u8]; 4] = [b"password", b"secret", b"key", b"md5"];
-
-/// The widened head-dispatch table: `HEAD_CANDIDATES[b]` is the list of
-/// head keywords a first token starting with byte `b` could equal (empty
-/// for the 236 bytes that start no head, which is the single-load fast
-/// exit for most lines). Both cases of each head byte are populated so
-/// no per-line lowercasing is needed to index.
-static HEAD_CANDIDATES: [&[&str]; 256] = build_head_candidates();
-
-const fn build_head_candidates() -> [&'static [&'static str]; 256] {
-    let mut table: [&[&str]; 256] = [&[]; 256];
-    let mut i = 0;
-    while i < RULE_HEADS_BY_BYTE.len() {
-        let (byte, heads) = RULE_HEADS_BY_BYTE[i];
-        table[byte as usize] = heads;
-        table[byte.to_ascii_uppercase() as usize] = heads;
-        i += 1;
-    }
-    table
-}
-
-/// The widened secret-keyword dispatch table: `SECRET_CANDIDATE[b]` is
-/// the one keyword that can start at a byte `b` (`p`/`s`/`k`/`m`, either
-/// case), or the empty slice. The scan loop does one indexed load per
-/// byte instead of a lowercase-and-match.
+/// `SECRET_CANDIDATE[b]`: the one secret keyword that starts with byte
+/// `b` (either case), or the empty slice. The scan loop does one indexed
+/// load per byte instead of a lowercase-and-match.
 static SECRET_CANDIDATE: [&[u8]; 256] = build_secret_candidates();
 
 const fn build_secret_candidates() -> [&'static [u8]; 256] {
     let mut table: [&[u8]; 256] = [&[]; 256];
-    let firsts = [b'p', b's', b'k', b'm'];
     let mut i = 0;
-    while i < firsts.len() {
-        table[firsts[i] as usize] = SECRET_KEYWORDS[i];
-        table[firsts[i].to_ascii_uppercase() as usize] = SECRET_KEYWORDS[i];
+    while i < SECRET_KEYWORDS.len() {
+        let kw = SECRET_KEYWORDS[i].as_bytes();
+        assert!(table[kw[0] as usize].is_empty(), "shared first byte");
+        table[kw[0] as usize] = kw;
+        table[kw[0].to_ascii_uppercase() as usize] = kw;
         i += 1;
     }
     table
@@ -389,30 +492,15 @@ impl Prefilter {
         }
     }
 
-    /// Does the line's first token equal one of the 13 rule heads?
-    /// Byte-class dispatched: the whitespace scan goes through
-    /// [`confanon_iosparse::BYTE_CLASS`] and the candidate set comes from
-    /// one [`HEAD_CANDIDATES`] load on the token's first byte.
+    /// Does the line's first word, split as the tokenizer splits it,
+    /// equal the first word of an anchor?
     fn head_can_anchor_rule(line: &str) -> bool {
         use confanon_iosparse::{BYTE_CLASS, CLASS_WS};
-        let bytes = line.as_bytes();
-        let mut start = 0;
-        while start < bytes.len() && BYTE_CLASS[bytes[start] as usize] & CLASS_WS != 0 {
-            start += 1;
-        }
-        if start >= bytes.len() {
+        let is_ws = |b: &u8| BYTE_CLASS[*b as usize] & CLASS_WS != 0;
+        let Some(first) = line.as_bytes().split(is_ws).find(|w| !w.is_empty()) else {
             return false;
-        }
-        let candidates = HEAD_CANDIDATES[bytes[start] as usize];
-        if candidates.is_empty() {
-            return false;
-        }
-        let mut end = start;
-        while end < bytes.len() && BYTE_CLASS[bytes[end] as usize] & CLASS_WS == 0 {
-            end += 1;
-        }
-        let head = &bytes[start..end];
-        candidates.iter().any(|h| head.eq_ignore_ascii_case(h.as_bytes()))
+        };
+        anchors().any(|(_, a)| first.eq_ignore_ascii_case(a.head[0].as_bytes()))
     }
 
     /// Single pass over the line: one [`SECRET_CANDIDATE`] load per byte;
@@ -557,51 +645,81 @@ mod tests {
         assert_eq!(RuleId::R09AsPathAccessListRegex.to_string(), "as-path-regexp");
     }
 
+    /// The anchor as lines: every alternative, `7` for a wildcard, then
+    /// an argument its locator maps, in lower and upper case.
+    fn anchor_lines(anchor: &Anchor) -> Vec<String> {
+        let mut lines = vec![String::new()];
+        for word in anchor.head.iter().map(|w| if *w == "*" { "7" } else { w }) {
+            lines = lines
+                .iter()
+                .flat_map(|l| word.split('|').map(move |alt| format!("{l}{alt} ")))
+                .collect();
+        }
+        let arg = match anchor.locator {
+            Locator::Asn(_) | Locator::AsnsFrom(_) => "701",
+            Locator::AsnAfterRemoteAs => "10.0.0.0/8 peer-group pg remote-as 701",
+            Locator::CommunitiesFrom(_) | Locator::CommunityList(_) => "701:120",
+            Locator::AsPathRegex(_) => "_701_",
+            Locator::HashWhole(_) | Locator::ServerName(_) => "cr1.foo.com",
+            Locator::Secret(_) => "s3cr3t",
+            Locator::Phone(_) => "14155551234",
+        };
+        let lines = lines.into_iter().map(|l| l + arg);
+        lines.flat_map(|l| [l.to_ascii_uppercase(), l]).collect()
+    }
+
     #[test]
     fn prefilter_flags_every_context_rule_anchor() {
-        // One exemplar line per contextual arm of the matcher; the
-        // prefilter may never classify any of them TokenLocal.
-        let anchored = [
-            "router bgp 701",
-            " neighbor 10.0.0.2 remote-as 701",
-            " neighbor 10.0.0.2 local-as 65000",
-            " set as-path prepend 701 701",
-            " bgp confederation identifier 701",
-            " bgp confederation peers 702 703",
-            " bgp listen range 10.0.0.0/8 peer-group PG remote-as 701",
-            " set extcommunity rt 701:100",
-            "ip as-path access-list 50 permit _701_",
-            "ip community-list 1 permit 701:120",
-            "ip community-list expanded CL permit _701:.*_",
-            " set community 701:120 additive",
-            "hostname cr1.foo.com",
-            "ip domain-name foo.com",
-            "ip domain name foo.com",
-            "snmp-server community s3cr3t RO",
-            "username admin password 7 094F471A",
-            "dialer string 14155551234",
-            "ntp server ntp.foo.com",
-            "logging host log.foo.com",
-            "tacacs-server host tac.foo.com",
-            "radius-server host rad.foo.com",
-            "ip name-server 1.2.3.4",
-            // R20 trailer keywords at arbitrary positions:
+        use crate::anonymizer::{Anonymizer, AnonymizerConfig};
+        let flagged = |line: &str| Prefilter::classify(line) == LineClass::ContextScan;
+        // Every anchor, as lines: the prefilter flags each, its rule
+        // fires, and the argument its locator maps does not survive.
+        for (rule, anchor) in anchors() {
+            assert!(!anchor.head[0].contains(['*', '|']), "{rule}");
+            for line in anchor_lines(anchor) {
+                assert!(flagged(&line), "{line:?}");
+                let mut a = Anonymizer::new(AnonymizerConfig::new(b"anchor-tests".to_vec()));
+                let mut stats = crate::stats::AnonymizationStats::default();
+                let out = a.anonymize_command_line(&line, &mut stats);
+                assert!(stats.fires(rule) > 0, "{rule} did not fire on {line:?}");
+                let arg = line.split_whitespace().last();
+                assert_ne!(out.split_whitespace().last(), arg, "{line:?} -> {out:?}");
+            }
+        }
+        // R20 trailer keywords at arbitrary positions, whole and inside
+        // longer words, and in any case.
+        for line in [
             "enable secret 5 $1$abcd$efgh",
             "enable password 7 ABCD",
             " ip ospf message-digest-key 1 md5 s3cr3t",
             " standby 1 authentication md5 key-string k3y",
             "crypto isakmp key k3y address 0.0.0.0",
-            // Case-insensitivity:
             "ROUTER BGP 701",
             "Enable SECRET 5 x",
-        ];
-        for line in anchored {
-            assert_eq!(
-                Prefilter::classify(line),
-                LineClass::ContextScan,
-                "prefilter missed {line:?}"
-            );
+        ] {
+            assert!(flagged(line), "{line:?}");
         }
+    }
+
+    #[test]
+    fn anchors_of_different_rules_are_disjoint() {
+        // Two heads match one line iff each word pair they share can.
+        let overlap = |x: &str, y: &str| {
+            x == "*" || y == "*" || x.split('|').any(|a| y.split('|').any(|b| a == b))
+        };
+        for ((ra, a), (rb, b)) in anchors().flat_map(|x| anchors().map(move |y| (x, y))) {
+            let one_line = a.head.iter().zip(b.head).all(|(x, y)| overlap(x, y));
+            assert!(ra == rb || !one_line, "{ra} overlaps {rb}");
+        }
+    }
+
+    #[test]
+    fn from_name_round_trips_every_rule() {
+        for rule in &ALL_RULES {
+            assert_eq!(RuleId::from_name(rule.name), Some(rule.id));
+        }
+        assert_eq!(RuleId::from_name("no-such-rule"), None);
+        assert_eq!(RuleId::from_name("Router-BGP-ASN"), None);
     }
 
     #[test]
@@ -639,35 +757,6 @@ mod tests {
         assert_eq!(Prefilter::classify("x keyboard y"), LineClass::ContextScan);
         assert_eq!(Prefilter::classify("ipx network 1"), LineClass::TokenLocal);
         assert_eq!(Prefilter::classify("settings on"), LineClass::TokenLocal);
-    }
-
-    #[test]
-    fn widened_dispatch_tables_match_their_sources() {
-        // The 256-entry tables are a pure widening of RULE_HEADS_BY_BYTE
-        // and SECRET_KEYWORDS: populated at both cases of each source
-        // byte, empty everywhere else.
-        for b in 0u16..256 {
-            let byte = b as u8;
-            let source: &[&str] = RULE_HEADS_BY_BYTE
-                .iter()
-                .find(|(h, _)| *h == byte.to_ascii_lowercase())
-                .map_or(&[], |(_, heads)| heads);
-            assert_eq!(
-                HEAD_CANDIDATES[b as usize], source,
-                "HEAD_CANDIDATES wrong at byte {byte:#04x}"
-            );
-            let kw: &[u8] = match byte.to_ascii_lowercase() {
-                b'p' => SECRET_KEYWORDS[0],
-                b's' => SECRET_KEYWORDS[1],
-                b'k' => SECRET_KEYWORDS[2],
-                b'm' => SECRET_KEYWORDS[3],
-                _ => &[],
-            };
-            assert_eq!(
-                SECRET_CANDIDATE[b as usize], kw,
-                "SECRET_CANDIDATE wrong at byte {byte:#04x}"
-            );
-        }
     }
 
     #[test]

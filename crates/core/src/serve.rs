@@ -95,7 +95,7 @@ use confanon_testkit::json::Json;
 
 use crate::error::AnonError;
 use crate::fsx::{write_atomic, DurabilityStats, StdFs};
-use crate::rules::ALL_RULES;
+use crate::rules::RuleId;
 use crate::signals;
 use crate::tenant::{FlushMode, Tenant, TenantSpec};
 
@@ -855,7 +855,7 @@ impl ServeConfig {
                     "disable_rule" => {
                         let spec = expect_str(path, line_no, key, value)?;
                         for rule in spec.split(',').map(str::trim).filter(|r| !r.is_empty()) {
-                            if !ALL_RULES.iter().any(|r| r.name == rule) {
+                            if RuleId::from_name(rule).is_none() {
                                 return Err(config_err(
                                     path,
                                     line_no,

@@ -580,6 +580,20 @@ mod tests {
     }
 
     #[test]
+    fn unknown_rule_in_file_stats_is_refused() {
+        let text = String::from_utf8(capture(&warmed_anonymizer()).to_bytes()).unwrap();
+        assert!(text.contains("\"split-alpha-runs\": "), "{text}");
+        let renamed = text.replace("\"split-alpha-runs\": ", "\"no-such-rule\": ");
+        match AnonState::from_json_str("p", &renamed) {
+            Err(AnonError::StateInvalid { kind, message, .. }) => {
+                assert_eq!(kind, StateErrorKind::Corrupted);
+                assert!(message.contains("no-such-rule"), "{message}");
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
     fn load_absent_is_cold_start_and_save_round_trips() {
         use crate::fsx::StdFs;
         let dir = std::env::temp_dir().join(format!(

@@ -10,6 +10,8 @@ use std::collections::BTreeMap;
 
 use confanon_testkit::json::Json;
 
+use crate::rules::{RuleId, ALL_RULES};
+
 /// Counters accumulated while anonymizing one or more configurations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AnonymizationStats {
@@ -51,22 +53,19 @@ pub struct AnonymizationStats {
     pub phone_numbers_mapped: u64,
     /// Secrets (passwords, SNMP communities, keys) hashed whole.
     pub secrets_hashed: u64,
-    /// Fire count per rule name.
-    pub rule_fires: BTreeMap<String, u64>,
+    /// Fire count per rule, indexed by [`RuleId`].
+    rule_fires: [u64; ALL_RULES.len()],
 }
 
 impl AnonymizationStats {
-    /// Records one firing of `rule`. The common repeat case (the rule
-    /// already has an entry) is a borrowed lookup — no key `String` is
-    /// allocated on the hot path.
-    pub fn fire(&mut self, rule: crate::rules::RuleId) {
-        let name = rule.info().name;
-        match self.rule_fires.get_mut(name) {
-            Some(count) => *count += 1,
-            None => {
-                self.rule_fires.insert(name.to_string(), 1);
-            }
-        }
+    /// Records one firing of `rule`.
+    pub fn fire(&mut self, rule: RuleId) {
+        self.rule_fires[rule as usize] += 1;
+    }
+
+    /// How often `rule` fired.
+    pub fn fires(&self, rule: RuleId) -> u64 {
+        self.rule_fires[rule as usize]
     }
 
     /// The paper's comment metric: fraction of words removed as comments.
@@ -82,28 +81,23 @@ impl AnonymizationStats {
     /// every rule appears even when it never fired, so two runs over the
     /// same corpus serialize the same key set and diff cleanly.
     pub fn rule_fires_complete(&self) -> BTreeMap<&'static str, u64> {
-        let mut out = BTreeMap::new();
-        for rule in &crate::rules::ALL_RULES {
-            out.insert(
-                rule.name,
-                self.rule_fires.get(rule.name).copied().unwrap_or(0),
-            );
-        }
-        out
+        ALL_RULES
+            .iter()
+            .map(|r| (r.name, self.fires(r.id)))
+            .collect()
     }
 
     /// Total rule firings across all rules.
     pub fn rules_fired_total(&self) -> u64 {
-        self.rule_fires.values().sum()
+        self.rule_fires.iter().sum()
     }
 
     /// Rule firings rolled up by the paper's category breakdown,
     /// zero-filled like [`AnonymizationStats::rule_fires_complete`].
     pub fn rule_fires_by_category(&self) -> BTreeMap<&'static str, u64> {
         let mut out = BTreeMap::new();
-        for rule in &crate::rules::ALL_RULES {
-            *out.entry(rule.category.name()).or_insert(0) +=
-                self.rule_fires.get(rule.name).copied().unwrap_or(0);
+        for rule in &ALL_RULES {
+            *out.entry(rule.category.name()).or_insert(0) += self.fires(rule.id);
         }
         out
     }
@@ -129,16 +123,19 @@ impl AnonymizationStats {
         self.regexps_fallback_hashed += other.regexps_fallback_hashed;
         self.phone_numbers_mapped += other.phone_numbers_mapped;
         self.secrets_hashed += other.secrets_hashed;
-        for (k, v) in &other.rule_fires {
-            *self.rule_fires.entry(k.clone()).or_insert(0) += v;
+        for (n, m) in self.rule_fires.iter_mut().zip(&other.rule_fires) {
+            *n += m;
         }
     }
 
-    /// The stats block as a JSON document (counters plus per-rule fires).
+    /// The stats block as a JSON document: the counters, and the rules
+    /// that fired with their counts, in name order.
     pub fn to_json(&self) -> Json {
         let mut fires = Json::obj();
-        for (rule, count) in &self.rule_fires {
-            fires.set(rule, *count);
+        for (rule, count) in self.rule_fires_complete() {
+            if count > 0 {
+                fires.set(rule, count);
+            }
         }
         Json::obj()
             .with("lines_total", self.lines_total)
@@ -166,7 +163,8 @@ impl AnonymizationStats {
     /// Parses the shape produced by [`AnonymizationStats::to_json`]. The
     /// derived `comment_word_fraction` member is ignored (it is a
     /// function of the counters); missing counters read as 0 so minor
-    /// schema growth stays loadable.
+    /// schema growth stays loadable. A rule name the table does not know
+    /// is refused.
     pub fn from_json(doc: &Json) -> Result<AnonymizationStats, String> {
         let counter = |key: &str| -> Result<u64, String> {
             match doc.get(key) {
@@ -176,16 +174,17 @@ impl AnonymizationStats {
                     .ok_or_else(|| format!("{key:?} must be a non-negative integer")),
             }
         };
-        let mut rule_fires = BTreeMap::new();
+        let mut rule_fires = [0; ALL_RULES.len()];
         if let Some(fires) = doc.get("rule_fires") {
             let Json::Obj(members) = fires else {
                 return Err("\"rule_fires\" must be an object".to_string());
             };
             for (rule, count) in members {
-                let count = count
+                let id = RuleId::from_name(rule)
+                    .ok_or_else(|| format!("rule_fires names an unknown rule {rule:?}"))?;
+                rule_fires[id as usize] = count
                     .as_u64()
                     .ok_or_else(|| format!("rule_fires[{rule:?}] must be an integer"))?;
-                rule_fires.insert(rule.clone(), count);
             }
         }
         Ok(AnonymizationStats {
@@ -278,7 +277,6 @@ impl RewriteStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::RuleId;
 
     #[test]
     fn rewrite_stats_absorb_and_fraction() {
@@ -323,7 +321,7 @@ mod tests {
         let mut s = AnonymizationStats::default();
         s.fire(RuleId::R22Ipv4Literal);
         s.fire(RuleId::R22Ipv4Literal);
-        assert_eq!(s.rule_fires["ipv4-literal"], 2);
+        assert_eq!(s.fires(RuleId::R22Ipv4Literal), 2);
     }
 
     #[test]
@@ -374,6 +372,8 @@ mod tests {
         assert!(AnonymizationStats::from_json(&doc).is_err());
         let doc = Json::obj().with("rule_fires", Json::Arr(vec![]));
         assert!(AnonymizationStats::from_json(&doc).is_err());
+        let doc = Json::obj().with("rule_fires", Json::obj().with("no-such-rule", 1u64));
+        assert!(AnonymizationStats::from_json(&doc).is_err());
     }
 
     #[test]
@@ -393,6 +393,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.lines_total, 15);
         assert_eq!(a.words_total, 150);
-        assert_eq!(a.rule_fires["router-bgp-asn"], 2);
+        assert_eq!(a.fires(RuleId::R06RouterBgpAsn), 2);
     }
 }

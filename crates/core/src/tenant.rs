@@ -34,12 +34,12 @@ use confanon_obs::{Clock, ObsShard};
 use confanon_testkit::json::Json;
 
 use crate::anonymizer::{Anonymizer, AnonymizerConfig};
-use crate::error::AnonError;
+use crate::error::{panic_message, AnonError};
 use crate::fsx::{DurabilityStats, Fs};
 use crate::input::sanitize_bytes;
 use crate::leak::LeakScanner;
 use crate::manifest::RunManifest;
-use crate::rules::ALL_RULES;
+use crate::rules::RuleId;
 use crate::serve::Status;
 use crate::state::{state_path, AnonState, FileMark};
 
@@ -182,17 +182,6 @@ pub struct Tenant {
     durability: DurabilityStats,
 }
 
-/// Renders a contained panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
-}
-
 impl Tenant {
     /// Opens a tenant: builds its keyed config and loads any persisted
     /// state through the full verification path (owner check + journal
@@ -205,8 +194,8 @@ impl Tenant {
     pub fn open(spec: &TenantSpec, flush_mode: FlushMode, fs: &dyn Fs) -> Tenant {
         let mut cfg = AnonymizerConfig::new(spec.secret.clone());
         for rule in &spec.disabled_rules {
-            if let Some(r) = ALL_RULES.iter().find(|r| r.name == *rule) {
-                cfg = cfg.without_rule(r.id);
+            if let Some(rule) = RuleId::from_name(rule) {
+                cfg = cfg.without_rule(rule);
             }
         }
         let fingerprint = RunManifest::fingerprint(&spec.secret);

@@ -152,7 +152,36 @@ set -e
     echo "planted leak: missing leak_report.json"; exit 1;
 }
 
-# 3. 64 chaos-mutated hostile configs never crash the pipeline or escape
+# 3. Public 4-byte ASNs (RFC 6793), which the 16-bit ASN map cannot
+#    permute, are recorded, so the gate withholds the file: batch exits 4
+#    with a leak report and releases nothing; anonymize exits 4 and
+#    writes nothing.
+mkdir -p "$chaos_dir/asn32-in"
+printf 'router bgp 262144\n neighbor 12.1.1.2 remote-as 396982\nip as-path access-list 5 permit _396982_\n' \
+    > "$chaos_dir/asn32-in/a.cfg"
+set +e
+./target/release/confanon batch "$chaos_dir/asn32-in" --jobs 1 \
+    --out-dir "$chaos_dir/asn32-out" --quarantine-dir "$chaos_dir/asn32-q"
+code=$?
+./target/release/confanon anonymize --secret ci-secret \
+    --out-dir "$chaos_dir/asn32-anon" "$chaos_dir/asn32-in/a.cfg"
+anon_code=$?
+set -e
+[ "$code" -eq 4 ] || { echo "4-byte ASNs: batch expected exit 4, got $code"; exit 1; }
+[ -f "$chaos_dir/asn32-q/leak_report.json" ] || {
+    echo "4-byte ASNs: missing leak_report.json"; exit 1;
+}
+ls "$chaos_dir/asn32-out" | grep -q '\.anon$' && {
+    echo "4-byte ASNs: batch released a file"; exit 1;
+}
+[ "$anon_code" -eq 4 ] || {
+    echo "4-byte ASNs: anonymize expected exit 4, got $anon_code"; exit 1;
+}
+[ -z "$(ls -A "$chaos_dir/asn32-anon")" ] || {
+    echo "4-byte ASNs: anonymize wrote a flagged output"; exit 1;
+}
+
+# 4. 64 chaos-mutated hostile configs never crash the pipeline or escape
 #    the taxonomy (exit 0/3/4), and the run is deterministic: jobs=1 and
 #    jobs=4 agree on the exit code and on every released byte.
 ./target/release/confanon chaos --seed 2004 --count 64 \

@@ -64,8 +64,8 @@ use std::process::ExitCode;
 
 use confanon::confgen::{generate_dataset, DatasetSpec};
 use confanon::core::{
-    sanitize_bytes, write_atomic, AnonError, AnonState, AnonymizedConfig, Anonymizer,
-    AnonymizerConfig, DurabilityStats, FileDiscovery, Publisher, RunManifest, StdFs, ALL_RULES,
+    sanitize_bytes, write_atomic, AnonError, AnonState, Anonymizer, AnonymizerConfig,
+    DurabilityStats, FileDiscovery, Publisher, RuleId, RunManifest, StdFs, ALL_RULES,
     RUN_MANIFEST_NAME,
 };
 use confanon::core::state::{state_path, FileMark};
@@ -75,7 +75,7 @@ use confanon::obs::{
     Clock, ObsShard,
 };
 use confanon::validate::{compare_designs, compare_properties, network_properties};
-use confanon::workflow::{anonymize_corpus_gated, GatedOptions, WarmStart};
+use confanon::workflow::{anonymize_corpus_gated, GatedCorpusRun, GatedOptions, WarmStart};
 use confanon_testkit::json::Json;
 
 /// Everything released, nothing withheld.
@@ -165,8 +165,10 @@ fn main() -> ExitCode {
                  \n\
                  anonymize --secret <secret> [--compact] [--audit FILE] [--out-dir DIR] FILE...\n\
                  \u{20}   Anonymize config files under one owner secret. With --out-dir,\n\
-                 \u{20}   writes <name>.anon alongside a leak-audit summary; otherwise\n\
-                 \u{20}   prints to stdout.\n\
+                 \u{20}   writes <name>.anon; otherwise prints to stdout. Each output is\n\
+                 \u{20}   leak-scanned first, as in batch: a flagged one is withheld and\n\
+                 \u{20}   its lines listed on stderr. Exit codes as for batch: 0 ok,\n\
+                 \u{20}   1 I/O, 2 usage, 3 panic-contained, 4 leak-gated.\n\
                  batch [--jobs N] [--secret <secret>] [--out-dir DIR] [--quarantine-dir DIR]\n\
                  \u{20}     [--disable-rule NAME[,NAME...]] [--metrics FILE] [--trace FILE]\n\
                  \u{20}     [--bench-json FILE] [--resume] [--state DIR] [--decoys N] DIR\n\
@@ -370,7 +372,6 @@ fn cmd_anonymize(opts: &Opts, files: &[String]) -> ExitCode {
     }
     let mut cfg = AnonymizerConfig::new(secret.clone().into_bytes());
     cfg.compact_regexps = opts.contains_key("compact");
-    let mut anon = Anonymizer::new(cfg);
     let out_dir = opts.get("out-dir").map(PathBuf::from);
     if let Some(d) = &out_dir {
         if let Err(e) = std::fs::create_dir_all(d) {
@@ -379,25 +380,33 @@ fn cmd_anonymize(opts: &Opts, files: &[String]) -> ExitCode {
         }
     }
 
-    let mut outputs: Vec<(PathBuf, AnonymizedConfig)> = Vec::new();
+    let mut inputs = Vec::with_capacity(files.len());
     for f in files {
-        let path = Path::new(f);
-        let text = match read_config_lossy(path) {
-            Ok(t) => t,
+        match read_config_lossy(Path::new(f)) {
+            Ok(text) => inputs.push((f.clone(), text)),
             Err(e) => {
                 eprintln!("anonymize: {e}");
                 return ExitCode::from(EXIT_IO);
             }
-        };
-        outputs.push((path.to_path_buf(), anon.anonymize_config(&text)));
+        }
     }
+    // The same fail-closed gate as `batch`: every output is scanned
+    // against the run's own leak record (§6.1), and a flagged one is
+    // withheld rather than written or printed.
+    let mut run = match anonymize_corpus_gated(&inputs, cfg, GatedOptions::jobs(1)) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("anonymize: {e}");
+            return ExitCode::from(exit_for(&e));
+        }
+    };
 
     // Owner-side mapping audit (§5's colleague workflow). As sensitive
     // as the originals: written only where explicitly requested, and
     // atomically — a torn audit could silently lose mappings.
     let mut durability = DurabilityStats::default();
     if let Some(audit_path) = opts.get("audit") {
-        let json = anon.mapping_audit().to_json().to_string_pretty();
+        let json = run.anonymizer.mapping_audit().to_json().to_string_pretty();
         if let Err(e) = write_atomic(&StdFs, Path::new(audit_path), json.as_bytes(), &mut durability)
         {
             eprintln!("anonymize: {e}");
@@ -406,54 +415,47 @@ fn cmd_anonymize(opts: &Opts, files: &[String]) -> ExitCode {
         eprintln!("mapping audit written to {audit_path} (KEEP PRIVATE)");
     }
 
-    // §6.1 self-audit: scan our own output for recorded survivors.
-    let joined: String = outputs
-        .iter()
-        .map(|(_, o)| o.text.as_str())
-        .collect::<Vec<_>>()
-        .join("\n");
-    let report = confanon::core::leak::LeakScanner::scan_excluding(
-        anon.leak_record(),
-        anon.emitted_exclusions(),
-        &joined,
-    );
-
-    match out_dir {
-        Some(dir) => {
-            for (path, o) in &outputs {
-                let name = path
-                    .file_name()
-                    .map(|n| n.to_string_lossy().to_string())
-                    .unwrap_or_else(|| "config".to_string());
-                let target = dir.join(format!("{name}.anon"));
-                if let Err(e) = write_atomic(&StdFs, &target, o.text.as_bytes(), &mut durability) {
-                    eprintln!("anonymize: {e}");
-                    return ExitCode::from(exit_for(&e));
-                }
-            }
-            eprintln!(
-                "anonymized {} file(s); {} line(s) flagged by self-audit{}",
-                outputs.len(),
-                report.leaks.len(),
-                if report.is_clean() { "" } else { " — REVIEW REQUIRED" }
-            );
-        }
-        None => {
-            for (_, o) in &outputs {
-                print!("{}", o.text);
-            }
-            if !report.is_clean() {
-                eprintln!("warning: {} line(s) flagged by self-audit", report.leaks.len());
-            }
+    for o in &run.clean {
+        let Some(dir) = &out_dir else {
+            print!("{}", o.text);
+            continue;
+        };
+        let name = Path::new(&o.name)
+            .file_name()
+            .map_or_else(|| "config".to_string(), |n| n.to_string_lossy().to_string());
+        let target = dir.join(format!("{name}.anon"));
+        if let Err(e) = write_atomic(&StdFs, &target, o.text.as_bytes(), &mut durability) {
+            eprintln!("anonymize: {e}");
+            return ExitCode::from(exit_for(&e));
         }
     }
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        for l in report.leaks.iter().take(10) {
-            eprintln!("  flagged [{}]: {}", l.token, l.line);
+    eprintln!(
+        "anonymized {} file(s); withheld {} flagged by self-audit ({} line(s)), {} panic-contained",
+        run.clean.len(),
+        run.quarantined.len(),
+        run.leak_count(),
+        run.failures.len()
+    );
+    for q in &run.quarantined {
+        for l in q.report.leaks.iter().take(10) {
+            eprintln!("  withheld {} [{}]: {}", q.output.name, l.token, l.line);
         }
-        ExitCode::FAILURE
+    }
+    for f in &run.failures {
+        eprintln!("  contained: {f}");
+    }
+    gated_exit(&run)
+}
+
+/// A gated run's exit code: 4 if the gate withheld a file, else 3 if a
+/// file's panic was contained, else 0.
+fn gated_exit(run: &GatedCorpusRun) -> ExitCode {
+    if !run.quarantined.is_empty() {
+        ExitCode::from(EXIT_LEAK_GATED)
+    } else if !run.failures.is_empty() {
+        ExitCode::from(EXIT_PANIC_CONTAINED)
+    } else {
+        ExitCode::from(EXIT_OK)
     }
 }
 
@@ -551,8 +553,8 @@ fn cmd_batch(opts: &Opts, pos: &[String]) -> ExitCode {
     let mut cfg = AnonymizerConfig::new(secret_bytes.clone());
     if let Some(spec) = opts.get("disable-rule") {
         for name in spec.split(',').map(str::trim).filter(|n| !n.is_empty()) {
-            match ALL_RULES.iter().find(|r| r.name == name) {
-                Some(r) => cfg = cfg.without_rule(r.id),
+            match RuleId::from_name(name) {
+                Some(rule) => cfg = cfg.without_rule(rule),
                 None => {
                     eprintln!("batch: unknown rule {name:?} (see `confanon rules`)");
                     return ExitCode::from(EXIT_USAGE);
@@ -1093,14 +1095,7 @@ fn cmd_batch(opts: &Opts, pos: &[String]) -> ExitCode {
         }
         eprintln!("throughput written to {json_path}");
     }
-
-    if !run.quarantined.is_empty() {
-        ExitCode::from(EXIT_LEAK_GATED)
-    } else if !run.failures.is_empty() {
-        ExitCode::from(EXIT_PANIC_CONTAINED)
-    } else {
-        ExitCode::from(EXIT_OK)
-    }
+    gated_exit(&run)
 }
 
 /// Times the gated pipeline with observability on ([`Clock::new`])
@@ -1604,7 +1599,7 @@ fn cmd_audit(opts: &Opts, _pos: &[String]) -> ExitCode {
         Some(spec) => {
             let mut rules = Vec::new();
             for name in spec.split(',').map(str::trim).filter(|n| !n.is_empty()) {
-                if !ALL_RULES.iter().any(|r| r.name == name) {
+                if RuleId::from_name(name).is_none() {
                     eprintln!("audit: unknown rule {name:?} (see `confanon rules`)");
                     return ExitCode::from(EXIT_USAGE);
                 }

@@ -14,7 +14,7 @@ use confanon_core::publish::Outputs;
 use confanon_core::{
     AnonError, AnonState, AnonymizationStats, Anonymizer, AnonymizerConfig, BatchFailure,
     BatchInput, BatchOutput, BatchPipeline, CommitGroup, FileDiscovery, IpScheme, Publisher,
-    RunManifest, ALL_RULES,
+    RuleId, RunManifest,
 };
 use confanon_crypto::Sha1;
 use confanon_design::RoutingDesign;
@@ -618,10 +618,10 @@ pub fn risk_audit(input: &RiskAuditInput<'_>) -> RiskAudit {
     let mut rows = Vec::new();
     let no_decoys = BTreeSet::new();
     for rule_name in input.sweep_rules {
-        let Some(rule) = ALL_RULES.iter().find(|r| r.name == *rule_name) else {
+        let Some(rule) = RuleId::from_name(rule_name) else {
             continue;
         };
-        let cfg = AnonymizerConfig::new(input.secret.to_vec()).without_rule(rule.id);
+        let cfg = AnonymizerConfig::new(input.secret.to_vec()).without_rule(rule);
         let run = sweep_run(input.pre, cfg, input.jobs);
         let release = hypothetical_release(input.pre, &run);
         rows.push(TradeoffRow {

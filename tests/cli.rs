@@ -141,6 +141,86 @@ fn anonymize_to_stdout() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+#[test]
+fn anonymize_withholds_outputs_its_self_audit_flags() {
+    // `ip ospf cost 701` is a cost, which no locator maps, but 701 is
+    // the recorded `router bgp` ASN: the self-audit flags the line, so
+    // the file must not be written.
+    let root = tmpdir("anonymize-gated");
+    let cfg = root.join("g.cfg");
+    std::fs::write(&cfg, "router bgp 701\n ip ospf cost 701\n").expect("write");
+    let up = root.join("up");
+    let out = bin()
+        .args(["anonymize", "--secret", "s", "--out-dir"])
+        .arg(&up)
+        .arg(&cfg)
+        .output()
+        .expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(stderr.contains("ip ospf cost 701"), "{stderr}");
+    assert_eq!(count_files(&up, "anon"), 0, "a flagged output was written");
+    let out = bin()
+        .args(["anonymize", "--secret", "s"])
+        .arg(&cfg)
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(4));
+    assert!(out.stdout.is_empty(), "a flagged output was printed");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Runs `batch` over a one-file corpus holding `text`; returns the exit
+/// code, the number of `.anon` files released into the out dir, and the
+/// leak report (empty when none was written).
+fn batch_one_file(root: &Path, text: &str) -> (Option<i32>, usize, String) {
+    let _ = std::fs::remove_dir_all(root);
+    let corpus = root.join("corpus");
+    std::fs::create_dir_all(&corpus).expect("mk corpus");
+    std::fs::write(corpus.join("a.cfg"), text).expect("write");
+    let (out_dir, quarantine) = (root.join("out"), root.join("quar"));
+    let out = bin()
+        .args(["batch", "--secret", "s", "--out-dir"])
+        .arg(&out_dir)
+        .arg("--quarantine-dir")
+        .arg(&quarantine)
+        .arg(&corpus)
+        .output()
+        .expect("batch");
+    let report = std::fs::read_to_string(quarantine.join("leak_report.json")).unwrap_or_default();
+    (out.status.code(), count_files(&out_dir, "anon"), report)
+}
+
+#[test]
+fn public_4byte_asns_are_withheld_not_released() {
+    // The 16-bit ASN map cannot permute RFC 6793 ASNs; until they are
+    // mapped, every locator records a public one so the gate withholds
+    // the file instead of releasing it in plaintext.
+    let root = tmpdir("asn32");
+    let (code, released, report) = batch_one_file(
+        &root,
+        "router bgp 262144\n neighbor 12.1.1.2 remote-as 396982\n\
+         ip as-path access-list 5 permit _396982_\n",
+    );
+    assert_eq!((code, released), (Some(4), 0));
+    for asn in ["262144", "396982"] {
+        let token = format!("\"token\": \"{asn}\"");
+        assert!(report.contains(&token), "{asn}: {report}");
+    }
+    for line in [
+        "ip as-path access-list 6 permit _396982_\n",
+        " set community 396982:100\n",
+        " bgp confederation peers 262145\n",
+    ] {
+        let (code, released, _) = batch_one_file(&root, line);
+        assert_eq!((code, released), (Some(4), 0), "{line:?}");
+    }
+    // A private 4-byte ASN (RFC 6996) names no network.
+    let (code, released, _) = batch_one_file(&root, "router bgp 4200000001\n");
+    assert_eq!((code, released), (Some(0), 1));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Files with extension `ext` under `dir`, recursively.
 fn count_files(dir: &Path, ext: &str) -> usize {
     std::fs::read_dir(dir)

@@ -208,7 +208,7 @@ fn per_rule_hits_in_metrics_sum_to_batch_report_totals() {
     // The full-corpus run gates nothing, so BatchReport totals and the
     // warmed anonymizer agree — the metrics rules section is built from
     // the latter and must conserve the former.
-    let report_total: u64 = run.totals.rule_fires.values().sum();
+    let report_total: u64 = run.totals.rules_fired_total();
     assert!(report_total > 0, "corpus must fire rules");
 
     let doc = run.metrics_deterministic_json();
