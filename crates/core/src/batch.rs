@@ -62,7 +62,6 @@ use confanon_obs::{Clock, ObsShard};
 use crate::anonymizer::{Anonymizer, AnonymizerConfig};
 use crate::discover::ObservationLog;
 use crate::error::{panic_message, BatchFailure, BatchPhase};
-use crate::fsx::DurabilityStats;
 use crate::stats::{AnonymizationStats, RewriteStats};
 
 /// One input file of a batch: a display name and its configuration text.
@@ -128,10 +127,6 @@ pub struct BatchReport {
     pub rewrite: RewriteStats,
     /// Worker threads used for the rewrite pass.
     pub jobs: usize,
-    /// Durability counters for the run's published artifacts. The
-    /// pipeline itself performs no I/O; the publisher that emits the
-    /// report's outputs merges its counters in.
-    pub durability: DurabilityStats,
     /// The run's observability shard: phase/per-file spans plus
     /// discovery-pass counters and histograms. The `phase.discover.*`
     /// counters are deterministic across `--jobs`, discovery modes, and
@@ -312,7 +307,6 @@ impl BatchPipeline {
             totals,
             rewrite,
             jobs,
-            durability: DurabilityStats::default(),
             obs,
         }
     }

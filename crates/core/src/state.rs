@@ -64,11 +64,13 @@ use std::path::{Path, PathBuf};
 use confanon_netprim::{Ip, Ip6};
 use confanon_testkit::json::Json;
 
-use crate::anonymizer::Anonymizer;
+use crate::anonymizer::{Anonymizer, AnonymizerConfig};
+use crate::batch::FileDiscovery;
 use crate::discover::ObservedIp;
 use crate::error::{AnonError, StateErrorKind};
 use crate::fsx::{write_atomic, DurabilityStats, Fs};
 use crate::leak::LeakRecord;
+use crate::manifest::RunManifest;
 use crate::stats::AnonymizationStats;
 
 /// Schema tag of the state document.
@@ -82,8 +84,7 @@ pub const STATE_FILE_NAME: &str = "state.json";
 /// when the watermark still matches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileMark {
-    /// Hex SHA-1 of the file's *sanitized* text (what the pipeline
-    /// actually anonymizes), so an edit anywhere re-processes the file.
+    /// The file's content [`watermark`].
     pub watermark: String,
     /// The file's discovery-pass statistics.
     pub stats: AnonymizationStats,
@@ -124,6 +125,94 @@ pub struct AnonState {
 /// The state file path inside a state directory.
 pub fn state_path(dir: &Path) -> PathBuf {
     dir.join(STATE_FILE_NAME)
+}
+
+/// A file's content watermark: the hex SHA-1 of its *sanitized* text
+/// (what the pipeline actually anonymizes), so an edit anywhere
+/// re-processes the file.
+pub fn watermark(text: &str) -> String {
+    RunManifest::digest_hex(text.as_bytes())
+}
+
+/// The skip records a run leaves for its next warm start: every file
+/// whose discovery completed and that has a watermark, with what its
+/// discovery contributed.
+pub fn file_marks(
+    discoveries: &BTreeMap<String, FileDiscovery>,
+    watermarks: &BTreeMap<String, String>,
+) -> BTreeMap<String, FileMark> {
+    discoveries
+        .iter()
+        .filter_map(|(name, d)| {
+            let mark = FileMark {
+                watermark: watermarks.get(name)?.clone(),
+                stats: d.stats.clone(),
+                prefilter_fast: d.prefilter_fast,
+                prefilter_slow: d.prefilter_slow,
+            };
+            Some((name.clone(), mark))
+        })
+        .collect()
+}
+
+/// A verified state to warm-start from: the one warm-start policy that
+/// `batch --state DIR` and a serve tenant's open share. The state is
+/// loaded and owner-checked before any work, and every file whose
+/// stored watermark still matches yields its stored discovery, so a
+/// warm run absorbs it instead of scanning the file again.
+pub struct WarmStart {
+    /// Where the state was loaded from, for error messages.
+    pub path: String,
+    /// The loaded, owner-checked state.
+    pub state: AnonState,
+    /// Watermark-matched files and their stored discovery contributions.
+    pub prewarmed: BTreeMap<String, FileDiscovery>,
+}
+
+impl WarmStart {
+    /// Loads the state in `dir` and refuses it unless it belongs to
+    /// `cfg`'s owner: a wrong secret (or changed permutation parameters)
+    /// must refuse before any work, not fork the mapping history.
+    /// Absence is `Ok(None)`, a cold start. `watermarks` holds the
+    /// current corpus's watermarks by name; a tenant, which has no
+    /// corpus, passes none.
+    pub fn load(
+        fs: &dyn Fs,
+        dir: &Path,
+        cfg: &AnonymizerConfig,
+        watermarks: &BTreeMap<String, String>,
+    ) -> Result<Option<WarmStart>, AnonError> {
+        let Some(state) = AnonState::load(fs, dir)? else {
+            return Ok(None);
+        };
+        let path = state_path(dir).display().to_string();
+        let perms = Anonymizer::new(cfg.clone()).perm_fingerprint();
+        state.check_owner(&path, &RunManifest::fingerprint(&cfg.owner_secret), &perms)?;
+        let prewarmed = state
+            .files
+            .iter()
+            .filter(|(name, mark)| watermarks.get(*name) == Some(&mark.watermark))
+            .map(|(name, mark)| {
+                let d = FileDiscovery {
+                    stats: mark.stats.clone(),
+                    prefilter_fast: mark.prefilter_fast,
+                    prefilter_slow: mark.prefilter_slow,
+                };
+                (name.clone(), d)
+            })
+            .collect();
+        Ok(Some(WarmStart {
+            path,
+            state,
+            prewarmed,
+        }))
+    }
+
+    /// Replays the state into a fresh `anonymizer` (see
+    /// [`AnonState::restore_into`]).
+    pub fn restore_into(&self, anonymizer: &mut Anonymizer) -> Result<(u64, u64), AnonError> {
+        self.state.restore_into(&self.path, anonymizer)
+    }
 }
 
 fn corrupted(path: &str, message: String) -> AnonError {

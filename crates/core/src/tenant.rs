@@ -41,7 +41,7 @@ use crate::leak::LeakScanner;
 use crate::manifest::RunManifest;
 use crate::rules::RuleId;
 use crate::serve::Status;
-use crate::state::{state_path, AnonState, FileMark};
+use crate::state::{watermark, AnonState, FileMark, WarmStart};
 
 /// When a tenant's state is durably flushed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,44 +198,30 @@ impl Tenant {
                 cfg = cfg.without_rule(rule);
             }
         }
-        let fingerprint = RunManifest::fingerprint(&spec.secret);
         let mut anonymizer = Anonymizer::new(cfg.clone());
-        let mut files = BTreeMap::new();
-        let mut health = TenantHealth::Serving;
-        let state_file = state_path(&spec.state_dir).display().to_string();
-        match AnonState::load(fs, &spec.state_dir) {
-            Ok(None) => {}
-            Ok(Some(state)) => {
-                let expect_perms = anonymizer.perm_fingerprint();
-                let restored = state
-                    .check_owner(&state_file, &fingerprint, &expect_perms)
-                    .and_then(|()| state.restore_into(&state_file, &mut anonymizer));
-                match restored {
-                    Ok(_) => files = state.files.clone(),
-                    Err(e) => {
-                        health = TenantHealth::StateQuarantined {
-                            reason: e.to_string(),
-                        };
-                        // A failed replay may have half-warmed the
-                        // tries; a quarantined tenant must hold no
-                        // partial mappings.
-                        anonymizer = Anonymizer::new(cfg.clone());
-                    }
-                }
-            }
+        let restored = WarmStart::load(fs, &spec.state_dir, &cfg, &BTreeMap::new()).and_then(
+            |warm| match warm {
+                Some(warm) => warm.restore_into(&mut anonymizer).map(|_| warm.state.files),
+                None => Ok(BTreeMap::new()),
+            },
+        );
+        let (files, health) = match restored {
+            Ok(files) => (files, TenantHealth::Serving),
             Err(e) => {
-                health = TenantHealth::StateQuarantined {
-                    reason: e.to_string(),
-                };
+                // A failed replay may have half-warmed the tries; a
+                // quarantined tenant must hold no partial mappings.
+                anonymizer = Anonymizer::new(cfg);
+                let reason = e.to_string();
+                (BTreeMap::new(), TenantHealth::StateQuarantined { reason })
             }
-        }
+        };
         let mut obs = ObsShard::new(Clock::new());
         obs.count("serve.opened", 1);
         Tenant {
             name: spec.name.clone(),
             spec: spec.clone(),
             state_dir: spec.state_dir.clone(),
-            fingerprint,
+            fingerprint: RunManifest::fingerprint(&spec.secret),
             anonymizer,
             files,
             health,
@@ -341,7 +327,7 @@ impl Tenant {
         self.files.insert(
             name.to_string(),
             FileMark {
-                watermark: RunManifest::digest_hex(text.as_bytes()),
+                watermark: watermark(&text),
                 stats: out.stats.clone(),
                 prefilter_fast: after.fast_path_lines - before.fast_path_lines,
                 prefilter_slow: after.slow_path_lines - before.slow_path_lines,
@@ -474,6 +460,7 @@ impl Tenant {
 mod tests {
     use super::*;
     use crate::fsx::StdFs;
+    use crate::state::state_path;
     use std::path::{Path, PathBuf};
 
     fn tmpdir(tag: &str) -> PathBuf {

@@ -117,6 +117,19 @@ grep -q '"phase.rewrite.lines_borrowed"' "$obs_dir/metrics-j1.json" || {
     echo "metrics lack the borrow-or-own accounting"; exit 1;
 }
 
+echo "==> validate smoke: both suites pass over every released config"
+# validate reads the layout batch writes (<net>/<host>.cfg.anon beside
+# run_manifest.json) and must compare all 9 configs, not zero.
+./target/release/confanon validate --pre-dir "$corpus_dir" \
+    --post-dir "$obs_dir/out1" > "$obs_dir/validate.txt"
+cat "$obs_dir/validate.txt"
+grep -qx 'compared 9 config(s)' "$obs_dir/validate.txt" || {
+    echo "validate smoke: expected 9 compared configs"; exit 1;
+}
+grep -qx 'suite1: PASS' "$obs_dir/validate.txt" && grep -qx 'suite2: PASS' "$obs_dir/validate.txt" || {
+    echo "validate smoke: a suite failed"; exit 1;
+}
+
 echo "==> chaos smoke: fail-closed exit-code taxonomy"
 # Fixed seeds end to end (TESTKIT_SEED for any in-process property
 # replay, --seed for the mutator) so the hostile corpus — and therefore

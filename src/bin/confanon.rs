@@ -2,56 +2,9 @@
 //!
 //! The workflow the paper's §7 clearinghouse envisions: a network owner
 //! downloads the tool, anonymizes their configs locally under a secret
-//! only they hold, audits the output, and uploads the result.
-//!
-//! ```text
-//! confanon anonymize --secret <secret> [--compact] [--audit FILE] [--out-dir DIR] FILE...
-//! confanon batch     [--jobs N] [--secret S] [--out-dir DIR] [--quarantine-dir DIR]
-//!                    [--disable-rule NAMES] [--metrics FILE] [--trace FILE]
-//!                    [--bench-json FILE] [--resume] [--state DIR]
-//!                    [--decoys N] DIR
-//! confanon chaos     [--seed S] [--count N] --out-dir DIR
-//! confanon generate  [--networks N] [--routers M] [--seed S] --out-dir DIR
-//! confanon validate  --pre-dir DIR --post-dir DIR
-//! confanon scan      --record FILE.json FILE...
-//! confanon metrics   [--deterministic] [--trace FILE] [FILE]
-//! confanon audit     --risk --pre-dir DIR --post-dir DIR --secret <secret> [...]
-//! confanon rules
-//! ```
-//!
-//! ## Observability
-//!
-//! `batch --metrics FILE` writes a `confanon-metrics-v1` document with
-//! two sections: `deterministic` (corpus accounting, aggregate
-//! anonymization counters, per-rule fire counts, trie node counts,
-//! input-shape histograms — byte-identical for a given corpus across
-//! any `--jobs` value and across resumed vs. one-shot runs) and
-//! `timing` (span aggregates, rewrite/gate/publish counters,
-//! durability, wall-clock — excluded from that guarantee).
-//! `batch --trace FILE` writes the same run's spans as Chrome
-//! trace-event JSON (load in `chrome://tracing` or Perfetto).
-//! `confanon metrics` validates such files and extracts the
-//! deterministic section for diffing.
-//!
-//! ## Exit codes
-//!
-//! `batch` distinguishes its failure classes so automation can branch
-//! without parsing stderr: `0` success (all outputs released), `1` I/O
-//! failure, `2` usage error, `3` panic-contained file(s) (outputs
-//! withheld, rest released), `4` leak-gated file(s) quarantined (takes
-//! precedence over `3`), `5` run interrupted with the journal intact —
-//! re-run with `--resume` to continue instead of starting over.
-//!
-//! ## Durability
-//!
-//! With `--out-dir`, every byte `batch` publishes goes through an
-//! atomic durable write (staged temp file → fsync → rename → directory
-//! fsync) and a write-ahead journal `run_manifest.json` in the output
-//! directory: a file's digest is journaled *before* its bytes appear,
-//! so a crash at any point leaves no torn or unaccounted-for output.
-//! `CONFANON_CRASH_AFTER=N` aborts the process after the N-th durable
-//! write (deterministic at any `--jobs`), which is how the crash/resume
-//! property suite enumerates every crash point.
+//! only they hold, audits the output, and uploads the result. The
+//! subcommands, their options and their exit codes are listed in
+//! [`USAGE`], which `confanon` prints when run without a subcommand.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
@@ -64,18 +17,17 @@ use std::process::ExitCode;
 
 use confanon::confgen::{generate_dataset, DatasetSpec};
 use confanon::core::{
-    sanitize_bytes, write_atomic, AnonError, AnonState, Anonymizer, AnonymizerConfig,
-    DurabilityStats, FileDiscovery, Publisher, RuleId, RunManifest, StdFs, ALL_RULES,
-    RUN_MANIFEST_NAME,
+    write_atomic, AnonError, AnonymizerConfig, DurabilityStats, RuleId, RunManifest, StdFs,
+    ALL_RULES, RUN_MANIFEST_NAME,
 };
-use confanon::core::state::{state_path, FileMark};
 use confanon::iosparse::Config;
-use confanon::obs::{
-    chrome_trace_json, is_observability_artifact, metrics_doc, validate_metrics, validate_trace,
-    Clock, ObsShard,
-};
+use confanon::obs::{validate_metrics, validate_trace, Clock, ObsShard};
+use confanon::redteam::AuditOptions;
 use confanon::validate::{compare_designs, compare_properties, network_properties};
-use confanon::workflow::{anonymize_corpus_gated, GatedCorpusRun, GatedOptions, WarmStart};
+use confanon::workflow::{
+    anonymize_corpus_gated, read_configs, read_corpus, run_batch, walk_files, BatchOptions,
+    BatchOutcome, GatedCorpusRun, GatedOptions, DEFAULT_SWEEP_RULES,
+};
 use confanon_testkit::json::Json;
 
 /// Everything released, nothing withheld.
@@ -96,7 +48,7 @@ const EXIT_RESUMABLE: u8 = 5;
 /// `confanon serve` could not bind its listen endpoint. Nothing was
 /// served; no tenant state was touched.
 const EXIT_BIND: u8 = 6;
-/// `confanon.toml` (or the serve CLI override set) failed validation.
+/// `confanon.toml` failed validation.
 const EXIT_CONFIG: u8 = 7;
 /// `--require-clean-state`: a tenant's persisted state was present but
 /// unusable, and the operator asked for refusal instead of quarantine.
@@ -123,171 +75,168 @@ fn exit_for(e: &AnonError) -> u8 {
     }
 }
 
+/// Reports a pipeline error: the one place the binary prints one.
+fn fail(cmd: &str, e: &AnonError) -> ExitCode {
+    eprintln!("{cmd}: {e}");
+    ExitCode::from(exit_for(e))
+}
+
+/// Each subcommand with the options it takes, space-separated: those
+/// with a value, then switches. Any other `--option` is refused.
+const COMMANDS: [(&str, Handler, &str, &str); 12] = [
+    ("anonymize", cmd_anonymize, "secret audit out-dir", "compact"),
+    (
+        "batch",
+        cmd_batch,
+        "jobs secret out-dir quarantine-dir disable-rule metrics trace bench-json state decoys",
+        "resume",
+    ),
+    ("chaos", cmd_chaos, "seed count out-dir", ""),
+    ("generate", cmd_generate, "networks routers seed out-dir", ""),
+    ("validate", cmd_validate, "pre-dir post-dir", ""),
+    ("scan", cmd_scan, "record", ""),
+    ("metrics", cmd_metrics, "trace serve", "deterministic"),
+    (
+        "audit",
+        cmd_audit,
+        "check-report pre-dir post-dir secret seed top-k known-pairs candidates \
+         disable-rule decoys jobs report",
+        "risk",
+    ),
+    ("serve", cmd_serve, "config listen socket port-file", "require-clean-state"),
+    (
+        "client",
+        cmd_client,
+        "endpoint tenant name retries backoff-base-ms backoff-cap-ms backoff-seed",
+        "",
+    ),
+    ("netchaos", cmd_netchaos, "upstream seed profile port-file", ""),
+    ("rules", cmd_rules, "", ""),
+];
+
+/// The usage text: every subcommand and every option [`COMMANDS`]
+/// accepts (a unit test holds the two in step).
+const USAGE: &str = "\
+usage: confanon <anonymize|batch|chaos|generate|validate|scan|metrics|audit|serve|client|netchaos|rules> [options]
+
+anonymize --secret <secret> [--compact] [--audit FILE] [--out-dir DIR] FILE...
+    Anonymize config files under one owner secret. With --out-dir,
+    writes <name>.anon; otherwise prints to stdout. Two inputs with the
+    same file name are refused with --out-dir. Each output is
+    leak-scanned first, as in batch: a flagged one is withheld and its
+    lines listed on stderr. --audit FILE writes the plaintext mapping
+    audit (keep it private; refused inside --out-dir). Exit codes as
+    for batch: 0 ok, 1 I/O, 2 usage, 3 panic-contained, 4 leak-gated.
+batch [--jobs N] [--secret <secret>] [--out-dir DIR] [--quarantine-dir DIR]
+      [--disable-rule NAME[,NAME...]] [--metrics FILE] [--trace FILE]
+      [--bench-json FILE] [--resume] [--state DIR] [--decoys N] DIR
+    Anonymize every .cfg under DIR (recursively, one keyed state)
+    using N discovery/rewrite workers. 0 = logical core count; values
+    above the corpus size are clamped to one worker per file; values
+    above 512 are rejected as a usage error. Output is byte-identical
+    at any worker count. Every output is leak-scanned before release;
+    outputs with residual identifiers go to the quarantine directory
+    (default <out-dir>-quarantine) with a machine-readable
+    leak_report.json.
+    With --out-dir, writes are atomic+durable and journaled in
+    run_manifest.json; --resume verifies prior outputs against the
+    journal digests and re-processes only what is missing or torn.
+    --metrics writes a confanon-metrics-v1 document (deterministic +
+    timing sections); --trace writes Chrome trace-event JSON.
+    --state DIR persists the full mapping state (confanon-state-v1)
+    after publishing; a warm rerun skips watermark-unchanged files
+    and keeps every previously issued mapping stable. Requires
+    --out-dir; an invalid, foreign, or corrupt state refuses with
+    exit 2.
+    The quarantine and state directories hold private data and are
+    refused (exit 2) when they resolve inside --out-dir.
+    --decoys N injects N NetCloak-style synthetic chaff routers per
+    network, appended after the real corpus (real outputs stay
+    byte-identical) and flagged \"decoy\" in run_manifest.json.
+    Exit codes: 0 ok, 1 I/O, 2 usage, 3 panic-contained, 4 leak-gated,
+    5 interrupted-but-resumable (journal intact; re-run with --resume).
+chaos [--seed S] [--count N] --out-dir DIR
+    Emit N chaos-mutated (hostile) config files for pipeline smoke
+    tests; deterministic per seed.
+generate [--networks N] [--routers M] [--seed S] --out-dir DIR
+    Emit a synthetic corpus (one directory per network).
+validate --pre-dir DIR --post-dir DIR
+    Run both validation suites over the .cfg files under --pre-dir
+    and the released files under --post-dir (both recursive; a
+    trailing .anon is stripped, run_manifest.json skipped), as batch
+    lays them out. Prints how many configs it compared; an empty or
+    mismatched file set fails.
+scan --record FILE.json FILE...
+    Flag lines in anonymized files that still contain items from a
+    leak record (JSON with asns/ips/words arrays).
+metrics [--deterministic] [--trace FILE] [--serve FILE] [FILE]
+    Validate a metrics.json (or, with --trace, a trace file; with
+    --serve, a confanon-serve-metrics-v1 stats frame).
+    --deterministic prints only the deterministic section, for
+    diffing two runs.
+audit --risk --pre-dir DIR --post-dir DIR --secret <secret>
+      [--seed S] [--top-k K] [--known-pairs M] [--candidates N]
+      [--disable-rule NAME[,NAME...]] [--decoys N] [--jobs N]
+      [--report FILE]
+audit --check-report FILE
+    Quantified risk–utility audit: runs a seeded de-anonymization
+    red team (prefix-structure fingerprinting, degree-distribution
+    matching, known-plaintext ASN recovery) against the released
+    bytes in --post-dir (must hold a run_manifest.json), scores the
+    fraction of routing-design facts preserved, and sweeps weakened
+    variants (rule ablations, scrambled IPs, decoy chaff) into a
+    tradeoff table. Writes a confanon-risk-v1 report (default
+    <post-dir>/risk_report.json); byte-identical for a given corpus,
+    secret, and seed at any --jobs value. --check-report validates
+    an existing report.
+serve --config confanon.toml [--listen HOST:PORT | --socket PATH]
+      [--port-file FILE] [--require-clean-state]
+    Multi-tenant anonymization daemon (CONFANON/1 protocol). Each
+    [tenant.NAME] section holds its own secret + state_dir; tenants
+    are isolated (bounded queues, per-request panic containment,
+    per-tenant leak quarantine, per-tenant request quotas). Queue
+    depth, timeouts, the connection bound and the flush mode are
+    confanon.toml keys. Hostile peers are contained per connection:
+    malformed frames get one classified ERROR, dribbled frames hit
+    the read deadline, silent connections hit the idle timeout, and
+    arrivals past the connection bound are shed with a BUSY
+    retry-after hint. A tenant whose store fails permanently degrades
+    (DEGRADED responses, flushing suspended) and self-heals via
+    recovery probes, as does a state-quarantined tenant once its
+    store reloads cleanly. SIGTERM or a SHUTDOWN frame drains:
+    in-flight requests finish, every tenant state flushes atomically,
+    exit 0. Serve exits: 6 bind failed, 7 config invalid, 8 tenant
+    state refused (--require-clean-state).
+client --endpoint HOST:PORT|unix:PATH <ping|stats|flush|shutdown|anon>
+      [--tenant NAME] [--name FILE] [--retries N]
+      [--backoff-base-ms MS] [--backoff-cap-ms MS] [--backoff-seed S]
+      [FILE]
+    Minimal CONFANON/1 test client: anon sends FILE (or stdin) and
+    prints the anonymized payload; stats prints the metrics frame.
+    Retries use seeded jittered exponential backoff that honors the
+    server's retry-after-ms hint; retriable BUSY/TIMEOUT responses
+    exit 75 after --retries. DEGRADED prints the payload (exit 0)
+    with a durability warning on stderr.
+netchaos --upstream HOST:PORT [--seed S] [--profile hostile|lossless]
+      [--port-file FILE]
+    Seeded fault-injecting TCP proxy for serve-hardening tests:
+    dribbles, tears, duplicates, garbles, and disconnects
+    client->server traffic per the profile, deterministically per
+    seed and connection index. SIGTERM stops it (exit 0).
+rules
+    Print the 28 contextual rules.";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Each subcommand with the options it takes, space-separated: those
-    // with a value, then switches. Any other `--option` is refused.
     let name = args.first().map_or("", String::as_str);
-    let (cmd, values, flags): (Handler, &str, &str) = match name {
-        "anonymize" => (cmd_anonymize, "secret audit out-dir", "compact"),
-        "batch" => (
-            cmd_batch,
-            "jobs secret out-dir quarantine-dir disable-rule metrics trace bench-json state decoys",
-            "resume",
-        ),
-        "chaos" => (cmd_chaos, "seed count out-dir", ""),
-        "generate" => (cmd_generate, "networks routers seed out-dir", ""),
-        "validate" => (cmd_validate, "pre-dir post-dir", ""),
-        "scan" => (cmd_scan, "record", ""),
-        "metrics" => (cmd_metrics, "trace serve", "deterministic"),
-        "audit" => (
-            cmd_audit,
-            "check-report pre-dir post-dir secret seed top-k known-pairs candidates \
-             disable-rule decoys jobs report",
-            "risk",
-        ),
-        "serve" => (
-            cmd_serve,
-            "config listen socket port-file queue-depth request-timeout-ms idle-timeout-ms \
-             max-connections flush",
-            "require-clean-state",
-        ),
-        "client" => (
-            cmd_client,
-            "endpoint tenant name retries backoff-base-ms backoff-cap-ms backoff-seed",
-            "",
-        ),
-        "netchaos" => (cmd_netchaos, "upstream seed profile port-file", ""),
-        "rules" => (cmd_rules, "", ""),
-        _ => {
-            eprintln!(
-                "usage: confanon <anonymize|batch|chaos|generate|validate|scan|metrics|audit|serve|client|netchaos|rules> [options]\n\
-                 \n\
-                 anonymize --secret <secret> [--compact] [--audit FILE] [--out-dir DIR] FILE...\n\
-                 \u{20}   Anonymize config files under one owner secret. With --out-dir,\n\
-                 \u{20}   writes <name>.anon; otherwise prints to stdout. Each output is\n\
-                 \u{20}   leak-scanned first, as in batch: a flagged one is withheld and\n\
-                 \u{20}   its lines listed on stderr. Exit codes as for batch: 0 ok,\n\
-                 \u{20}   1 I/O, 2 usage, 3 panic-contained, 4 leak-gated.\n\
-                 batch [--jobs N] [--secret <secret>] [--out-dir DIR] [--quarantine-dir DIR]\n\
-                 \u{20}     [--disable-rule NAME[,NAME...]] [--metrics FILE] [--trace FILE]\n\
-                 \u{20}     [--bench-json FILE] [--resume] [--state DIR] [--decoys N] DIR\n\
-                 \u{20}   Anonymize every .cfg under DIR (recursively, one keyed state)\n\
-                 \u{20}   using N discovery/rewrite workers. 0 = logical core count; values\n\
-                 \u{20}   above the corpus size are clamped to one worker per file; values\n\
-                 \u{20}   above 512 are rejected as a usage error. Output is byte-identical\n\
-                 \u{20}   at any worker count. Every output is leak-scanned before release;\n\
-                 \u{20}   outputs with residual identifiers go to the quarantine directory\n\
-                 \u{20}   (never --out-dir) with a machine-readable leak_report.json.\n\
-                 \u{20}   With --out-dir, writes are atomic+durable and journaled in\n\
-                 \u{20}   run_manifest.json; --resume verifies prior outputs against the\n\
-                 \u{20}   journal digests and re-processes only what is missing or torn.\n\
-                 \u{20}   --metrics writes a confanon-metrics-v1 document (deterministic +\n\
-                 \u{20}   timing sections); --trace writes Chrome trace-event JSON.\n\
-                 \u{20}   --state DIR persists the full mapping state (confanon-state-v1)\n\
-                 \u{20}   after publishing; a warm rerun skips watermark-unchanged files\n\
-                 \u{20}   and keeps every previously issued mapping stable. Requires\n\
-                 \u{20}   --out-dir; an invalid, foreign, or corrupt state refuses with\n\
-                 \u{20}   exit 2.\n\
-                 \u{20}   --decoys N injects N NetCloak-style synthetic chaff routers per\n\
-                 \u{20}   network, appended after the real corpus (real outputs stay\n\
-                 \u{20}   byte-identical) and flagged \"decoy\" in run_manifest.json.\n\
-                 \u{20}   Exit codes: 0 ok, 1 I/O, 2 usage, 3 panic-contained, 4 leak-gated,\n\
-                 \u{20}   5 interrupted-but-resumable (journal intact; re-run with --resume).\n\
-                 chaos [--seed S] [--count N] --out-dir DIR\n\
-                 \u{20}   Emit N chaos-mutated (hostile) config files for pipeline smoke\n\
-                 \u{20}   tests; deterministic per seed.\n\
-                 generate [--networks N] [--routers M] [--seed S] --out-dir DIR\n\
-                 \u{20}   Emit a synthetic corpus (one directory per network).\n\
-                 validate --pre-dir DIR --post-dir DIR\n\
-                 \u{20}   Run both validation suites over matching file names.\n\
-                 scan --record FILE.json FILE...\n\
-                 \u{20}   Flag lines in anonymized files that still contain items from a\n\
-                 \u{20}   leak record (JSON with asns/ips/words arrays).\n\
-                 metrics [--deterministic] [--trace FILE] [--serve FILE] [FILE]\n\
-                 \u{20}   Validate a metrics.json (or, with --trace, a trace file; with\n\
-                 \u{20}   --serve, a confanon-serve-metrics-v1 stats frame).\n\
-                 \u{20}   --deterministic prints only the deterministic section, for\n\
-                 \u{20}   diffing two runs.\n\
-                 audit --risk --pre-dir DIR --post-dir DIR --secret <secret>\n\
-                 \u{20}     [--seed S] [--top-k K] [--known-pairs M] [--candidates N]\n\
-                 \u{20}     [--disable-rule NAME[,NAME...]] [--decoys N] [--jobs N]\n\
-                 \u{20}     [--report FILE]\n\
-                 audit --check-report FILE\n\
-                 \u{20}   Quantified risk–utility audit: runs a seeded de-anonymization\n\
-                 \u{20}   red team (prefix-structure fingerprinting, degree-distribution\n\
-                 \u{20}   matching, known-plaintext ASN recovery) against the released\n\
-                 \u{20}   bytes in --post-dir (must hold a run_manifest.json), scores the\n\
-                 \u{20}   fraction of routing-design facts preserved, and sweeps weakened\n\
-                 \u{20}   variants (rule ablations, scrambled IPs, decoy chaff) into a\n\
-                 \u{20}   tradeoff table. Writes a confanon-risk-v1 report (default\n\
-                 \u{20}   <post-dir>/risk_report.json); byte-identical for a given corpus,\n\
-                 \u{20}   secret, and seed at any --jobs value. --check-report validates\n\
-                 \u{20}   an existing report.\n\
-                 serve --config confanon.toml [--listen HOST:PORT | --socket PATH]\n\
-                 \u{20}     [--port-file FILE] [--queue-depth N] [--request-timeout-ms MS]\n\
-                 \u{20}     [--idle-timeout-ms MS] [--max-connections N]\n\
-                 \u{20}     [--flush request|drain] [--require-clean-state]\n\
-                 \u{20}   Multi-tenant anonymization daemon (CONFANON/1 protocol). Each\n\
-                 \u{20}   [tenant.NAME] section holds its own secret + state_dir; tenants\n\
-                 \u{20}   are isolated (bounded queues, per-request panic containment,\n\
-                 \u{20}   per-tenant leak quarantine, per-tenant request quotas). Hostile\n\
-                 \u{20}   peers are contained per connection: malformed frames get one\n\
-                 \u{20}   classified ERROR, dribbled frames hit the read deadline, silent\n\
-                 \u{20}   connections hit the idle timeout, and arrivals past the\n\
-                 \u{20}   connection bound are shed with a BUSY retry-after hint. A tenant\n\
-                 \u{20}   whose store fails permanently degrades (DEGRADED responses,\n\
-                 \u{20}   flushing suspended) and self-heals via recovery probes, as does\n\
-                 \u{20}   a state-quarantined tenant once its store reloads cleanly.\n\
-                 \u{20}   SIGTERM or a SHUTDOWN frame drains: in-flight requests finish,\n\
-                 \u{20}   every tenant state flushes atomically, exit 0. Serve exits:\n\
-                 \u{20}   6 bind failed, 7 config invalid, 8 tenant state refused\n\
-                 \u{20}   (--require-clean-state).\n\
-                 client --endpoint HOST:PORT|unix:PATH <ping|stats|flush|shutdown|anon>\n\
-                 \u{20}     [--tenant NAME] [--name FILE] [--retries N]\n\
-                 \u{20}     [--backoff-base-ms MS] [--backoff-cap-ms MS] [--backoff-seed S]\n\
-                 \u{20}     [FILE]\n\
-                 \u{20}   Minimal CONFANON/1 test client: anon sends FILE (or stdin) and\n\
-                 \u{20}   prints the anonymized payload; stats prints the metrics frame.\n\
-                 \u{20}   Retries use seeded jittered exponential backoff that honors the\n\
-                 \u{20}   server's retry-after-ms hint; retriable BUSY/TIMEOUT responses\n\
-                 \u{20}   exit 75 after --retries. DEGRADED prints the payload (exit 0)\n\
-                 \u{20}   with a durability warning on stderr.\n\
-                 netchaos --upstream HOST:PORT [--seed S] [--profile hostile|lossless]\n\
-                 \u{20}     [--port-file FILE]\n\
-                 \u{20}   Seeded fault-injecting TCP proxy for serve-hardening tests:\n\
-                 \u{20}   dribbles, tears, duplicates, garbles, and disconnects\n\
-                 \u{20}   client->server traffic per the profile, deterministically per\n\
-                 \u{20}   seed and connection index. SIGTERM stops it (exit 0).\n\
-                 rules\n\
-                 \u{20}   Print the 28 contextual rules."
-            );
-            return ExitCode::from(EXIT_USAGE);
-        }
+    let Some(&(_, cmd, values, flags)) = COMMANDS.iter().find(|c| c.0 == name) else {
+        eprintln!("{USAGE}");
+        return ExitCode::from(EXIT_USAGE);
     };
     match parse_opts(name, &args[1..], values, flags) {
         Ok((opts, pos)) => cmd(&opts, &pos),
         Err(code) => code,
     }
-}
-
-/// Reads a config file tolerantly: any byte sequence is accepted, with
-/// hostile content repaired (lossy UTF-8, control chars, oversized
-/// lines) and the repairs reported on stderr.
-fn read_config_lossy(path: &Path) -> Result<String, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let (text, tally) = sanitize_bytes(&bytes);
-    if !tally.is_clean() {
-        eprintln!(
-            "note: {}: repaired hostile input ({} invalid UTF-8 sequence(s), \
-             {} control char(s), {} oversized line(s) truncated)",
-            path.display(),
-            tally.invalid_utf8_replaced,
-            tally.controls_replaced,
-            tally.lines_truncated
-        );
-    }
-    Ok(text)
 }
 
 /// A subcommand's options: `--key value` pairs, `"true"` for switches.
@@ -361,58 +310,155 @@ fn num_opt<T: std::str::FromStr>(
     }
 }
 
+/// `--jobs N`: `0` (the default) is the logical core count.
+fn jobs_opt(cmd: &str, opts: &Opts) -> Result<usize, ExitCode> {
+    let jobs = num_opt(cmd, opts, "jobs", 0usize)?;
+    if jobs > MAX_JOBS {
+        eprintln!(
+            "{cmd}: --jobs {jobs} exceeds the {MAX_JOBS}-worker cap \
+             (0 = logical core count; counts above the corpus size \
+             are clamped to one worker per file)"
+        );
+        return Err(ExitCode::from(EXIT_USAGE));
+    }
+    Ok(jobs)
+}
+
+/// The rules `--disable-rule NAME[,NAME...]` names, in order, or `None`
+/// without the option. An unknown name is a usage error.
+fn disabled_rules(cmd: &str, opts: &Opts) -> Result<Option<Vec<RuleId>>, ExitCode> {
+    let Some(spec) = opts.get("disable-rule") else {
+        return Ok(None);
+    };
+    let names = spec.split(',').map(str::trim).filter(|n| !n.is_empty());
+    names
+        .map(|name| {
+            RuleId::from_name(name).ok_or_else(|| {
+                eprintln!("{cmd}: unknown rule {name:?} (see `confanon rules`)");
+                ExitCode::from(EXIT_USAGE)
+            })
+        })
+        .collect::<Result<_, _>>()
+        .map(Some)
+}
+
+/// Refuses a private artifact that resolves inside the release
+/// directory, where a release step that globs `--out-dir` would ship
+/// it. Quarantined bytes, the mapping state (every original address)
+/// and the mapping audit are all private.
+fn outside_release(
+    cmd: &str,
+    out_dir: Option<&Path>,
+    option: &str,
+    path: Option<&Path>,
+) -> Result<(), ExitCode> {
+    let (Some(out), Some(path)) = (out_dir, path) else {
+        return Ok(());
+    };
+    // Compare where the paths resolve, not how they are spelled:
+    // `./OUT`, an absolute spelling, and `OUT/q` all land inside it.
+    let (out, path) = (resolve_path(out), resolve_path(path));
+    if !path.starts_with(&out) {
+        return Ok(());
+    }
+    eprintln!(
+        "{cmd}: {option} {} must lie outside --out-dir {}",
+        path.display(),
+        out.display()
+    );
+    Err(ExitCode::from(EXIT_USAGE))
+}
+
+/// Where `path` resolves: its deepest existing ancestor canonicalized
+/// (symlinks and `..` followed), with the components that do not exist
+/// yet applied lexically — so two spellings of one path compare equal
+/// even before it is created.
+fn resolve_path(path: &Path) -> PathBuf {
+    let parts: Vec<Component<'_>> = path.components().collect();
+    for split in (0..=parts.len()).rev() {
+        let existing: PathBuf = match split {
+            0 => PathBuf::from("."),
+            _ => parts[..split].iter().collect(),
+        };
+        if let Ok(mut resolved) = existing.canonicalize() {
+            for part in &parts[split..] {
+                match part {
+                    Component::CurDir => {}
+                    Component::ParentDir => {
+                        resolved.pop();
+                    }
+                    other => resolved.push(other),
+                }
+            }
+            return resolved;
+        }
+    }
+    path.to_path_buf()
+}
+
+/// The file `anonymize --out-dir` writes for input `path`.
+fn anon_name(path: &str) -> String {
+    let name = Path::new(path).file_name();
+    format!("{}.anon", name.map_or("config".into(), |n| n.to_string_lossy()))
+}
+
 fn cmd_anonymize(opts: &Opts, files: &[String]) -> ExitCode {
     let Some(secret) = opts.get("secret") else {
         eprintln!("anonymize: --secret is required (the owner's salt; keep it private)");
-        return ExitCode::from(2);
+        return ExitCode::from(EXIT_USAGE);
     };
     if files.is_empty() {
         eprintln!("anonymize: no input files");
-        return ExitCode::from(2);
+        return ExitCode::from(EXIT_USAGE);
     }
-    let mut cfg = AnonymizerConfig::new(secret.clone().into_bytes());
-    cfg.compact_regexps = opts.contains_key("compact");
     let out_dir = opts.get("out-dir").map(PathBuf::from);
-    if let Some(d) = &out_dir {
-        if let Err(e) = std::fs::create_dir_all(d) {
-            eprintln!("anonymize: cannot create {}: {e}", d.display());
-            return ExitCode::FAILURE;
-        }
+    let audit = opts.get("audit").map(Path::new);
+    if let Err(code) = outside_release("anonymize", out_dir.as_deref(), "--audit", audit) {
+        return code;
     }
-
-    let mut inputs = Vec::with_capacity(files.len());
-    for f in files {
-        match read_config_lossy(Path::new(f)) {
-            Ok(text) => inputs.push((f.clone(), text)),
-            Err(e) => {
-                eprintln!("anonymize: {e}");
-                return ExitCode::from(EXIT_IO);
+    if out_dir.is_some() {
+        // One output name per input: a second `r1.cfg` from another
+        // directory would silently overwrite the first one's output.
+        let mut by_target: BTreeMap<String, &String> = BTreeMap::new();
+        for f in files {
+            if let Some(first) = by_target.insert(anon_name(f), f) {
+                eprintln!("anonymize: {first} and {f} would both write {}", anon_name(f));
+                return ExitCode::from(EXIT_USAGE);
             }
         }
     }
+    let mut cfg = AnonymizerConfig::new(secret.clone().into_bytes());
+    cfg.compact_regexps = opts.contains_key("compact");
+    if let Some(d) = &out_dir {
+        if let Err(e) = std::fs::create_dir_all(d) {
+            eprintln!("anonymize: cannot create {}: {e}", d.display());
+            return ExitCode::from(EXIT_IO);
+        }
+    }
+
+    let paths: Vec<(String, PathBuf)> = files.iter().map(|f| (f.clone(), f.into())).collect();
+    let inputs = match read_configs(&paths, &mut ObsShard::new(Clock::disabled())) {
+        Ok(inputs) => inputs,
+        Err(e) => return fail("anonymize", &e),
+    };
     // The same fail-closed gate as `batch`: every output is scanned
     // against the run's own leak record (§6.1), and a flagged one is
     // withheld rather than written or printed.
     let mut run = match anonymize_corpus_gated(&inputs, cfg, GatedOptions::jobs(1)) {
         Ok(run) => run,
-        Err(e) => {
-            eprintln!("anonymize: {e}");
-            return ExitCode::from(exit_for(&e));
-        }
+        Err(e) => return fail("anonymize", &e),
     };
 
     // Owner-side mapping audit (§5's colleague workflow). As sensitive
     // as the originals: written only where explicitly requested, and
     // atomically — a torn audit could silently lose mappings.
     let mut durability = DurabilityStats::default();
-    if let Some(audit_path) = opts.get("audit") {
+    if let Some(audit_path) = audit {
         let json = run.anonymizer.mapping_audit().to_json().to_string_pretty();
-        if let Err(e) = write_atomic(&StdFs, Path::new(audit_path), json.as_bytes(), &mut durability)
-        {
-            eprintln!("anonymize: {e}");
-            return ExitCode::from(exit_for(&e));
+        if let Err(e) = write_atomic(&StdFs, audit_path, json.as_bytes(), &mut durability) {
+            return fail("anonymize", &e);
         }
-        eprintln!("mapping audit written to {audit_path} (KEEP PRIVATE)");
+        eprintln!("mapping audit written to {} (KEEP PRIVATE)", audit_path.display());
     }
 
     for o in &run.clean {
@@ -420,13 +466,9 @@ fn cmd_anonymize(opts: &Opts, files: &[String]) -> ExitCode {
             print!("{}", o.text);
             continue;
         };
-        let name = Path::new(&o.name)
-            .file_name()
-            .map_or_else(|| "config".to_string(), |n| n.to_string_lossy().to_string());
-        let target = dir.join(format!("{name}.anon"));
+        let target = dir.join(anon_name(&o.name));
         if let Err(e) = write_atomic(&StdFs, &target, o.text.as_bytes(), &mut durability) {
-            eprintln!("anonymize: {e}");
-            return ExitCode::from(exit_for(&e));
+            return fail("anonymize", &e);
         }
     }
     eprintln!(
@@ -459,83 +501,23 @@ fn gated_exit(run: &GatedCorpusRun) -> ExitCode {
     }
 }
 
-/// Collects every `.cfg` file under `dir`, recursively, in sorted order
-/// (determinism: the corpus order defines the shared mapping state).
-fn collect_cfg_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("{}: {e}", dir.display()))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .collect();
-    entries.sort();
-    for path in entries {
-        // Observability artifacts from a previous run (metrics.json,
-        // *.trace.json) are run bookkeeping, never corpus input — skip
-        // them even if someone renames one to end in .cfg.
-        let name = path.file_name().map(|n| n.to_string_lossy().to_string());
-        if name.as_deref().is_some_and(is_observability_artifact) {
-            continue;
-        }
-        if path.is_dir() {
-            collect_cfg_files(&path, out)?;
-        } else if path.extension().is_some_and(|x| x == "cfg") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-/// Where the directory `path` resolves: its deepest existing ancestor
-/// canonicalized (symlinks and `..` followed), with the components that
-/// do not exist yet applied lexically — so two spellings of one
-/// directory compare equal even before `batch` creates it.
-fn resolve_dir(path: &Path) -> PathBuf {
-    let parts: Vec<Component<'_>> = path.components().collect();
-    for split in (0..=parts.len()).rev() {
-        let existing: PathBuf = match split {
-            0 => PathBuf::from("."),
-            _ => parts[..split].iter().collect(),
-        };
-        if let Ok(mut resolved) = existing.canonicalize() {
-            for part in &parts[split..] {
-                match part {
-                    Component::CurDir => {}
-                    Component::ParentDir => {
-                        resolved.pop();
-                    }
-                    other => resolved.push(other),
-                }
-            }
-            return resolved;
-        }
-    }
-    path.to_path_buf()
-}
-
 fn cmd_batch(opts: &Opts, pos: &[String]) -> ExitCode {
     // SIGTERM must not kill the run mid-publish: the group commit polls
     // the flag before its journal write and between byte writes, and
     // converts it into the resumable exit 5 after the in-flight atomic
     // rename completes.
     confanon::core::signals::install_term_handler();
-    let Some(dir) = pos.first().map(PathBuf::from) else {
+    let Some(corpus_dir) = pos.first().map(PathBuf::from) else {
         eprintln!("batch: a corpus directory is required");
         return ExitCode::from(EXIT_USAGE);
     };
-    let jobs: usize = match opts.get("jobs").map(|j| j.parse()) {
-        None => 0,
-        Some(Ok(n)) if n <= MAX_JOBS => n,
-        Some(Ok(n)) => {
-            eprintln!(
-                "batch: --jobs {n} exceeds the {MAX_JOBS}-worker cap \
-                 (0 = logical core count; counts above the corpus size \
-                 are clamped to one worker per file)"
-            );
-            return ExitCode::from(EXIT_USAGE);
-        }
-        Some(Err(_)) => {
-            eprintln!("batch: --jobs must be a non-negative integer");
-            return ExitCode::from(EXIT_USAGE);
-        }
+    let (jobs, rules, decoys) = match (
+        jobs_opt("batch", opts),
+        disabled_rules("batch", opts),
+        num_opt("batch", opts, "decoys", 0usize),
+    ) {
+        (Ok(jobs), Ok(rules), Ok(decoys)) => (jobs, rules, decoys),
+        (Err(code), _, _) | (_, Err(code), _) | (_, _, Err(code)) => return code,
     };
     let secret = match opts.get("secret") {
         Some(s) => s.clone(),
@@ -547,30 +529,12 @@ fn cmd_batch(opts: &Opts, pos: &[String]) -> ExitCode {
             "smoke-bench-secret".to_string()
         }
     };
-    // Retained separately: the run journal binds itself to the owner
-    // secret via a domain-separated fingerprint.
-    let secret_bytes = secret.into_bytes();
-    let mut cfg = AnonymizerConfig::new(secret_bytes.clone());
-    if let Some(spec) = opts.get("disable-rule") {
-        for name in spec.split(',').map(str::trim).filter(|n| !n.is_empty()) {
-            match RuleId::from_name(name) {
-                Some(rule) => cfg = cfg.without_rule(rule),
-                None => {
-                    eprintln!("batch: unknown rule {name:?} (see `confanon rules`)");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            }
-        }
+    let mut cfg = AnonymizerConfig::new(secret.into_bytes());
+    for rule in rules.unwrap_or_default() {
+        cfg = cfg.without_rule(rule);
     }
 
-    let decoys_per_network = match num_opt("batch", opts, "decoys", 0usize) {
-        Ok(n) => n,
-        Err(code) => return code,
-    };
-
     let out_dir = opts.get("out-dir").map(PathBuf::from);
-    // Quarantined bytes must never land in the output directory: a
-    // release step that globs --out-dir would ship them.
     let quarantine_dir = opts.get("quarantine-dir").map(PathBuf::from).unwrap_or_else(|| {
         match &out_dir {
             Some(d) => {
@@ -579,7 +543,7 @@ fn cmd_batch(opts: &Opts, pos: &[String]) -> ExitCode {
                 // sibling of the directory they resolve to.
                 let d: PathBuf = match d.components().next_back() {
                     Some(Component::Normal(_)) => d.components().collect(),
-                    _ => resolve_dir(d),
+                    _ => resolve_path(d),
                 };
                 let mut s = d.into_os_string();
                 s.push("-quarantine");
@@ -588,19 +552,6 @@ fn cmd_batch(opts: &Opts, pos: &[String]) -> ExitCode {
             None => PathBuf::from("quarantine"),
         }
     });
-    if let Some(out) = &out_dir {
-        // Compare where the paths resolve, not how they are spelled:
-        // `./OUT`, an absolute spelling, and `OUT/q` all land inside it.
-        let (out, q) = (resolve_dir(out), resolve_dir(&quarantine_dir));
-        if q.starts_with(&out) {
-            eprintln!(
-                "batch: --quarantine-dir {} must lie outside --out-dir {}",
-                q.display(),
-                out.display()
-            );
-            return ExitCode::from(EXIT_USAGE);
-        }
-    }
     let resume = opts.contains_key("resume");
     if resume && out_dir.is_none() {
         eprintln!("batch: --resume requires --out-dir (the run journal lives there)");
@@ -614,352 +565,38 @@ fn cmd_batch(opts: &Opts, pos: &[String]) -> ExitCode {
         );
         return ExitCode::from(EXIT_USAGE);
     }
-    if let Some(d) = &state_dir {
-        if let Err(e) = std::fs::create_dir_all(d) {
-            eprintln!("batch: cannot create {}: {e}", d.display());
-            return ExitCode::from(EXIT_IO);
-        }
-    }
-    // Create the release directory up front: it must exist (possibly
-    // empty) even when the gate withholds every file, and an unwritable
-    // target should fail before any anonymization work is done.
-    if let Some(d) = &out_dir {
-        if let Err(e) = std::fs::create_dir_all(d) {
-            eprintln!("batch: cannot create {}: {e}", d.display());
-            return ExitCode::from(EXIT_IO);
-        }
+    let out = out_dir.as_deref();
+    let guarded = outside_release("batch", out, "--quarantine-dir", Some(&quarantine_dir))
+        .and_then(|()| outside_release("batch", out, "--state", state_dir.as_deref()));
+    if let Err(code) = guarded {
+        return code;
     }
 
-    let mut paths = Vec::new();
-    if let Err(e) = collect_cfg_files(&dir, &mut paths) {
-        eprintln!("batch: {e}");
-        return ExitCode::from(EXIT_IO);
-    }
-    if paths.is_empty() {
-        eprintln!("batch: no .cfg files under {}", dir.display());
-        return ExitCode::from(EXIT_IO);
-    }
-    // One clock spans the whole run: it is both the trace timeline and
-    // the observability switch (a disabled clock strips every recording,
-    // which the overhead benchmark below exploits).
-    let clock = Clock::new();
-    let mut bin_obs = ObsShard::new(clock);
-
-    // Read and sanitize are separate phases: read is raw byte I/O,
-    // sanitize is the hostile-input repair. Both re-run over the whole
-    // corpus on --resume, so their counters stay resume-invariant.
-    // Large files arrive as read-only memory maps on Linux (zero-copy
-    // until sanitize), small ones as owned buffers; `FileBytes` derefs
-    // to `&[u8]` either way.
-    let mut raw: Vec<(String, confanon::core::FileBytes)> = Vec::with_capacity(paths.len());
-    let t_read = bin_obs.span_start();
-    for p in &paths {
-        let rel = p.strip_prefix(&dir).unwrap_or(p).to_string_lossy().to_string();
-        let t_file = bin_obs.span_start();
-        match confanon::core::Fs::read_mapped(&StdFs, p) {
-            Ok(bytes) => {
-                bin_obs.span_end(&rel, "read", 0, t_file);
-                bin_obs.count("phase.read.files", 1);
-                bin_obs.count("phase.read.bytes", bytes.len() as u64);
-                bin_obs.count(
-                    if bytes.is_mapped() {
-                        "phase.read.mapped_files"
-                    } else {
-                        "phase.read.buffered_files"
-                    },
-                    1,
-                );
-                raw.push((rel, bytes));
-            }
-            Err(e) => {
-                eprintln!("batch: {}: {e}", p.display());
-                return ExitCode::from(EXIT_IO);
-            }
-        }
-    }
-    bin_obs.span_end("read", "phase", 0, t_read);
-
-    let mut files: Vec<(String, String)> = Vec::with_capacity(raw.len());
-    let t_sanitize = bin_obs.span_start();
-    for (rel, bytes) in raw {
-        let t_file = bin_obs.span_start();
-        let (text, tally) = sanitize_bytes(&bytes);
-        bin_obs.span_end(&rel, "sanitize", 0, t_file);
-        bin_obs.count("phase.sanitize.files", 1);
-        if !tally.is_clean() {
-            eprintln!(
-                "note: {rel}: repaired hostile input ({} invalid UTF-8 sequence(s), \
-                 {} control char(s), {} oversized line(s) truncated)",
-                tally.invalid_utf8_replaced, tally.controls_replaced, tally.lines_truncated
-            );
-            bin_obs.count("phase.sanitize.repaired_files", 1);
-        }
-        bin_obs.count("phase.sanitize.invalid_utf8_replaced", tally.invalid_utf8_replaced);
-        bin_obs.count("phase.sanitize.controls_replaced", tally.controls_replaced);
-        bin_obs.count("phase.sanitize.lines_truncated", tally.lines_truncated);
-        files.push((rel, text));
-    }
-    bin_obs.span_end("sanitize", "phase", 0, t_sanitize);
-
-    // NetCloak-style chaff: decoys append at the END of the corpus
-    // vector, so every real file keeps the exact mappings (and released
-    // bytes) of a decoy-free run. Injection is a pure function of
-    // (secret, network names, N), which keeps --resume and --state
-    // reruns corpus-stable.
-    let decoy_names: BTreeSet<String> = if decoys_per_network > 0 {
-        let injected =
-            confanon::workflow::inject_decoys(&mut files, &secret_bytes, decoys_per_network);
-        eprintln!(
-            "decoys: injected {} synthetic chaff file(s) ({} requested per network)",
-            injected.len(),
-            decoys_per_network
-        );
-        bin_obs.count("phase.decoys.files", injected.len() as u64);
-        injected
-    } else {
-        BTreeSet::new()
+    let batch = BatchOptions {
+        corpus_dir,
+        cfg,
+        jobs,
+        decoys,
+        out_dir,
+        quarantine_dir,
+        always_quarantine: opts.contains_key("quarantine-dir"),
+        resume,
+        state_dir,
+        metrics: opts.get("metrics").map(PathBuf::from),
+        trace: opts.get("trace").map(PathBuf::from),
     };
-
-    // Incremental state: load and validate any persisted anonymizer
-    // state, compute each file's content watermark (digest of the
-    // sanitized text — what the pipeline actually anonymizes), and
-    // derive the set of files whose stored watermark still matches:
-    // they skip the discovery scan entirely and, once their released
-    // bytes digest-verify, the rewrite too. Only the --state paths read
-    // the watermarks, so a stateless run computes none.
-    let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
-    let fingerprint = RunManifest::fingerprint(&secret_bytes);
-    let watermarks: BTreeMap<String, String> = match &state_dir {
-        Some(_) => files
-            .iter()
-            .map(|(n, t)| (n.clone(), RunManifest::digest_hex(t.as_bytes())))
-            .collect(),
-        None => BTreeMap::new(),
+    let BatchOutcome {
+        run,
+        files,
+        durability,
+        elapsed,
+    } = match run_batch(&batch) {
+        Ok(outcome) => outcome,
+        Err(e) => return fail("batch", &e),
     };
-    let mut loaded_state: Option<AnonState> = None;
-    let mut state_file = String::new();
-    if let Some(sdir) = &state_dir {
-        state_file = state_path(sdir).display().to_string();
-        match AnonState::load(&StdFs, sdir) {
-            Ok(None) => {}
-            Ok(Some(state)) => {
-                // Owner binding is checked up front: a wrong secret (or
-                // changed permutation parameters) must refuse before any
-                // work, not fork the mapping history.
-                let expect_perms = Anonymizer::new(cfg.clone()).perm_fingerprint();
-                if let Err(e) = state.check_owner(&state_file, &fingerprint, &expect_perms) {
-                    eprintln!("batch: {e}");
-                    return ExitCode::from(exit_for(&e));
-                }
-                loaded_state = Some(state);
-            }
-            Err(e) => {
-                eprintln!("batch: {e}");
-                return ExitCode::from(exit_for(&e));
-            }
-        }
-    }
-    let mut unchanged: BTreeSet<String> = BTreeSet::new();
-    let mut prewarmed: BTreeMap<String, FileDiscovery> = BTreeMap::new();
-    if let Some(state) = &loaded_state {
-        for (name, mark) in &state.files {
-            if watermarks.get(name).is_some_and(|w| *w == mark.watermark) {
-                unchanged.insert(name.clone());
-                prewarmed.insert(
-                    name.clone(),
-                    FileDiscovery {
-                        stats: mark.stats.clone(),
-                        prefilter_fast: mark.prefilter_fast,
-                        prefilter_slow: mark.prefilter_slow,
-                    },
-                );
-            }
-        }
-        eprintln!(
-            "state: loaded {state_file} ({} mapped identifier(s)); \
-             {} of {} file(s) unchanged",
-            state.journal.len(),
-            unchanged.len(),
-            files.len()
-        );
-    }
-
-    // With an output directory, the run is journaled: a complete
-    // all-pending manifest is durably on disk before any anonymization
-    // work. --resume re-verifies a prior journal's claims to build the
-    // skip set; a warm --state run instead carries forward released
-    // outputs of watermark-unchanged files (digest-verified) and prunes
-    // whatever the new corpus no longer vouches for.
-    let fs = StdFs;
-    let mut skip = BTreeSet::new();
-    let mut publisher = match &out_dir {
-        Some(dir) => {
-            let result = if resume {
-                Publisher::resume(&fs, dir, &secret_bytes, &names).map(|(p, verified)| {
-                    skip = verified;
-                    p
-                })
-            } else if state_dir.is_some() {
-                Publisher::begin_incremental(&fs, dir, &secret_bytes, &names, &unchanged).map(
-                    |(p, verified)| {
-                        skip = verified;
-                        p
-                    },
-                )
-            } else {
-                Publisher::begin(&fs, dir, &secret_bytes, &names)
-            };
-            match result {
-                Ok(p) => Some(p),
-                Err(e) => {
-                    eprintln!("batch: {e}");
-                    return ExitCode::from(exit_for(&e));
-                }
-            }
-        }
-        None => None,
-    };
-    // Every Publisher constructor (begin, resume, begin_incremental)
-    // builds or rebuilds the manifest from the name list alone, so the
-    // decoy provenance flags must be re-stamped on each run.
-    if let Some(p) = &mut publisher {
-        if let Err(e) = p.mark_decoys(&decoy_names) {
-            eprintln!("batch: {e}");
-            return ExitCode::from(exit_for(&e));
-        }
-    }
-
-    let start = std::time::Instant::now();
-    let gated = GatedOptions {
-        skip: skip.clone(),
-        clock,
-        warm: loaded_state.as_ref().map(|state| WarmStart {
-            state,
-            state_file: &state_file,
-            prewarmed: &prewarmed,
-        }),
-        ..GatedOptions::jobs(jobs)
-    };
-    let mut run = match anonymize_corpus_gated(&files, cfg.clone(), gated) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("batch: {e}");
-            return ExitCode::from(exit_for(&e));
-        }
-    };
-    let elapsed = start.elapsed();
-
-    // The gate report (and any withheld bytes) go to the quarantine
-    // directory whenever there is something to report or the caller
-    // asked for the directory explicitly.
-    let gate_tripped = !run.quarantined.is_empty() || !run.failures.is_empty();
-    let qdir_opt = (gate_tripped || opts.contains_key("quarantine-dir"))
-        .then_some(quarantine_dir.as_path());
-    let mut durability = DurabilityStats::default();
-    let t_publish = bin_obs.span_start();
-    match &mut publisher {
-        Some(p) => {
-            // Journal-first publishing: one manifest write records every
-            // verdict, then released outputs in corpus order, then
-            // quarantined bytes and the report.
-            if let Err(e) = confanon::workflow::publish_gated_run(p, &run, qdir_opt) {
-                // The begin/resume journal write succeeded, so a later
-                // I/O failure leaves a resumable run on disk.
-                let e = match e {
-                    AnonError::Io { path, message } if p.manifest_durable() => {
-                        AnonError::ResumableInterrupted { path, message }
-                    }
-                    other => other,
-                };
-                eprintln!("batch: {e}");
-                return ExitCode::from(exit_for(&e));
-            }
-        }
-        None => {
-            // No journal without --out-dir, but quarantine artifacts
-            // still go through the atomic path: a torn leak report is
-            // as misleading as a torn output.
-            if let Some(qdir) = qdir_opt {
-                for q in &run.quarantined {
-                    let target = qdir.join(format!("{}.anon", q.output.name));
-                    if let Err(e) =
-                        write_atomic(&StdFs, &target, q.output.text.as_bytes(), &mut durability)
-                    {
-                        eprintln!("batch: {e}");
-                        return ExitCode::from(exit_for(&e));
-                    }
-                }
-                let report_path = qdir.join("leak_report.json");
-                let json = run.leak_report_json().to_string_pretty();
-                if let Err(e) = write_atomic(&StdFs, &report_path, json.as_bytes(), &mut durability)
-                {
-                    eprintln!("batch: {e}");
-                    return ExitCode::from(exit_for(&e));
-                }
-            }
-        }
-    }
-    if qdir_opt.is_some() {
-        eprintln!(
-            "leak report written to {}",
-            quarantine_dir.join("leak_report.json").display()
-        );
-    }
-    // Persist the anonymizer state LAST: outputs and the manifest are
-    // already durable, so a crash before this write leaves a resumable
-    // run whose warm rerun replays back to the identical mapping state.
-    if let Some(sdir) = &state_dir {
-        let marks: BTreeMap<String, FileMark> = run
-            .discoveries
-            .iter()
-            .filter_map(|(name, d)| {
-                watermarks.get(name).map(|w| {
-                    (
-                        name.clone(),
-                        FileMark {
-                            watermark: w.clone(),
-                            stats: d.stats.clone(),
-                            prefilter_fast: d.prefilter_fast,
-                            prefilter_slow: d.prefilter_slow,
-                        },
-                    )
-                })
-            })
-            .collect();
-        let state = AnonState::capture(&run.anonymizer, fingerprint.clone(), marks);
-        let target = state_path(sdir);
-        let result = match &mut publisher {
-            Some(p) => p.write_report(&target, &state.to_bytes()),
-            None => write_atomic(&StdFs, &target, &state.to_bytes(), &mut durability),
-        };
-        if let Err(e) = result {
-            let e = match e {
-                AnonError::Io { path, message }
-                    if publisher.as_ref().is_some_and(|p| p.manifest_durable()) =>
-                {
-                    AnonError::ResumableInterrupted { path, message }
-                }
-                other => other,
-            };
-            eprintln!("batch: {e}");
-            return ExitCode::from(exit_for(&e));
-        }
-        eprintln!("state written to {}", target.display());
-    }
-    if let Some(p) = publisher {
-        let (_manifest, stats) = p.finish();
-        durability.merge(&stats);
-    }
-    bin_obs.span_end("publish", "phase", 0, t_publish);
-    bin_obs.count("phase.publish.released", run.clean.len() as u64);
-    bin_obs.count("phase.publish.quarantined", run.quarantined.len() as u64);
-    // Fold the binary-side phases (read, sanitize, publish) into the
-    // run's shard so the metrics and trace cover the whole pipeline.
-    run.obs.merge(&bin_obs);
 
     let words = run.totals.words_total;
     let secs = elapsed.as_secs_f64().max(1e-9);
-    let tokens_per_sec = words as f64 / secs;
     eprintln!(
         "released {} file(s), {} skipped (resume-verified), quarantined {} ({} residual hit(s)), \
          {} panic-contained ({} line(s), {} token(s), {} job(s), {:.3}s — {:.0} tokens/sec)",
@@ -972,7 +609,7 @@ fn cmd_batch(opts: &Opts, pos: &[String]) -> ExitCode {
         words,
         run.jobs,
         secs,
-        tokens_per_sec,
+        words as f64 / secs,
     );
     eprintln!(
         "durability: {} atomic write(s), {} fsync(s), {} transient retry(ies)",
@@ -992,62 +629,10 @@ fn cmd_batch(opts: &Opts, pos: &[String]) -> ExitCode {
             detail_lines += 1;
         }
     }
-
-    if let Some(metrics_path) = opts.get("metrics") {
-        let mut timing = run
-            .metrics_timing_json()
-            .with("durability", durability.to_json())
-            .with("elapsed_ns", elapsed.as_nanos() as f64);
-        if state_dir.is_some() {
-            // Timing section: skip counts depend on what state was on
-            // disk, not on the corpus alone, so they must not perturb
-            // deterministic-metrics equivalence between warm and cold.
-            timing = timing.with(
-                "state",
-                Json::obj()
-                    .with("loaded", loaded_state.is_some())
-                    .with("created", true)
-                    .with("files_skipped", prewarmed.len() as u64)
-                    .with("files_processed", (files.len() - prewarmed.len()) as u64)
-                    .with("trie4_nodes_restored", run.restored_nodes.0)
-                    .with("trie6_nodes_restored", run.restored_nodes.1),
-            );
+    for key in ["metrics", "trace"] {
+        if let Some(path) = opts.get(key) {
+            eprintln!("{key} written to {path}");
         }
-        let doc = metrics_doc(run.metrics_deterministic_json(), timing);
-        let mut report_stats = DurabilityStats::default();
-        if let Err(e) = write_atomic(
-            &StdFs,
-            Path::new(metrics_path),
-            doc.to_string_pretty().as_bytes(),
-            &mut report_stats,
-        ) {
-            eprintln!("batch: {e}");
-            return ExitCode::from(exit_for(&e));
-        }
-        eprintln!("metrics written to {metrics_path}");
-    }
-
-    if let Some(trace_path) = opts.get("trace") {
-        let worker_names: Vec<String> = (1..=run.jobs).map(|w| format!("worker-{w}")).collect();
-        let mut lanes: Vec<(u32, &str)> = vec![(0, "pipeline")];
-        lanes.extend(
-            worker_names
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (i as u32 + 1, n.as_str())),
-        );
-        let doc = chrome_trace_json(run.obs.spans(), &lanes);
-        let mut report_stats = DurabilityStats::default();
-        if let Err(e) = write_atomic(
-            &StdFs,
-            Path::new(trace_path),
-            doc.to_string_pretty().as_bytes(),
-            &mut report_stats,
-        ) {
-            eprintln!("batch: {e}");
-            return ExitCode::from(exit_for(&e));
-        }
-        eprintln!("trace written to {trace_path}");
     }
 
     if let Some(json_path) = opts.get("bench-json") {
@@ -1057,12 +642,13 @@ fn cmd_batch(opts: &Opts, pos: &[String]) -> ExitCode {
         // busy shared-core box swings ±20% (and worse under CPU
         // steal); min-of-N is the standard way to recover the
         // workload's actual cost from noisy samples.
+        let skip: BTreeSet<String> = run.skipped.iter().cloned().collect();
         let mut best_secs = elapsed.as_secs_f64();
         for _ in 0..4 {
             let t = std::time::Instant::now();
             let rerun = anonymize_corpus_gated(
                 &files,
-                cfg.clone(),
+                batch.cfg.clone(),
                 GatedOptions {
                     skip: skip.clone(),
                     ..GatedOptions::jobs(jobs)
@@ -1081,17 +667,13 @@ fn cmd_batch(opts: &Opts, pos: &[String]) -> ExitCode {
             .with("elapsed_ns", best_secs * 1e9)
             .with("tokens_per_sec", words as f64 / best_secs.max(1e-9))
             .with("durability", durability.to_json())
-            .with("observability", observability_overhead_json(&files, &cfg, jobs))
-            .with("discovery", discovery_bench_json(&files, &cfg));
+            .with("observability", observability_overhead_json(&files, &batch.cfg, jobs))
+            .with("discovery", discovery_bench_json(&files, &batch.cfg));
         let mut report_stats = DurabilityStats::default();
-        if let Err(e) = write_atomic(
-            &StdFs,
-            Path::new(json_path),
-            json.to_string_pretty().as_bytes(),
-            &mut report_stats,
-        ) {
-            eprintln!("batch: {e}");
-            return ExitCode::from(exit_for(&e));
+        let bytes = json.to_string_pretty();
+        if let Err(e) = write_atomic(&StdFs, Path::new(json_path), bytes.as_bytes(), &mut report_stats)
+        {
+            return fail("batch", &e);
         }
         eprintln!("throughput written to {json_path}");
     }
@@ -1224,8 +806,7 @@ fn cmd_chaos(opts: &Opts, _pos: &[String]) -> ExitCode {
                 let mutated = mutator.mutate(r.config.as_bytes());
                 let target = out_dir.join(format!("chaos-{written:03}.cfg"));
                 if let Err(e) = write_atomic(&StdFs, &target, &mutated.bytes, &mut durability) {
-                    eprintln!("chaos: {e}");
-                    return ExitCode::from(exit_for(&e));
+                    return fail("chaos", &e);
                 }
                 written += 1;
             }
@@ -1284,49 +865,41 @@ fn cmd_generate(opts: &Opts, _pos: &[String]) -> ExitCode {
 fn cmd_validate(opts: &Opts, _pos: &[String]) -> ExitCode {
     let (Some(pre), Some(post)) = (opts.get("pre-dir"), opts.get("post-dir")) else {
         eprintln!("validate: --pre-dir and --post-dir are required");
-        return ExitCode::from(2);
+        return ExitCode::from(EXIT_USAGE);
     };
-    let load = |dir: &str| -> Result<Vec<(String, Config)>, String> {
-        let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
-            .map_err(|e| format!("{dir}: {e}"))?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.is_file())
-            // The batch run journal and observability artifacts live
-            // beside the released files; they are bookkeeping, not
-            // configs to validate.
-            .filter(|p| p.file_name().is_none_or(|n| n != RUN_MANIFEST_NAME))
-            .filter(|p| {
-                p.file_name()
-                    .is_none_or(|n| !is_observability_artifact(&n.to_string_lossy()))
-            })
-            .collect();
-        files.sort();
-        files
-            .into_iter()
-            .map(|p| {
-                let name = p.file_name().map(|n| n.to_string_lossy().to_string());
-                let name = name.unwrap_or_default().replace(".anon", "");
-                std::fs::read_to_string(&p)
-                    .map(|t| (name, Config::parse(&t)))
-                    .map_err(|e| format!("{}: {e}", p.display()))
-            })
-            .collect()
+    // The post side is laid out as batch writes it: `<name>.anon` per
+    // corpus file, beside the run journal.
+    let released = |p: &Path| p.file_name().is_some_and(|n| n != RUN_MANIFEST_NAME);
+    let mut obs = ObsShard::new(Clock::disabled());
+    let read = read_corpus(Path::new(pre), &mut obs).and_then(|pre| {
+        let post = read_configs(&walk_files(Path::new(post), &released)?, &mut obs)?;
+        Ok((pre, post))
+    });
+    let (mut pre_cfgs, mut post_cfgs) = match read {
+        Ok(sides) => sides,
+        Err(e) => return fail("validate", &e),
     };
-    let (pre_cfgs, post_cfgs) = match (load(pre), load(post)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("validate: {e}");
-            return ExitCode::FAILURE;
+    for (name, _) in &mut post_cfgs {
+        if let Some(stem) = name.strip_suffix(".anon") {
+            name.truncate(stem.len());
         }
-    };
-    let pre_names: Vec<&String> = pre_cfgs.iter().map(|(n, _)| n).collect();
-    let post_names: Vec<&String> = post_cfgs.iter().map(|(n, _)| n).collect();
+    }
+    // Pair the two sides by name: suite 2 compares router by router.
+    pre_cfgs.sort();
+    post_cfgs.sort();
+    let pre_names: Vec<&str> = pre_cfgs.iter().map(|(n, _)| n.as_str()).collect();
+    let post_names: Vec<&str> = post_cfgs.iter().map(|(n, _)| n.as_str()).collect();
     if pre_names != post_names {
         eprintln!("validate: file sets differ: {pre_names:?} vs {post_names:?}");
-        return ExitCode::FAILURE;
+        return ExitCode::from(EXIT_IO);
     }
-    let pre_c: Vec<Config> = pre_cfgs.into_iter().map(|(_, c)| c).collect();
-    let post_c: Vec<Config> = post_cfgs.into_iter().map(|(_, c)| c).collect();
+    if pre_names.is_empty() {
+        eprintln!("validate: no configs to compare under {pre}");
+        return ExitCode::from(EXIT_IO);
+    }
+    println!("compared {} config(s)", pre_names.len());
+    let pre_c: Vec<Config> = pre_cfgs.iter().map(|(_, t)| Config::parse(t)).collect();
+    let post_c: Vec<Config> = post_cfgs.iter().map(|(_, t)| Config::parse(t)).collect();
 
     let s1 = compare_properties(&network_properties(&pre_c), &network_properties(&post_c));
     let s2 = compare_designs(&pre_c, &post_c);
@@ -1499,6 +1072,25 @@ fn cmd_metrics(opts: &Opts, files: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `audit --risk`'s knobs: the attack battery (each knob defaulting as
+/// [`AuditOptions::default`] does), the decoy sweep size, the worker
+/// count and the rules to ablate.
+fn audit_knobs(opts: &Opts) -> Result<(AuditOptions, usize, usize, Vec<String>), ExitCode> {
+    let d = AuditOptions::default();
+    let battery = AuditOptions {
+        seed: num_opt("audit", opts, "seed", d.seed)?,
+        top_k: num_opt("audit", opts, "top-k", d.top_k)?,
+        known_pairs: num_opt("audit", opts, "known-pairs", d.known_pairs)?,
+        candidates: num_opt("audit", opts, "candidates", d.candidates)?,
+    };
+    let sweep_rules = match disabled_rules("audit", opts)? {
+        Some(rules) => rules.iter().map(RuleId::to_string).collect(),
+        None => DEFAULT_SWEEP_RULES.iter().map(|s| s.to_string()).collect(),
+    };
+    let decoys = num_opt("audit", opts, "decoys", 0usize)?;
+    Ok((battery, decoys, jobs_opt("audit", opts)?, sweep_rules))
+}
+
 /// `confanon audit --risk`: the quantified risk–utility harness.
 ///
 /// Prices a *released* corpus the way an adversary would: the red team
@@ -1511,7 +1103,7 @@ fn cmd_metrics(opts: &Opts, files: &[String]) -> ExitCode {
 fn cmd_audit(opts: &Opts, _pos: &[String]) -> ExitCode {
     use confanon::core::FileStatus;
     use confanon::obs::RISK_REPORT_FILE_NAME;
-    use confanon::redteam::{tradeoff_line, validate_risk_report, AuditOptions};
+    use confanon::redteam::{tradeoff_line, validate_risk_report};
 
     // Validation mode: `audit --check-report FILE` mirrors `confanon
     // metrics` — parse, validate against confanon-risk-v1, exit nonzero
@@ -1565,52 +1157,9 @@ fn cmd_audit(opts: &Opts, _pos: &[String]) -> ExitCode {
     };
     let secret_bytes = secret.clone().into_bytes();
 
-    // Numeric knobs, each falling back to the AuditOptions default.
-    let defaults = AuditOptions::default();
-    let top_k = match num_opt("audit", opts, "top-k", defaults.top_k) {
-        Ok(n) => n,
-        Err(c) => return c,
-    };
-    let known_pairs = match num_opt("audit", opts, "known-pairs", defaults.known_pairs) {
-        Ok(n) => n,
-        Err(c) => return c,
-    };
-    let candidates = match num_opt("audit", opts, "candidates", defaults.candidates) {
-        Ok(n) => n,
-        Err(c) => return c,
-    };
-    let decoy_sweep = match num_opt("audit", opts, "decoys", 0usize) {
-        Ok(n) => n,
-        Err(c) => return c,
-    };
-    let jobs = match num_opt("audit", opts, "jobs", 0usize) {
-        Ok(n) if n <= MAX_JOBS => n,
-        Ok(n) => {
-            eprintln!("audit: --jobs {n} exceeds the {MAX_JOBS}-worker cap");
-            return ExitCode::from(EXIT_USAGE);
-        }
-        Err(c) => return c,
-    };
-    let seed = match num_opt("audit", opts, "seed", defaults.seed) {
-        Ok(s) => s,
-        Err(c) => return c,
-    };
-    let sweep_rules: Vec<String> = match opts.get("disable-rule") {
-        Some(spec) => {
-            let mut rules = Vec::new();
-            for name in spec.split(',').map(str::trim).filter(|n| !n.is_empty()) {
-                if RuleId::from_name(name).is_none() {
-                    eprintln!("audit: unknown rule {name:?} (see `confanon rules`)");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                rules.push(name.to_string());
-            }
-            rules
-        }
-        None => confanon::workflow::DEFAULT_SWEEP_RULES
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+    let (battery, decoy_sweep, jobs, sweep_rules) = match audit_knobs(opts) {
+        Ok(knobs) => knobs,
+        Err(code) => return code,
     };
 
     // The released side must be an anonymized output directory: the run
@@ -1643,20 +1192,17 @@ fn cmd_audit(opts: &Opts, _pos: &[String]) -> ExitCode {
         );
     }
     let decoys: BTreeSet<String> = manifest.decoy_names().into_iter().collect();
-    let mut post: Vec<(String, String)> = Vec::new();
-    for f in &manifest.files {
-        if f.status != FileStatus::Released {
-            continue;
-        }
-        let path = post_dir.join(format!("{}.anon", f.name));
-        match read_config_lossy(&path) {
-            Ok(text) => post.push((f.name.clone(), text)),
-            Err(e) => {
-                eprintln!("audit: {e}");
-                return ExitCode::from(EXIT_IO);
-            }
-        }
-    }
+    let released: Vec<(String, PathBuf)> = manifest
+        .files
+        .iter()
+        .filter(|f| f.status == FileStatus::Released)
+        .map(|f| (f.name.clone(), post_dir.join(format!("{}.anon", f.name))))
+        .collect();
+    let mut obs = ObsShard::new(Clock::disabled());
+    let post = match read_configs(&released, &mut obs) {
+        Ok(post) => post,
+        Err(e) => return fail("audit", &e),
+    };
     if post.is_empty() {
         eprintln!(
             "audit: no released outputs in {} (manifest has no released entries)",
@@ -1665,32 +1211,15 @@ fn cmd_audit(opts: &Opts, _pos: &[String]) -> ExitCode {
         return ExitCode::from(EXIT_USAGE);
     }
 
-    // The pre side re-reads the original corpus exactly the way batch
-    // does (sorted recursion, hostile-input repair) so names line up
+    // The pre side is read exactly as batch reads it, so names line up
     // with the manifest entries.
-    let mut pre_paths = Vec::new();
-    if let Err(e) = collect_cfg_files(&pre_dir, &mut pre_paths) {
-        eprintln!("audit: {e}");
-        return ExitCode::from(EXIT_IO);
-    }
-    if pre_paths.is_empty() {
+    let pre = match read_corpus(&pre_dir, &mut obs) {
+        Ok(pre) => pre,
+        Err(e) => return fail("audit", &e),
+    };
+    if pre.is_empty() {
         eprintln!("audit: no .cfg files under {}", pre_dir.display());
         return ExitCode::from(EXIT_USAGE);
-    }
-    let mut pre: Vec<(String, String)> = Vec::with_capacity(pre_paths.len());
-    for p in &pre_paths {
-        let rel = p
-            .strip_prefix(&pre_dir)
-            .unwrap_or(p)
-            .to_string_lossy()
-            .to_string();
-        match read_config_lossy(p) {
-            Ok(text) => pre.push((rel, text)),
-            Err(e) => {
-                eprintln!("audit: {e}");
-                return ExitCode::from(EXIT_IO);
-            }
-        }
     }
 
     let audit = confanon::workflow::risk_audit(&confanon::workflow::RiskAuditInput {
@@ -1699,12 +1228,7 @@ fn cmd_audit(opts: &Opts, _pos: &[String]) -> ExitCode {
         decoys: &decoys,
         secret: &secret_bytes,
         jobs,
-        opts: AuditOptions {
-            seed,
-            top_k,
-            known_pairs,
-            candidates,
-        },
+        opts: battery,
         sweep_rules: &sweep_rules,
         decoy_sweep,
     });
@@ -1722,8 +1246,7 @@ fn cmd_audit(opts: &Opts, _pos: &[String]) -> ExitCode {
     let mut durability = DurabilityStats::default();
     let json = audit.report.to_string_pretty();
     if let Err(e) = write_atomic(&StdFs, &report_path, json.as_bytes(), &mut durability) {
-        eprintln!("audit: {e}");
-        return ExitCode::from(exit_for(&e));
+        return fail("audit", &e);
     }
 
     println!("{}", tradeoff_line("baseline", &audit.baseline));
@@ -1742,7 +1265,6 @@ fn cmd_audit(opts: &Opts, _pos: &[String]) -> ExitCode {
 
 fn cmd_serve(opts: &Opts, pos: &[String]) -> ExitCode {
     use confanon::core::serve::{run_daemon, ServeConfig, ServeOptions};
-    use confanon::core::tenant::FlushMode;
 
     if let Some(extra) = pos.first() {
         eprintln!("serve: unexpected positional argument {extra:?}");
@@ -1761,14 +1283,11 @@ fn cmd_serve(opts: &Opts, pos: &[String]) -> ExitCode {
     };
     let mut cfg = match ServeConfig::parse(config_path, &text) {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("serve: {e}");
-            return ExitCode::from(exit_for(&e));
-        }
+        Err(e) => return fail("serve", &e),
     };
 
-    // CLI overrides beat the file; an endpoint override replaces the
-    // file's endpoint entirely (exactly one may remain set).
+    // An endpoint on the command line replaces the file's endpoint
+    // entirely (exactly one may remain set).
     if let Some(listen) = opts.get("listen") {
         cfg.listen = Some(listen.clone());
         cfg.socket = None;
@@ -1776,51 +1295,6 @@ fn cmd_serve(opts: &Opts, pos: &[String]) -> ExitCode {
     if let Some(socket) = opts.get("socket") {
         cfg.socket = Some(PathBuf::from(socket));
         cfg.listen = None;
-    }
-    if let Some(depth) = opts.get("queue-depth") {
-        match depth.parse::<usize>() {
-            Ok(n) if (1..=4096).contains(&n) => cfg.queue_depth = n,
-            _ => {
-                eprintln!("serve: --queue-depth must be an integer in 1..=4096");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-    }
-    if let Some(ms) = opts.get("request-timeout-ms") {
-        match ms.parse::<u64>() {
-            Ok(n) if n > 0 => cfg.request_timeout_ms = n,
-            _ => {
-                eprintln!("serve: --request-timeout-ms must be a positive integer");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-    }
-    if let Some(ms) = opts.get("idle-timeout-ms") {
-        match ms.parse::<u64>() {
-            Ok(n) if n > 0 => cfg.idle_timeout_ms = n,
-            _ => {
-                eprintln!("serve: --idle-timeout-ms must be a positive integer");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-    }
-    if let Some(max) = opts.get("max-connections") {
-        match max.parse::<usize>() {
-            Ok(n) if (1..=4096).contains(&n) => cfg.max_connections = n,
-            _ => {
-                eprintln!("serve: --max-connections must be an integer in 1..=4096");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-    }
-    if let Some(mode) = opts.get("flush") {
-        match FlushMode::parse(mode) {
-            Some(m) => cfg.flush = m,
-            None => {
-                eprintln!("serve: --flush must be `request` or `drain`");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
     }
     let serve_opts = ServeOptions {
         port_file: opts.get("port-file").map(PathBuf::from),
@@ -1836,10 +1310,7 @@ fn cmd_serve(opts: &Opts, pos: &[String]) -> ExitCode {
             );
             ExitCode::from(EXIT_OK)
         }
-        Err(e) => {
-            eprintln!("serve: {e}");
-            ExitCode::from(exit_for(&e))
-        }
+        Err(e) => fail("serve", &e),
     }
 }
 
@@ -2056,4 +1527,41 @@ fn cmd_rules(_opts: &Opts, _pos: &[String]) -> ExitCode {
         );
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every `--option` each usage entry names, by subcommand.
+    fn documented_options() -> BTreeMap<&'static str, BTreeSet<&'static str>> {
+        let mut by_cmd: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        let mut cmd = "";
+        for line in USAGE.lines().skip(1) {
+            if !line.starts_with(' ') {
+                cmd = line.split_whitespace().next().unwrap_or("");
+            }
+            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            let options = words.filter_map(|w| w.strip_prefix("--"));
+            by_cmd.entry(cmd).or_default().extend(options);
+        }
+        by_cmd.remove("");
+        by_cmd
+    }
+
+    #[test]
+    fn usage_text_names_exactly_what_the_dispatch_accepts() {
+        let header = USAGE.lines().next().unwrap();
+        let listed = header.split(['<', '>']).nth(1).unwrap();
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+        assert_eq!(listed.split('|').collect::<Vec<_>>(), names);
+
+        let documented = documented_options();
+        assert_eq!(documented.keys().copied().collect::<BTreeSet<_>>(), names.iter().copied().collect());
+        for (name, _, values, flags) in COMMANDS {
+            let accepted: BTreeSet<&str> =
+                values.split_whitespace().chain(flags.split_whitespace()).collect();
+            assert_eq!(documented[name], accepted, "{name}: usage text vs dispatch");
+        }
+    }
 }

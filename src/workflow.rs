@@ -3,23 +3,27 @@
 //! These are the flows a network owner runs (paper §7's clearinghouse
 //! vision): anonymize every router of a network with one keyed
 //! [`Anonymizer`], scan the output against ground truth, and run both
-//! validation suites pre vs post.
+//! validation suites pre vs post. [`run_batch`] is the whole
+//! `confanon batch` run, and [`read_corpus`] the one corpus reader.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use confanon_confgen::{generate_decoy_routers, Network};
 use confanon_core::leak::{LeakRecord, LeakReport, LeakScanner};
 use confanon_core::publish::Outputs;
+use confanon_core::state::{file_marks, state_path, watermark};
 use confanon_core::{
-    AnonError, AnonState, AnonymizationStats, Anonymizer, AnonymizerConfig, BatchFailure,
-    BatchInput, BatchOutput, BatchPipeline, CommitGroup, FileDiscovery, IpScheme, Publisher,
-    RuleId, RunManifest,
+    sanitize_bytes, write_atomic, AnonError, AnonState, AnonymizationStats, Anonymizer,
+    AnonymizerConfig, BatchFailure, BatchInput, BatchOutput, BatchPipeline, CommitGroup,
+    DurabilityStats, FileDiscovery, Fs, IpScheme, Publisher, RuleId, RunManifest, StdFs,
+    WarmStart,
 };
 use confanon_crypto::Sha1;
 use confanon_design::RoutingDesign;
 use confanon_iosparse::Config;
-use confanon_obs::{Clock, ObsShard};
+use confanon_obs::{chrome_trace_json, is_observability_artifact, metrics_doc, Clock, ObsShard};
 use confanon_redteam::{build_risk_report, run_suite, AttackSuite, AuditOptions, TradeoffRow};
 use confanon_testkit::json::Json;
 use confanon_validate::{compare_designs, compare_properties, Suite1Report, Suite2Report};
@@ -292,7 +296,7 @@ pub struct GatedOptions<'a> {
     /// cost.
     pub clock: Clock,
     /// A persisted state to warm-start from (`batch --state DIR`).
-    pub warm: Option<WarmStart<'a>>,
+    pub warm: Option<&'a WarmStart>,
 }
 
 impl GatedOptions<'_> {
@@ -305,19 +309,6 @@ impl GatedOptions<'_> {
             warm: None,
         }
     }
-}
-
-/// A warm start for [`anonymize_corpus_gated`]: the loaded state
-/// document, the path it came from (for error attribution), and the
-/// per-file discoveries whose content watermark matched — those files
-/// are not scanned again.
-pub struct WarmStart<'a> {
-    /// Loaded and owner-checked `confanon-state-v1` document.
-    pub state: &'a AnonState,
-    /// Path the state was loaded from, used in error messages.
-    pub state_file: &'a str,
-    /// Watermark-matched files and their stored discovery contributions.
-    pub prewarmed: &'a BTreeMap<String, FileDiscovery>,
 }
 
 /// Anonymizes a corpus fail-closed: after the batch pipeline emits, every
@@ -345,12 +336,10 @@ pub fn anonymize_corpus_gated(
     let Some(warm) = opts.warm else {
         return Ok(gated_run_on(pipeline, files, &opts.skip, &BTreeMap::new()));
     };
-    let restored_nodes = warm
-        .state
-        .restore_into(warm.state_file, pipeline.anonymizer_mut())?;
+    let restored_nodes = warm.restore_into(pipeline.anonymizer_mut())?;
     Ok(GatedCorpusRun {
         restored_nodes,
-        ..gated_run_on(pipeline, files, &opts.skip, warm.prewarmed)
+        ..gated_run_on(pipeline, files, &opts.skip, &warm.prewarmed)
     })
 }
 
@@ -410,18 +399,312 @@ fn gated_run_on(
     }
 }
 
-/// What a journaled publish step released, in summary form.
-pub struct PublishSummary {
-    /// Files released this run (skipped files are not re-released).
-    pub released: usize,
-    /// Files whose bytes were diverted to quarantine.
-    pub quarantined: usize,
-    /// Panic-contained files journaled as `failed`.
-    pub failed: usize,
+/// Every `.cfg` file under `dir`, recursively and in sorted order (the
+/// corpus order fixes the shared mapping state), read and repaired by
+/// [`read_configs`] and named by its path relative to `dir`. `batch`,
+/// `audit` and `validate` all read a corpus through this one function.
+pub fn read_corpus(dir: &Path, obs: &mut ObsShard) -> Result<Vec<(String, String)>, AnonError> {
+    let is_cfg = |p: &Path| p.extension().is_some_and(|x| x == "cfg");
+    read_configs(&walk_files(dir, &is_cfg)?, obs)
+}
+
+/// The files under `dir` that `keep` accepts, recursively and in sorted
+/// order, as `(path relative to dir, path)`. Observability artifacts
+/// from an earlier run (`metrics.json`, `*.trace.json`) are bookkeeping,
+/// never input: they are skipped even if renamed to end in `.cfg`.
+pub fn walk_files(
+    dir: &Path,
+    keep: &dyn Fn(&Path) -> bool,
+) -> Result<Vec<(String, PathBuf)>, AnonError> {
+    fn walk(
+        root: &Path,
+        dir: &Path,
+        keep: &dyn Fn(&Path) -> bool,
+        out: &mut Vec<(String, PathBuf)>,
+    ) -> Result<(), AnonError> {
+        let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+            .map_err(|e| io_error(dir, e))?
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .collect();
+        entries.sort();
+        for path in entries {
+            let name = path.file_name().map(|n| n.to_string_lossy().to_string());
+            if name.as_deref().is_some_and(is_observability_artifact) {
+                continue;
+            }
+            if path.is_dir() {
+                walk(root, &path, keep, out)?;
+            } else if keep(&path) {
+                let rel = path.strip_prefix(root).unwrap_or(&path);
+                out.push((rel.to_string_lossy().to_string(), path));
+            }
+        }
+        Ok(())
+    }
+    let mut out = Vec::new();
+    walk(dir, dir, keep, &mut out)?;
+    Ok(out)
+}
+
+/// Reads `(name, path)` files tolerantly: any byte sequence is accepted,
+/// and hostile content is repaired ([`sanitize_bytes`]: lossy UTF-8,
+/// control characters, oversized lines) with a note on stderr. Read and
+/// sanitize are separate phases in `obs`: read is raw byte I/O, sanitize
+/// the repair. Large files arrive as read-only memory maps on Linux
+/// (zero-copy until sanitize), small ones as owned buffers.
+pub fn read_configs(
+    files: &[(String, PathBuf)],
+    obs: &mut ObsShard,
+) -> Result<Vec<(String, String)>, AnonError> {
+    let mut raw = Vec::with_capacity(files.len());
+    let t_read = obs.span_start();
+    for (name, path) in files {
+        let t_file = obs.span_start();
+        let bytes = StdFs.read_mapped(path).map_err(|e| io_error(path, e))?;
+        obs.span_end(name, "read", 0, t_file);
+        obs.count("phase.read.files", 1);
+        obs.count("phase.read.bytes", bytes.len() as u64);
+        obs.count(
+            if bytes.is_mapped() {
+                "phase.read.mapped_files"
+            } else {
+                "phase.read.buffered_files"
+            },
+            1,
+        );
+        raw.push((name, bytes));
+    }
+    obs.span_end("read", "phase", 0, t_read);
+
+    let mut texts = Vec::with_capacity(raw.len());
+    let t_sanitize = obs.span_start();
+    for (name, bytes) in raw {
+        let t_file = obs.span_start();
+        let (text, tally) = sanitize_bytes(&bytes);
+        obs.span_end(name, "sanitize", 0, t_file);
+        obs.count("phase.sanitize.files", 1);
+        if !tally.is_clean() {
+            eprintln!(
+                "note: {name}: repaired hostile input ({} invalid UTF-8 sequence(s), \
+                 {} control char(s), {} oversized line(s) truncated)",
+                tally.invalid_utf8_replaced, tally.controls_replaced, tally.lines_truncated
+            );
+            obs.count("phase.sanitize.repaired_files", 1);
+        }
+        obs.count("phase.sanitize.invalid_utf8_replaced", tally.invalid_utf8_replaced);
+        obs.count("phase.sanitize.controls_replaced", tally.controls_replaced);
+        obs.count("phase.sanitize.lines_truncated", tally.lines_truncated);
+        texts.push((name.clone(), text));
+    }
+    obs.span_end("sanitize", "phase", 0, t_sanitize);
+    Ok(texts)
+}
+
+/// An I/O failure on `path`, as the CLI reports it (exit 1).
+fn io_error(path: &Path, e: impl std::fmt::Display) -> AnonError {
+    AnonError::Io {
+        path: path.display().to_string(),
+        message: e.to_string(),
+    }
+}
+
+/// How [`run_batch`] runs one corpus (`confanon batch`).
+pub struct BatchOptions {
+    /// The corpus: every `.cfg` file under this directory.
+    pub corpus_dir: PathBuf,
+    /// The anonymizer configuration, keyed by the owner secret.
+    pub cfg: AnonymizerConfig,
+    /// Discovery and rewrite workers (`0` = logical core count).
+    pub jobs: usize,
+    /// NetCloak-style decoy routers injected per network.
+    pub decoys: usize,
+    /// The release directory. With it the run is journaled in
+    /// `run_manifest.json`; without it only quarantine artifacts are
+    /// written.
+    pub out_dir: Option<PathBuf>,
+    /// Where withheld bytes and `leak_report.json` go.
+    pub quarantine_dir: PathBuf,
+    /// Write the quarantine artifacts even when the gate withholds
+    /// nothing.
+    pub always_quarantine: bool,
+    /// Continue the journaled run in `out_dir` (`--resume`).
+    pub resume: bool,
+    /// Warm-start from, and save the mapping state to, this directory
+    /// (`--state`). Requires `out_dir`.
+    pub state_dir: Option<PathBuf>,
+    /// Where to write the `confanon-metrics-v1` document.
+    pub metrics: Option<PathBuf>,
+    /// Where to write the run's spans as Chrome trace-event JSON.
+    pub trace: Option<PathBuf>,
+}
+
+/// What [`run_batch`] did.
+pub struct BatchOutcome {
+    /// The gated run; its shard covers every phase from read to publish.
+    pub run: GatedCorpusRun,
+    /// The corpus as anonymized: sanitized texts, decoys appended.
+    pub files: Vec<(String, String)>,
+    /// Counters of the run's durable writes.
+    pub durability: DurabilityStats,
+    /// Wall time of the gated run.
+    pub elapsed: Duration,
+}
+
+/// Runs one batch: read → sanitize → decoys → warm start → journal
+/// begin → gated run → publish → state save → metrics and trace.
+/// Progress notes go to stderr.
+///
+/// With an output directory the run is journaled: a complete
+/// all-pending manifest is durably on disk before any anonymization
+/// work. `resume` re-verifies a prior journal's claims to build the skip
+/// set; a `state_dir` run instead carries forward the released outputs
+/// of watermark-unchanged files (digest-verified) and prunes whatever the
+/// new corpus no longer vouches for. Once that journal is durable, an
+/// I/O failure while publishing is [`AnonError::ResumableInterrupted`].
+pub fn run_batch(opts: &BatchOptions) -> Result<BatchOutcome, AnonError> {
+    // The release directory must exist (possibly empty) even when the
+    // gate withholds every file, and an unwritable target should fail
+    // before any anonymization work is done.
+    for dir in opts.state_dir.iter().chain(&opts.out_dir) {
+        StdFs.create_dir_all(dir).map_err(|e| io_error(dir, e))?;
+    }
+    // One clock spans the whole run: the trace timeline.
+    let clock = Clock::new();
+    let mut obs = ObsShard::new(clock);
+    let mut files = read_corpus(&opts.corpus_dir, &mut obs)?;
+    if files.is_empty() {
+        return Err(io_error(&opts.corpus_dir, "no .cfg files"));
+    }
+    let secret = &opts.cfg.owner_secret;
+    let decoys = inject_decoys(&mut files, secret, opts.decoys);
+    if opts.decoys > 0 {
+        eprintln!(
+            "decoys: injected {} synthetic chaff file(s) ({} requested per network)",
+            decoys.len(),
+            opts.decoys
+        );
+        obs.count("phase.decoys.files", decoys.len() as u64);
+    }
+
+    // Only a --state run reads watermarks, so a stateless one computes
+    // none.
+    let watermarks: BTreeMap<String, String> = match &opts.state_dir {
+        Some(_) => files.iter().map(|(n, t)| (n.clone(), watermark(t))).collect(),
+        None => BTreeMap::new(),
+    };
+    let warm = match &opts.state_dir {
+        Some(dir) => WarmStart::load(&StdFs, dir, &opts.cfg, &watermarks)?,
+        None => None,
+    };
+    if let Some(w) = &warm {
+        eprintln!(
+            "state: loaded {} ({} mapped identifier(s)); {} of {} file(s) unchanged",
+            w.path,
+            w.state.journal.len(),
+            w.prewarmed.len(),
+            files.len()
+        );
+    }
+
+    let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
+    let (mut publisher, skip) = match &opts.out_dir {
+        Some(dir) => {
+            let (mut p, skip) = if opts.resume {
+                Publisher::resume(&StdFs, dir, secret, &names)?
+            } else if opts.state_dir.is_some() {
+                let unchanged = warm.iter().flat_map(|w| w.prewarmed.keys().cloned());
+                Publisher::begin_incremental(&StdFs, dir, secret, &names, &unchanged.collect())?
+            } else {
+                (Publisher::begin(&StdFs, dir, secret, &names)?, BTreeSet::new())
+            };
+            // Every constructor builds the manifest from the name list
+            // alone, so the decoy flags are re-stamped on each run.
+            p.mark_decoys(&decoys)?;
+            (Some(p), skip)
+        }
+        None => (None, BTreeSet::new()),
+    };
+
+    let start = Instant::now();
+    let gated = GatedOptions {
+        skip,
+        clock,
+        warm: warm.as_ref(),
+        ..GatedOptions::jobs(opts.jobs)
+    };
+    let mut run = anonymize_corpus_gated(&files, opts.cfg.clone(), gated)?;
+    let elapsed = start.elapsed();
+
+    // The leak report (and any withheld bytes) go to the quarantine
+    // directory whenever there is something to report or the caller
+    // asked for it.
+    let gate_tripped = !run.quarantined.is_empty() || !run.failures.is_empty();
+    let qdir = (gate_tripped || opts.always_quarantine).then_some(opts.quarantine_dir.as_path());
+    let t_publish = obs.span_start();
+    let mut durability = DurabilityStats::default();
+    match &mut publisher {
+        Some(p) => {
+            let state = opts.state_dir.as_deref().map(|dir| (dir, &watermarks));
+            publish_journaled(p, &run, qdir, state).map_err(|e| match e {
+                // The journal is durable, so the run on disk resumes.
+                AnonError::Io { path, message } if p.manifest_durable() => {
+                    AnonError::ResumableInterrupted { path, message }
+                }
+                other => other,
+            })?;
+        }
+        None => write_quarantine(&run, qdir, &mut durability)?,
+    }
+    if let Some(p) = publisher {
+        durability = p.finish().1;
+    }
+    obs.span_end("publish", "phase", 0, t_publish);
+    obs.count("phase.publish.released", run.clean.len() as u64);
+    obs.count("phase.publish.quarantined", run.quarantined.len() as u64);
+    // Fold the read, sanitize and publish phases into the run's shard
+    // so the metrics and trace cover the whole pipeline.
+    run.obs.merge(&obs);
+
+    if let Some(path) = &opts.metrics {
+        let mut timing = run
+            .metrics_timing_json()
+            .with("durability", durability.to_json())
+            .with("elapsed_ns", elapsed.as_nanos() as f64);
+        if opts.state_dir.is_some() {
+            // Timing, not deterministic: skip counts depend on what
+            // state was on disk, not on the corpus alone.
+            let skipped = warm.as_ref().map_or(0, |w| w.prewarmed.len());
+            timing = timing.with(
+                "state",
+                Json::obj()
+                    .with("loaded", warm.is_some())
+                    .with("created", true)
+                    .with("files_skipped", skipped as u64)
+                    .with("files_processed", (files.len() - skipped) as u64)
+                    .with("trie4_nodes_restored", run.restored_nodes.0)
+                    .with("trie6_nodes_restored", run.restored_nodes.1),
+            );
+        }
+        let doc = metrics_doc(run.metrics_deterministic_json(), timing).to_string_pretty();
+        write_atomic(&StdFs, path, doc.as_bytes(), &mut DurabilityStats::default())?;
+    }
+    if let Some(path) = &opts.trace {
+        let workers: Vec<String> = (1..=run.jobs).map(|w| format!("worker-{w}")).collect();
+        let mut lanes: Vec<(u32, &str)> = vec![(0, "pipeline")];
+        lanes.extend((1..).zip(workers.iter().map(String::as_str)));
+        let doc = chrome_trace_json(run.obs.spans(), &lanes).to_string_pretty();
+        write_atomic(&StdFs, path, doc.as_bytes(), &mut DurabilityStats::default())?;
+    }
+    Ok(BatchOutcome {
+        run,
+        files,
+        durability,
+        elapsed,
+    })
 }
 
 /// Publishes a gated run through the write-ahead journal as one commit
-/// group ([`Publisher::commit`]).
+/// group ([`Publisher::commit`]), then saves the mapping state.
 ///
 /// Every terminal verdict of the run — failures, released outputs, and
 /// quarantined outputs with their digests — is journaled in
@@ -429,15 +712,17 @@ pub struct PublishSummary {
 /// the bytes then publish in a deterministic order (released outputs
 /// in corpus order, then quarantined outputs, then the leak report) —
 /// which is what makes the `CONFANON_CRASH_AFTER` crash points
-/// reproducible at any `--jobs` value. Quarantined bytes and
-/// `leak_report.json` go to `quarantine_dir` when given; pass `None`
-/// only when the gate is known clean and no quarantine artifacts were
-/// requested.
-pub fn publish_gated_run(
+/// reproducible at any `--jobs` value. The mapping state (`state`: its
+/// directory and the corpus watermarks) is captured and written last:
+/// the outputs and the manifest are already durable, so a crash before
+/// its write leaves a resumable run whose warm rerun replays back to the
+/// identical mapping state.
+fn publish_journaled(
     publisher: &mut Publisher<'_>,
     run: &GatedCorpusRun,
     quarantine_dir: Option<&Path>,
-) -> Result<PublishSummary, AnonError> {
+    state: Option<(&Path, &BTreeMap<String, String>)>,
+) -> Result<(), AnonError> {
     let quarantined = outputs(run.quarantined.iter().map(|q| &q.output));
     publisher.commit(&CommitGroup {
         failed: run.failures.iter().map(|f| f.name.as_str()).collect(),
@@ -445,17 +730,46 @@ pub fn publish_gated_run(
         quarantined: quarantine_dir.map(|dir| (dir, quarantined)),
     })?;
     if let Some(qdir) = quarantine_dir {
-        publisher.write_report(
-            &qdir.join("leak_report.json"),
-            run.leak_report_json().to_string_pretty().as_bytes(),
-        )?;
+        let report = qdir.join(LEAK_REPORT_FILE_NAME);
+        publisher.write_report(&report, run.leak_report_json().to_string_pretty().as_bytes())?;
+        eprintln!("leak report written to {}", report.display());
     }
-    Ok(PublishSummary {
-        released: run.clean.len(),
-        quarantined: run.quarantined.len(),
-        failed: run.failures.len(),
-    })
+    if let Some((dir, watermarks)) = state {
+        // The state binds to the owner the journal binds to.
+        let owner = publisher.manifest().secret_fingerprint.clone();
+        let marks = file_marks(&run.discoveries, watermarks);
+        let state = AnonState::capture(&run.anonymizer, owner, marks);
+        let target = state_path(dir);
+        publisher.write_report(&target, &state.to_bytes())?;
+        eprintln!("state written to {}", target.display());
+    }
+    Ok(())
 }
+
+/// Without a journal (no output directory), the quarantine artifacts
+/// still go through the atomic path: a torn leak report is as
+/// misleading as a torn output.
+fn write_quarantine(
+    run: &GatedCorpusRun,
+    quarantine_dir: Option<&Path>,
+    durability: &mut DurabilityStats,
+) -> Result<(), AnonError> {
+    let Some(qdir) = quarantine_dir else {
+        return Ok(());
+    };
+    for q in &run.quarantined {
+        let target = qdir.join(format!("{}.anon", q.output.name));
+        write_atomic(&StdFs, &target, q.output.text.as_bytes(), durability)?;
+    }
+    let report = qdir.join(LEAK_REPORT_FILE_NAME);
+    let json = run.leak_report_json().to_string_pretty();
+    write_atomic(&StdFs, &report, json.as_bytes(), durability)?;
+    eprintln!("leak report written to {}", report.display());
+    Ok(())
+}
+
+/// File name of the gate's report inside the quarantine directory.
+const LEAK_REPORT_FILE_NAME: &str = "leak_report.json";
 
 /// `(name, bytes)` of each output, in run order.
 fn outputs<'r>(outputs: impl Iterator<Item = &'r BatchOutput>) -> Outputs<'r> {

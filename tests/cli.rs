@@ -446,6 +446,127 @@ fn quarantine_dir_resolving_inside_out_dir_is_a_usage_error() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The mapping state (every original address, hex-encoded) and the
+/// plaintext mapping audit are private, like quarantined bytes: inside
+/// the release directory, however spelled, they are refused before any
+/// work, and nothing is written.
+#[test]
+fn private_artifacts_resolving_inside_out_dir_are_usage_errors() {
+    let root = tmpdir("private-inside");
+    std::fs::create_dir_all(root.join("corpus")).expect("mk corpus");
+    let text = "hostname r1\ninterface Ethernet0\n ip address 119.28.155.26 255.255.255.0\n";
+    std::fs::write(root.join("corpus/r1.cfg"), text).expect("write");
+    let abs_out = root.join("o").to_string_lossy().into_owned();
+    for state in ["o", "./o", abs_out.as_str(), "o/state"] {
+        let out = bin()
+            .current_dir(&root)
+            .args(["batch", "corpus", "--secret", "s", "--out-dir", "o", "--state", state])
+            .output()
+            .expect("batch");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--state {state}: {stderr}");
+        assert!(stderr.contains("--state"), "{stderr}");
+        assert!(!root.join("o").exists(), "--state {state}: output written");
+    }
+    let out = bin()
+        .current_dir(&root)
+        .args(["anonymize", "--secret", "s", "--out-dir", "o", "--audit", "o/audit.json"])
+        .arg("corpus/r1.cfg")
+        .output()
+        .expect("anonymize");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--audit"), "{stderr}");
+    assert!(!root.join("o").exists(), "--audit inside --out-dir: output written");
+
+    // Beside the output directory, both are written where asked.
+    let out = bin()
+        .current_dir(&root)
+        .args(["batch", "corpus", "--secret", "s", "--out-dir", "o", "--state", "st"])
+        .output()
+        .expect("batch");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(root.join("st/state.json").exists());
+    let out = bin()
+        .current_dir(&root)
+        .args(["anonymize", "--secret", "s", "--out-dir", "a", "--audit", "audit.json"])
+        .arg("corpus/r1.cfg")
+        .output()
+        .expect("anonymize");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(root.join("audit.json").exists() && root.join("a/r1.cfg.anon").exists());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Two inputs with one file name would write one `<name>.anon`: the
+/// second would silently replace the first.
+#[test]
+fn anonymize_refuses_inputs_that_share_an_output_name() {
+    let root = tmpdir("anon-collide");
+    for (dir, asn) in [("a", 701), ("b", 1239)] {
+        std::fs::create_dir_all(root.join(dir)).expect("mk dir");
+        let text = format!("hostname r1\nrouter bgp {asn}\n");
+        std::fs::write(root.join(dir).join("r1.cfg"), text).expect("write");
+    }
+    let out = bin()
+        .current_dir(&root)
+        .args(["anonymize", "--secret", "s", "--out-dir", "o", "a/r1.cfg", "b/r1.cfg"])
+        .output()
+        .expect("anonymize");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("a/r1.cfg") && stderr.contains("b/r1.cfg"), "{stderr}");
+    assert!(!root.join("o").exists(), "output written: {stderr}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `validate` reads the layout `batch` writes (`<net>/<host>.cfg.anon`
+/// beside `run_manifest.json`) and runs both suites over every config;
+/// an empty post side fails instead of passing over nothing.
+#[test]
+fn validate_compares_every_config_batch_released() {
+    let root = tmpdir("validate-batch");
+    let corpus = root.join("corpus");
+    let out = root.join("out");
+    let generated = bin()
+        .args(["generate", "--networks", "2", "--routers", "4"])
+        .arg("--out-dir")
+        .arg(&corpus)
+        .output()
+        .expect("generate");
+    assert!(generated.status.success());
+    let batch = bin()
+        .args(["batch", "--secret", "s", "--out-dir"])
+        .arg(&out)
+        .arg(&corpus)
+        .output()
+        .expect("batch");
+    assert_eq!(batch.status.code(), Some(0), "{}", String::from_utf8_lossy(&batch.stderr));
+
+    let validate = |post: &Path| {
+        bin()
+            .arg("validate")
+            .arg("--pre-dir")
+            .arg(&corpus)
+            .arg("--post-dir")
+            .arg(post)
+            .output()
+            .expect("validate")
+    };
+    let run = validate(&out);
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(run.status.success(), "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stdout.contains("compared 9 config(s)"), "{stdout}");
+    assert!(stdout.contains("suite1: PASS") && stdout.contains("suite2: PASS"), "{stdout}");
+
+    let empty = root.join("empty");
+    std::fs::create_dir_all(&empty).expect("mk empty");
+    let run = validate(&empty);
+    assert_eq!(run.status.code(), Some(1), "{}", String::from_utf8_lossy(&run.stdout));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn smoke_corpus_release_is_byte_pinned_at_any_job_count() {
     // The CI smoke corpus under the smoke secret: the manifest records
