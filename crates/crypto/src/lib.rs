@@ -6,9 +6,13 @@
 //! (§4.3), and anonymizes public AS numbers with a keyed random permutation
 //! (§4.4). This crate provides all of those from scratch:
 //!
-//! * [`sha1::Sha1`] — RFC 3174 SHA-1, tested against the RFC vectors;
+//! * [`sha1::Sha1`] — RFC 3174 SHA-1, tested against the RFC vectors. Its
+//!   block compression runs on the x86-64 SHA extensions when the running
+//!   CPU has them (std's run-time detection) and on portable scalar rounds
+//!   otherwise; the scalar rounds are also the test reference;
 //! * [`hmac::HmacSha1`] — RFC 2104 HMAC over our SHA-1, tested against the
-//!   RFC 2202 vectors;
+//!   RFC 2202 vectors. It keeps the key's ipad/opad midstates, so a
+//!   message of at most 55 bytes costs two single-block compressions;
 //! * [`hasher::TokenHasher`] — the salted, consistent token-to-digest map
 //!   that keeps referential integrity (`UUNET-import` hashes to the same
 //!   string at its definition and every use);
@@ -20,7 +24,9 @@
 //!
 //! None of this is meant to compete with audited crypto crates; it exists
 //! so the reproduction is fully self-contained, and it is bit-for-bit
-//! standard SHA-1/HMAC so digests can be checked externally.
+//! standard SHA-1/HMAC so digests can be checked externally. The only
+//! `unsafe` code is the SHA-extension compression in [`sha1`] and its one
+//! call site.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -11,6 +11,11 @@ cargo build --workspace --release --offline
 echo "==> test (offline)"
 cargo test -q --workspace --offline
 
+echo "==> crypto tests (release, offline)"
+# The SHA-1 compression picks its SHA-extension path at run time inside
+# a #[target_feature] function; test it as the shipped binary compiles it.
+cargo test -q --release --offline -p confanon-crypto
+
 echo "==> clippy (offline, deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -336,10 +336,15 @@ pub fn anonymize_corpus_gated(
     let Some(warm) = opts.warm else {
         return Ok(gated_run_on(pipeline, files, &opts.skip, &BTreeMap::new()));
     };
+    let mut obs = ObsShard::new(opts.clock);
+    let t_restore = obs.span_start();
     let restored_nodes = warm.restore_into(pipeline.anonymizer_mut())?;
+    obs.span_end("state-restore", "phase", 0, t_restore);
+    let mut run = gated_run_on(pipeline, files, &opts.skip, &warm.prewarmed);
+    run.obs.merge(&obs);
     Ok(GatedCorpusRun {
         restored_nodes,
-        ..gated_run_on(pipeline, files, &opts.skip, &warm.prewarmed)
+        ..run
     })
 }
 
@@ -552,7 +557,11 @@ pub struct BatchOutcome {
 
 /// Runs one batch: read → sanitize → decoys → warm start → journal
 /// begin → gated run → publish → state save → metrics and trace.
-/// Progress notes go to stderr.
+/// Progress notes go to stderr. Each step is a `phase` span on the run's
+/// one clock: `read`, `sanitize`, `state-load` (watermarks and the state
+/// load, `--state` only), `journal-begin` (with an output directory),
+/// the gated run's `state-restore` (warm only), `discover`, `rewrite`
+/// and `leak-scan`, then `publish`.
 ///
 /// With an output directory the run is journaled: a complete
 /// all-pending manifest is durably on disk before any anonymization
@@ -588,13 +597,16 @@ pub fn run_batch(opts: &BatchOptions) -> Result<BatchOutcome, AnonError> {
 
     // Only a --state run reads watermarks, so a stateless one computes
     // none.
-    let watermarks: BTreeMap<String, String> = match &opts.state_dir {
-        Some(_) => files.iter().map(|(n, t)| (n.clone(), watermark(t))).collect(),
-        None => BTreeMap::new(),
-    };
-    let warm = match &opts.state_dir {
-        Some(dir) => WarmStart::load(&StdFs, dir, &opts.cfg, &watermarks)?,
-        None => None,
+    let (watermarks, warm) = match &opts.state_dir {
+        Some(dir) => {
+            let t_load = obs.span_start();
+            let watermarks: BTreeMap<String, String> =
+                files.iter().map(|(n, t)| (n.clone(), watermark(t))).collect();
+            let warm = WarmStart::load(&StdFs, dir, &opts.cfg, &watermarks)?;
+            obs.span_end("state-load", "phase", 0, t_load);
+            (watermarks, warm)
+        }
+        None => (BTreeMap::new(), None),
     };
     if let Some(w) = &warm {
         eprintln!(
@@ -609,6 +621,7 @@ pub fn run_batch(opts: &BatchOptions) -> Result<BatchOutcome, AnonError> {
     let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
     let (mut publisher, skip) = match &opts.out_dir {
         Some(dir) => {
+            let t_begin = obs.span_start();
             let (mut p, skip) = if opts.resume {
                 Publisher::resume(&StdFs, dir, secret, &names)?
             } else if opts.state_dir.is_some() {
@@ -620,6 +633,7 @@ pub fn run_batch(opts: &BatchOptions) -> Result<BatchOutcome, AnonError> {
             // Every constructor builds the manifest from the name list
             // alone, so the decoy flags are re-stamped on each run.
             p.mark_decoys(&decoys)?;
+            obs.span_end("journal-begin", "phase", 0, t_begin);
             (Some(p), skip)
         }
         None => (None, BTreeSet::new()),

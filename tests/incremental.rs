@@ -161,6 +161,21 @@ fn generated_split(root: &Path) -> (PathBuf, PathBuf) {
     (small, full)
 }
 
+/// The `phase` spans of a `--trace` file: name → how many.
+fn phase_spans(trace: &Path) -> BTreeMap<String, usize> {
+    let text = std::fs::read_to_string(trace).expect("read trace");
+    let doc = Json::parse(&text).expect("valid trace json");
+    let events = doc.get("traceEvents").and_then(Json::as_array).expect("traceEvents");
+    let mut spans = BTreeMap::new();
+    for e in events {
+        if e.get("cat").and_then(Json::as_str) == Some("phase") {
+            let name = e.get("name").and_then(Json::as_str).expect("span name");
+            *spans.entry(name.to_string()).or_insert(0) += 1;
+        }
+    }
+    spans
+}
+
 fn cfg_count(dir: &Path) -> u64 {
     snapshot(dir).keys().filter(|k| k.ends_with(".cfg")).count() as u64
 }
@@ -600,4 +615,39 @@ confanon_testkit::props! {
         assert_eq!(s2.trie_digests(), cont.trie_digests(), "seed {seed} cut {cut}");
         assert_eq!(s2.total_stats(), cont.total_stats(), "seed {seed} cut {cut}");
     }
+}
+
+#[test]
+fn trace_spans_the_warm_start_work() {
+    // The state load, the journal begin and the journal replay are most
+    // of a warm run's wall time, so each is a `phase` span of its own.
+    let root = tmpdir("spans");
+    let (small, full) = generated_split(&root);
+    let out = root.join("out");
+    let st = root.join("st");
+    let (code, stderr) = run_batch(&small, &out, Some(&st), 1, false, None);
+    assert_eq!(code, Some(0), "session 1: {stderr}");
+
+    let traced = |state: Option<&Path>, out: &Path, trace: &Path| {
+        let mut cmd = bin();
+        cmd.args(["batch", "--secret", "incr-suite-secret", "--jobs", "1"]);
+        if let Some(s) = state {
+            cmd.arg("--state").arg(s);
+        }
+        cmd.arg("--trace").arg(trace).arg("--out-dir").arg(out).arg(&full);
+        let run = cmd.output().expect("run batch");
+        assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+        phase_spans(trace)
+    };
+    let warm = traced(Some(&st), &out, &root.join("warm.trace.json"));
+    for name in ["state-load", "journal-begin", "state-restore"] {
+        assert_eq!(warm.get(name), Some(&1), "warm run spans {warm:?}");
+    }
+    let cold = traced(None, &root.join("out-cold"), &root.join("cold.trace.json"));
+    assert_eq!(cold.get("journal-begin"), Some(&1), "cold run spans {cold:?}");
+    assert!(
+        !cold.keys().any(|k| k.starts_with("state-")),
+        "a stateless run loads and restores nothing: {cold:?}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }
