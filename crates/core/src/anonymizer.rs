@@ -8,8 +8,9 @@
 //! fallback, so nothing escapes by being unrecognized.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::fmt::Display;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use confanon_asnanon::rewrite::{
     rewrite_aspath_regex_full, rewrite_community_regex_full, RewriteOutcome,
@@ -57,39 +58,92 @@ const REGEX_MEMO_ENTRY_OVERHEAD: usize = 96;
 /// (the occurrence is hashed whole instead).
 type InternedRewrite = Option<Arc<RewriteOutcome>>;
 
+/// A memo key: the regexp's domain and its pattern text.
+type RegexKey = (RegexDomain, String);
+
+/// One memo entry, filled once by whichever holder of the memo misses
+/// first; a concurrent miss on the same key waits for that enumeration
+/// instead of repeating it.
+type MemoSlot = Arc<OnceLock<InternedRewrite>>;
+
 /// Interned regexp-language rewrites, keyed by (domain, pattern text).
 ///
 /// The rewrite of an as-path or community regexp enumerates the §4.4
 /// atom languages over all 2^16 ASNs — milliseconds per pattern — and
 /// is a pure function of the pattern and the keyed permutations, while
-/// the same patterns repeat across a network's routers. Discovery fills
-/// the memo; the rewrite clones inherit it and enumerate nothing.
-/// Outcomes sit behind `Arc`, so cloning the anonymizer shares them.
-#[derive(Clone, Default)]
+/// the same patterns repeat across a network's routers. An anonymizer
+/// and every clone of it share one memo (the field is an `Arc`): the
+/// sharded-discovery observers fill it together, so each distinct
+/// pattern is enumerated once at any `--jobs`, and the rewrite workers
+/// enumerate nothing. Clones share the secret and `compact_regexps`,
+/// so every holder computes the same rewrite for a key and sharing can
+/// never change an output byte.
+#[derive(Default)]
 struct RegexMemo {
-    entries: HashMap<(RegexDomain, String), InternedRewrite>,
+    table: Mutex<MemoTable>,
+}
+
+#[derive(Default)]
+struct MemoTable {
+    entries: HashMap<RegexKey, MemoSlot>,
+    /// Bytes charged for the entries held (see [`REGEX_MEMO_BUDGET`]).
     bytes: usize,
 }
 
+/// What an entry's key costs against the budget.
+fn memo_key_cost(key: &RegexKey) -> usize {
+    REGEX_MEMO_ENTRY_OVERHEAD + key.1.len()
+}
+
 impl RegexMemo {
-    /// Interns `value` under `key` unless the byte budget is spent.
-    fn insert(&mut self, key: &(RegexDomain, String), value: &InternedRewrite) {
-        let cost = REGEX_MEMO_ENTRY_OVERHEAD
-            + key.1.len()
-            + value.as_ref().map_or(0, |r| {
-                r.pattern.len() + std::mem::size_of_val(r.public_asns_named.as_slice())
-            });
-        if self.bytes + cost <= REGEX_MEMO_BUDGET && !self.entries.contains_key(key) {
-            self.bytes += cost;
-            self.entries.insert(key.clone(), value.clone());
-        }
+    /// The table; a panic elsewhere never leaves it half-updated, so a
+    /// poisoned lock is recovered.
+    fn lock(&self) -> MutexGuard<'_, MemoTable> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Interns every entry of `other` this memo lacks (budget permitting).
-    fn merge(&mut self, other: &RegexMemo) {
-        for (key, value) in &other.entries {
-            self.insert(key, value);
+    /// The interned rewrite of `key`, running `rewrite` on a miss. The
+    /// lock is never held while a pattern is enumerated. A key is
+    /// charged when its entry is made and the outcome when it is
+    /// filled; an outcome the budget cannot hold is still returned, but
+    /// its entry is dropped again.
+    fn get_or_rewrite(
+        &self,
+        key: &RegexKey,
+        rewrite: impl FnOnce() -> InternedRewrite,
+    ) -> InternedRewrite {
+        let slot = {
+            let mut table = self.lock();
+            match table.entries.get(key) {
+                Some(slot) => Arc::clone(slot),
+                None if table.bytes + memo_key_cost(key) <= REGEX_MEMO_BUDGET => {
+                    table.bytes += memo_key_cost(key);
+                    let slot = MemoSlot::default();
+                    table.entries.insert(key.clone(), Arc::clone(&slot));
+                    slot
+                }
+                None => return rewrite(),
+            }
+        };
+        let mut filled = false;
+        let value = slot
+            .get_or_init(|| {
+                filled = true;
+                rewrite()
+            })
+            .clone();
+        if filled {
+            let cost = value.as_ref().map_or(0, |r| {
+                r.pattern.len() + std::mem::size_of_val(r.public_asns_named.as_slice())
+            });
+            let mut table = self.lock();
+            if table.bytes + cost <= REGEX_MEMO_BUDGET {
+                table.bytes += cost;
+            } else if table.entries.remove(key).is_some() {
+                table.bytes -= memo_key_cost(key);
+            }
         }
+        value
     }
 }
 
@@ -186,7 +240,7 @@ pub struct Anonymizer {
     /// These are the principled exclusion set for the §6.1 scanner: a
     /// *leak* is an original value surviving, not an image coinciding
     /// with one.
-    emitted: std::collections::BTreeSet<String>,
+    emitted: BTreeSet<String>,
     total_stats: AnonymizationStats,
     /// `true` in the normal (emit) mode; `false` during a discovery pass,
     /// where output assembly and the stateless token hashes are skipped
@@ -201,9 +255,10 @@ pub struct Anonymizer {
     /// most SHA-1 invocations are answered by one lookup). Capped at
     /// [`HASH_MEMO_CAP`].
     hash_memo: HashMap<String, String>,
-    /// Interned regexp-language rewrites (see [`RegexMemo`]); like
-    /// `hash_memo`, a cache that persisted state never serializes.
-    regex_memo: RegexMemo,
+    /// Interned regexp-language rewrites, shared with every clone (see
+    /// [`RegexMemo`]); like `hash_memo`, a cache that persisted state
+    /// never serializes.
+    regex_memo: Arc<RegexMemo>,
     /// Borrow-or-own accounting for the zero-copy rewrite path. Kept
     /// outside [`AnonymizationStats`] deliberately: borrow verdicts only
     /// exist in emit mode, and per-file stats must stay identical
@@ -233,7 +288,8 @@ struct IdJournal {
 }
 
 impl IdJournal {
-    fn note(&mut self, obs: ObservedIp) {
+    /// Journals `obs` if it is new; returns whether it was.
+    fn note(&mut self, obs: ObservedIp) -> bool {
         let fresh = match obs {
             ObservedIp::V4(ip) => self.seen4.insert(ip.0),
             ObservedIp::V6(ip) => self.seen6.insert(ip.0),
@@ -241,6 +297,7 @@ impl IdJournal {
         if fresh {
             self.order.push(obs);
         }
+        fresh
     }
 }
 
@@ -265,13 +322,13 @@ impl Anonymizer {
             community,
             large_community,
             record: LeakRecord::default(),
-            emitted: std::collections::BTreeSet::new(),
+            emitted: BTreeSet::new(),
             total_stats: AnonymizationStats::default(),
             emit: true,
             line_cache: LineClassCache::default(),
             prefilter_stats: PrefilterStats::default(),
             hash_memo: HashMap::new(),
-            regex_memo: RegexMemo::default(),
+            regex_memo: Arc::default(),
             rewrite_stats: RewriteStats::default(),
             observe: None,
             journal: IdJournal::default(),
@@ -765,23 +822,18 @@ impl Anonymizer {
             RegexDomain::Community => RuleId::R12CommunityListPattern,
         };
         let key = (domain, texts[from..].join(" "));
-        let rewritten = match self.regex_memo.entries.get(&key) {
-            Some(interned) => interned.clone(),
-            None => {
-                let opts = RewriteOptions {
-                    compact: self.cfg.compact_regexps,
-                };
-                let fresh = match domain {
-                    RegexDomain::AsPath => rewrite_aspath_regex_full(&key.1, self.asn_map(), opts),
-                    RegexDomain::Community => {
-                        rewrite_community_regex_full(&key.1, &self.community, opts)
-                    }
-                };
-                let fresh = fresh.ok().map(Arc::new);
-                self.regex_memo.insert(&key, &fresh);
-                fresh
-            }
-        };
+        let rewritten = self.regex_memo.get_or_rewrite(&key, || {
+            let opts = RewriteOptions {
+                compact: self.cfg.compact_regexps,
+            };
+            let fresh = match domain {
+                RegexDomain::AsPath => rewrite_aspath_regex_full(&key.1, self.asn_map(), opts),
+                RegexDomain::Community => {
+                    rewrite_community_regex_full(&key.1, &self.community, opts)
+                }
+            };
+            fresh.ok().map(Arc::new)
+        });
         stats.fire(rule);
         out[from] = Some(match rewritten {
             Some(r) => {
@@ -1086,23 +1138,39 @@ impl Anonymizer {
         stats.ips_mapped += 1;
         // Shard-scan observe mode: the image depends on shared trie
         // order, so defer it — along with the leak-record and emitted-set
-        // entries, which are per-identifier, not per-occurrence — to the
-        // canonical replay. The return value only feeds output assembly,
-        // which discovery discards.
+        // entries of a fresh address — to the canonical replay. The
+        // return value only feeds output assembly, which discovery
+        // discards.
         if let Some(log) = self.observe.as_mut() {
             log.note_v4(ip);
             return ip;
         }
-        self.journal.note(ObservedIp::V4(ip));
-        if self.enabled(RuleId::R28LeakHighlighting) {
-            self.record.ips.insert(ip.to_string());
+        let fresh = self.journal.note(ObservedIp::V4(ip));
+        let image = self.image4(ip);
+        if fresh {
+            self.record_fresh(ip, image);
         }
-        let image = match self.cfg.ip_scheme {
+        image
+    }
+
+    /// The image of a v4 address under the configured scheme (creating
+    /// its trie path on first sight; sticky thereafter).
+    fn image4(&mut self, ip: Ip) -> Ip {
+        match self.cfg.ip_scheme {
             IpScheme::StructurePreserving => self.ip.anonymize(ip),
             IpScheme::Scramble => self.scramble.anonymize(ip),
-        };
+        }
+    }
+
+    /// The per-identifier bookkeeping of an address the journal has just
+    /// noted as fresh: the original into the leak record (R28), the image
+    /// into the emitted set. A journaled address already has both, with
+    /// the same sticky image, so only fresh addresses pay the formatting.
+    fn record_fresh(&mut self, original: impl Display, image: impl Display) {
+        if self.enabled(RuleId::R28LeakHighlighting) {
+            self.record.ips.insert(original.to_string());
+        }
         self.emitted.insert(image.to_string());
-        image
     }
 }
 
@@ -1123,24 +1191,71 @@ impl Anonymizer {
             log.note_v6(ip);
             return ip;
         }
-        self.journal.note(ObservedIp::V6(ip));
-        if self.enabled(RuleId::R28LeakHighlighting) {
-            self.record.ips.insert(ip.to_string());
-        }
+        let fresh = self.journal.note(ObservedIp::V6(ip));
         let image = self.ip6.anonymize(ip);
-        self.emitted.insert(image.to_string());
+        if fresh {
+            self.record_fresh(ip, image);
+        }
         image
     }
 
-    /// A clone prepared for one sharded-discovery worker: empty
+    /// A copy of `self` for one discovery or rewrite worker: everything
+    /// but the leak record and the emitted-image set, which start empty.
+    /// No rewrite reads those two sets and a rewrite worker is dropped
+    /// after its pass, so copying them — the bulk of a warmed
+    /// anonymizer — would be wasted; a shard observer needs them empty
+    /// anyway. The destructuring names every field, so a field added
+    /// later must be placed here on purpose.
+    pub(crate) fn worker_copy(&self) -> Anonymizer {
+        let Anonymizer {
+            cfg,
+            hasher,
+            ip,
+            ip6,
+            scramble,
+            community,
+            large_community,
+            record: _,
+            emitted: _,
+            total_stats,
+            emit,
+            line_cache,
+            prefilter_stats,
+            hash_memo,
+            regex_memo,
+            rewrite_stats,
+            observe,
+            journal,
+        } = self;
+        Anonymizer {
+            cfg: cfg.clone(),
+            hasher: hasher.clone(),
+            ip: ip.clone(),
+            ip6: ip6.clone(),
+            scramble: scramble.clone(),
+            community: community.clone(),
+            large_community: large_community.clone(),
+            record: LeakRecord::default(),
+            emitted: BTreeSet::new(),
+            total_stats: total_stats.clone(),
+            emit: *emit,
+            line_cache: line_cache.clone(),
+            prefilter_stats: *prefilter_stats,
+            hash_memo: hash_memo.clone(),
+            regex_memo: Arc::clone(regex_memo),
+            rewrite_stats: *rewrite_stats,
+            observe: observe.clone(),
+            journal: journal.clone(),
+        }
+    }
+
+    /// A copy prepared for one sharded-discovery worker: empty
     /// accumulators (so absorbing it back never double-counts) and an
     /// armed observation log (so its scans log trie insertions instead of
-    /// performing them). Shares the keyed stateless maps and the
-    /// enabled-rule set with `self`.
+    /// performing them). Shares the keyed stateless maps, the regexp
+    /// memo and the enabled-rule set with `self`.
     pub(crate) fn observer(&self) -> Anonymizer {
-        let mut a = self.clone();
-        a.record = LeakRecord::default();
-        a.emitted = std::collections::BTreeSet::new();
+        let mut a = self.worker_copy();
         a.total_stats = AnonymizationStats::default();
         a.prefilter_stats = PrefilterStats::default();
         a.rewrite_stats = RewriteStats::default();
@@ -1166,32 +1281,31 @@ impl Anonymizer {
         self.total_stats.merge(&shard.total_stats);
         self.prefilter_stats.absorb(&shard.prefilter_stats);
         self.rewrite_stats.absorb(&shard.rewrite_stats);
-        self.regex_memo.merge(&shard.regex_memo);
         shard.observe.unwrap_or_default()
     }
 
-    /// Replays one observed identifier against the real mapping state:
-    /// computes its image (mutating the trie exactly as the deferred
-    /// `map_ip`/`map_ip6` call would have), records the original in the
-    /// leak record, and records the emitted exclusion — each exactly
-    /// once per identifier, where the sequential scan pays per
-    /// occurrence. Called in canonical first-occurrence order.
+    /// Replays one observed identifier against the real mapping state,
+    /// exactly as the deferred `map_ip`/`map_ip6` call would have run:
+    /// a fresh address gets its image (mutating the trie), its original
+    /// in the leak record and its image in the emitted set; an address
+    /// already journaled (mapped by an earlier file or a restored state)
+    /// changes nothing. Called in canonical first-occurrence order.
     pub(crate) fn replay_observed(&mut self, obs: ObservedIp) {
-        self.journal.note(obs);
-        let (original, image) = match obs {
-            ObservedIp::V4(ip) => (
-                ip.to_string(),
-                match self.cfg.ip_scheme {
-                    IpScheme::StructurePreserving => self.ip.anonymize(ip).to_string(),
-                    IpScheme::Scramble => self.scramble.anonymize(ip).to_string(),
-                },
-            ),
-            ObservedIp::V6(ip) => (ip.to_string(), self.ip6.anonymize(ip).to_string()),
-        };
-        if self.enabled(RuleId::R28LeakHighlighting) {
-            self.record.ips.insert(original);
+        if let Some(image) = self.journal_fresh(obs) {
+            self.record_fresh(obs, image);
         }
-        self.emitted.insert(image);
+    }
+
+    /// Journals `obs`; a fresh address is mapped (creating its trie
+    /// path) and its image returned.
+    fn journal_fresh(&mut self, obs: ObservedIp) -> Option<ObservedIp> {
+        if !self.journal.note(obs) {
+            return None;
+        }
+        Some(match obs {
+            ObservedIp::V4(ip) => ObservedIp::V4(self.image4(ip)),
+            ObservedIp::V6(ip) => ObservedIp::V6(self.ip6.anonymize(ip)),
+        })
     }
 
     /// Prefilter fast/slow/cache counters accumulated so far (summed in
@@ -1222,23 +1336,41 @@ impl Anonymizer {
 
     /// Replays a persisted identifier journal into this (fresh)
     /// anonymizer: rebuilds the tries through the original insertion
-    /// sequence and re-populates the journal itself, the leak record's
-    /// address entries, and the emitted-image set.
-    pub fn replay_journal(&mut self, entries: &[ObservedIp]) {
+    /// sequence and re-populates the journal itself. The leak record and
+    /// the emitted set are not touched; [`Self::adopt_recorded`] takes
+    /// them from the same document.
+    pub(crate) fn replay_journal(&mut self, entries: &[ObservedIp]) {
         for &obs in entries {
-            self.replay_observed(obs);
+            self.journal_fresh(obs);
         }
     }
 
-    /// Merges a persisted leak record (word/ASN entries have no trie
-    /// state and are restored by merge, not replay).
-    pub fn merge_leak_record(&mut self, record: &LeakRecord) {
-        self.record.merge(record);
-    }
-
-    /// Merges persisted emitted-image exclusions.
-    pub fn extend_emitted(&mut self, images: impl IntoIterator<Item = String>) {
-        self.emitted.extend(images);
+    /// Adopts a persisted leak record and emitted-image set after
+    /// [`Self::replay_journal`]. Into a fresh anonymizer (every caller's
+    /// case) the sets are taken as they are; into one that has already
+    /// recorded something they are unioned. With leak-highlighting (R28)
+    /// on, every journaled address must be in the record; a record
+    /// saved with R28 off lacks them, and then the journal is formatted
+    /// into it. A captured record's addresses are a subset of its
+    /// journal's, so equal counts mean equal sets and the check is a
+    /// length comparison.
+    pub(crate) fn adopt_recorded(&mut self, record: &LeakRecord, emitted: &BTreeSet<String>) {
+        if self.record.is_empty() {
+            self.record = record.clone();
+        } else {
+            self.record.merge(record);
+        }
+        if self.emitted.is_empty() {
+            self.emitted = emitted.clone();
+        } else {
+            self.emitted.extend(emitted.iter().cloned());
+        }
+        if self.enabled(RuleId::R28LeakHighlighting)
+            && self.record.ips.len() < self.journal.order.len()
+        {
+            let formatted = self.journal.order.iter().map(ObservedIp::to_string);
+            self.record.ips.extend(formatted);
+        }
     }
 
     /// Folds an externally stored per-file stats block into the running
@@ -1529,22 +1661,34 @@ mod tests {
             warmed.discover_config(&f);
         }
         assert_eq!(
-            warmed.regex_memo.entries.len(),
+            warmed.regex_memo.lock().entries.len(),
             4,
             "one entry per distinct pattern"
         );
         let unparseable = (RegexDomain::AsPath, "_(70[0-9]_".to_string());
-        assert!(matches!(warmed.regex_memo.entries.get(&unparseable), Some(None)));
+        assert!(matches!(
+            warmed
+                .regex_memo
+                .lock()
+                .entries
+                .get(&unparseable)
+                .map(|slot| slot.get()),
+            Some(Some(None))
+        ));
 
         // A rewrite clone answers every occurrence from the memo: with
         // the interned outcomes swapped for a sentinel, every parseable
         // regexp line carries the sentinel, so nothing was enumerated.
+        // The clone and the warmed original hold one memo.
         let mut emit = warmed.clone();
-        for interned in emit.regex_memo.entries.values_mut().flatten() {
-            *interned = Arc::new(RewriteOutcome {
-                pattern: "interned".to_string(),
-                public_asns_named: Vec::new(),
-            });
+        assert!(Arc::ptr_eq(&emit.regex_memo, &warmed.regex_memo));
+        for slot in emit.regex_memo.lock().entries.values_mut() {
+            if matches!(slot.get(), Some(Some(_))) {
+                *slot = Arc::new(OnceLock::from(Some(Arc::new(RewriteOutcome {
+                    pattern: "interned".to_string(),
+                    public_asns_named: Vec::new(),
+                }))));
+            }
         }
         for f in repeated_corpus() {
             let out = emit.anonymize_config(&f);
@@ -1557,7 +1701,7 @@ mod tests {
                 .count();
             assert_eq!(sentinels, 6, "{}", out.text);
         }
-        assert_eq!(emit.regex_memo.entries.len(), 4);
+        assert_eq!(emit.regex_memo.lock().entries.len(), 4);
     }
 
     #[test]
@@ -1576,25 +1720,35 @@ mod tests {
                 format!("^{i}_[1-5][0-9][0-9][0-9][0-9]$"),
             )
         };
-        let mut memo = RegexMemo::default();
+        let memo = Arc::new(RegexMemo::default());
         for i in 0..64 {
-            memo.insert(&key(i), &wide);
+            let got = memo.get_or_rewrite(&key(i), || wide.clone());
+            assert!(
+                got.is_some(),
+                "a rewrite the budget cannot hold is still served"
+            );
         }
-        assert!(memo.bytes <= REGEX_MEMO_BUDGET, "{}", memo.bytes);
-        let held = memo.entries.len();
+        let bytes = memo.lock().bytes;
+        assert!(bytes <= REGEX_MEMO_BUDGET, "{bytes}");
+        let held = memo.lock().entries.len();
         assert!(
             (30..64).contains(&held),
             "the budget bound the memo: {held}"
         );
 
-        // Merging shard memos (sharded discovery) respects it too.
-        let mut shard = RegexMemo::default();
+        // Misses through another holder of the shared memo (a sharded
+        // discovery worker) respect it too.
+        let shard = Arc::clone(&memo);
         for i in 64..128 {
-            shard.insert(&key(i), &wide);
+            shard.get_or_rewrite(&key(i), || wide.clone());
         }
-        memo.merge(&shard);
-        assert!(memo.bytes <= REGEX_MEMO_BUDGET, "{}", memo.bytes);
-        assert_eq!(memo.entries.len(), held, "a full memo interns nothing more");
+        let bytes = memo.lock().bytes;
+        assert!(bytes <= REGEX_MEMO_BUDGET, "{bytes}");
+        assert_eq!(
+            memo.lock().entries.len(),
+            held,
+            "a full memo interns nothing more"
+        );
     }
 
     #[test]
@@ -1701,13 +1855,7 @@ impl Anonymizer {
             .collect();
         let addresses = ips
             .into_iter()
-            .map(|ip| {
-                let image = match self.cfg.ip_scheme {
-                    IpScheme::StructurePreserving => self.ip.anonymize(ip),
-                    IpScheme::Scramble => self.scramble.anonymize(ip),
-                };
-                (ip.to_string(), image.to_string())
-            })
+            .map(|ip| (ip.to_string(), self.image4(ip).to_string()))
             .collect();
         let words = self
             .record

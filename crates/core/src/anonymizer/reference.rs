@@ -12,9 +12,20 @@
 //! generated and chaos-mutated corpora and demand the same bytes, the
 //! same per-line statistics, and the same leak record and emitted
 //! exclusions — in the discovery pass and in the emit pass.
+//!
+//! Both sides of that lockstep call the shipped `map_ip`, so it cannot
+//! see a fault in the per-identifier bookkeeping. The bookkeeping
+//! properties at the end check it against references that share none
+//! of it: the journal formatted, images from a fresh trie replay, and
+//! the replay-and-merge restore that warm starts used before they
+//! adopted the stored sets.
+
+use std::collections::BTreeMap;
 
 use super::*;
+use crate::batch::{BatchInput, BatchPipeline};
 use crate::input::sanitize_bytes;
+use crate::state::{file_marks, watermark, AnonState};
 use confanon_confgen::{generate_dataset, DatasetSpec};
 use confanon_testkit::chaos::ChaosMutator;
 use confanon_testkit::props::{any, pattern, Strategy};
@@ -356,4 +367,246 @@ fn smoke_corpus_matches_reference() {
     let texts: Vec<String> = files.into_iter().map(|(_, text)| text).collect();
     let cfg = AnonymizerConfig::new(b"smoke-bench-secret".to_vec());
     assert!(assert_lockstep(&cfg, &texts) > 0);
+}
+
+// ---- per-identifier bookkeeping ----------------------------------------
+
+impl Anonymizer {
+    /// The string-building replay: every journal entry formats its
+    /// original into the record (R28) and its image into the emitted
+    /// set, fresh or not.
+    fn replay_journal_recording(&mut self, entries: &[ObservedIp]) {
+        for &obs in entries {
+            self.journal.note(obs);
+            let (original, image) = match obs {
+                ObservedIp::V4(ip) => (
+                    ip.to_string(),
+                    match self.cfg.ip_scheme {
+                        IpScheme::StructurePreserving => self.ip.anonymize(ip).to_string(),
+                        IpScheme::Scramble => self.scramble.anonymize(ip).to_string(),
+                    },
+                ),
+                ObservedIp::V6(ip) => (ip.to_string(), self.ip6.anonymize(ip).to_string()),
+            };
+            if self.enabled(RuleId::R28LeakHighlighting) {
+                self.record.ips.insert(original);
+            }
+            self.emitted.insert(image);
+        }
+    }
+}
+
+/// The reference restore: replay with string work, then merge the
+/// stored record and emitted set (what warm starts did before they
+/// adopted the stored sets).
+fn restore_by_merge(state: &AnonState, cfg: &AnonymizerConfig) -> Anonymizer {
+    let mut a = Anonymizer::new(cfg.clone());
+    a.replay_journal_recording(&state.journal);
+    a.record.merge(&state.record);
+    a.emitted.extend(state.emitted.iter().cloned());
+    a
+}
+
+fn formatted(journal: &[ObservedIp]) -> BTreeSet<String> {
+    journal.iter().map(ObservedIp::to_string).collect()
+}
+
+/// `a`'s emitted set holds the image of every journal entry, as a fresh
+/// trie pair keyed like `cfg` computes it replaying the journal in order.
+fn assert_images_emitted(a: &Anonymizer, cfg: &AnonymizerConfig, what: &str) {
+    let mut t4 = IpAnonymizer::with_options(
+        &cfg.owner_secret,
+        !cfg.disabled_rules
+            .contains(&RuleId::R24SubnetAddressPreserve),
+    );
+    let mut t6 = Ip6Anonymizer::new(&cfg.owner_secret);
+    for obs in a.journal() {
+        let image = match *obs {
+            ObservedIp::V4(ip) => t4.anonymize(ip).to_string(),
+            ObservedIp::V6(ip) => t6.anonymize(ip).to_string(),
+        };
+        assert!(
+            a.emitted.contains(&image),
+            "{what}: image {image} of {obs:?} not emitted"
+        );
+    }
+}
+
+/// The cold-run bookkeeping: with R28 on the record's addresses are
+/// exactly the journal formatted, with it off there are none; and every
+/// journaled image is emitted.
+fn assert_cold_bookkeeping(a: &Anonymizer, cfg: &AnonymizerConfig, what: &str) {
+    let want = if cfg.disabled_rules.contains(&RuleId::R28LeakHighlighting) {
+        BTreeSet::new()
+    } else {
+        formatted(a.journal())
+    };
+    assert_eq!(a.leak_record().ips, want, "{what}: recorded addresses");
+    assert_images_emitted(a, cfg, what);
+}
+
+fn with_r28(secret: &[u8], on: bool) -> AnonymizerConfig {
+    let cfg = AnonymizerConfig::new(secret.to_vec());
+    if on {
+        cfg
+    } else {
+        cfg.without_rule(RuleId::R28LeakHighlighting)
+    }
+}
+
+/// Cold runs at one and four jobs, then the corpus cut at `cut` and run
+/// as two sessions, the state handed over as bytes, with R28 set per
+/// session by `r28`. Checks every run's bookkeeping, the restore against
+/// [`restore_by_merge`], and the warm end state against the cold one.
+fn assert_bookkeeping(texts: &[String], cut: usize, r28: [bool; 2], jobs: usize) {
+    let inputs: Vec<BatchInput> = texts
+        .iter()
+        .enumerate()
+        .map(|(i, text)| BatchInput {
+            name: format!("f{i:03}.cfg"),
+            text: text.clone(),
+        })
+        .collect();
+    let secret = b"bookkeeping-secret";
+    let (cfg1, cfg2) = (with_r28(secret, r28[0]), with_r28(secret, r28[1]));
+
+    let mut cold = Vec::new();
+    for j in [1, 4] {
+        let mut p = BatchPipeline::new(cfg2.clone(), j);
+        p.run(&inputs);
+        assert_cold_bookkeeping(p.anonymizer(), &cfg2, &format!("cold --jobs {j}"));
+        cold.push(p.into_anonymizer());
+    }
+
+    let mut s1 = BatchPipeline::new(cfg1.clone(), jobs);
+    let report = s1.run(&inputs[..cut]);
+    assert_cold_bookkeeping(s1.anonymizer(), &cfg1, "session 1");
+    let marks: BTreeMap<String, String> = inputs[..cut]
+        .iter()
+        .map(|f| (f.name.clone(), watermark(&f.text)))
+        .collect();
+    let bytes = AnonState::capture(
+        s1.anonymizer(),
+        "fp".to_string(),
+        file_marks(&report.discoveries, &marks),
+    )
+    .to_bytes();
+    let state = AnonState::from_json_str("state.json", &String::from_utf8_lossy(&bytes))
+        .expect("state parses");
+
+    let mut s2 = BatchPipeline::new(cfg2.clone(), jobs);
+    state
+        .restore_into("state.json", s2.anonymizer_mut())
+        .expect("restore");
+    let (restored, oracle) = (s2.anonymizer(), restore_by_merge(&state, &cfg2));
+    assert_eq!(restored.journal(), oracle.journal(), "restore: journal");
+    assert_eq!(
+        restored.trie_node_counts(),
+        oracle.trie_node_counts(),
+        "restore: nodes"
+    );
+    assert_eq!(
+        restored.trie_digests(),
+        oracle.trie_digests(),
+        "restore: digests"
+    );
+    assert_eq!(
+        restored.leak_record(),
+        oracle.leak_record(),
+        "restore: record"
+    );
+    assert_eq!(restored.emitted, oracle.emitted, "restore: emitted");
+
+    let prewarmed = state
+        .files
+        .iter()
+        .map(|(name, mark)| {
+            let d = crate::batch::FileDiscovery {
+                stats: mark.stats.clone(),
+                prefilter_fast: mark.prefilter_fast,
+                prefilter_slow: mark.prefilter_slow,
+            };
+            (name.clone(), d)
+        })
+        .collect();
+    s2.run_incremental(&inputs, &BTreeSet::new(), &prewarmed);
+    let warm = s2.anonymizer();
+    assert_images_emitted(warm, &cfg2, "session 2");
+    if r28[1] {
+        assert_eq!(
+            warm.leak_record().ips,
+            formatted(warm.journal()),
+            "session 2: recorded"
+        );
+    } else {
+        assert_eq!(
+            warm.leak_record().ips,
+            state.record.ips,
+            "session 2: recorded"
+        );
+    }
+    if r28[0] == r28[1] {
+        assert_eq!(warm.journal(), cold[0].journal(), "warm vs cold: journal");
+        assert_eq!(
+            warm.leak_record(),
+            cold[0].leak_record(),
+            "warm vs cold: record"
+        );
+        assert_eq!(warm.emitted, cold[0].emitted, "warm vs cold: emitted");
+    }
+    for other in &cold[1..] {
+        assert_eq!(
+            other.leak_record(),
+            cold[0].leak_record(),
+            "cold: record across jobs"
+        );
+        assert_eq!(other.emitted, cold[0].emitted, "cold: emitted across jobs");
+    }
+}
+
+/// Every leak-highlighting toggle between two sessions, at one and four
+/// jobs, on one fixed corpus: a state saved with R28 off and loaded with
+/// it on is the case the restore's formatting fallback exists for.
+#[test]
+fn bookkeeping_holds_under_every_r28_toggle() {
+    let texts = dataset(&DatasetSpec {
+        seed: 2004,
+        networks: 1,
+        mean_routers: 3,
+        backbone_fraction: 0.5,
+    });
+    assert!(texts.len() >= 2, "two sessions need two files");
+    for r28 in [[false, true], [true, false], [true, true], [false, false]] {
+        for jobs in [1, 4] {
+            assert_bookkeeping(&texts, texts.len() / 2, r28, jobs);
+        }
+    }
+}
+
+confanon_testkit::props! {
+    cases = 6;
+
+    /// The bookkeeping holds on generated corpora, cold and split into
+    /// two sessions, with leak-highlighting toggled between them.
+    fn bookkeeping_holds_on_generated(seed in 0u64..1_000_000, cut in 0usize..8, r28 in 0u8..4) {
+        let texts = dataset(&DatasetSpec {
+            seed,
+            networks: 1,
+            mean_routers: 3,
+            backbone_fraction: 0.5,
+        });
+        let cut = cut % (texts.len() + 1);
+        let jobs = 1 + 3 * (seed as usize & 1);
+        assert_bookkeeping(&texts, cut, [r28 & 1 == 0, r28 & 2 == 0], jobs);
+    }
+
+    /// The same on chaos-mutated corpora.
+    fn bookkeeping_holds_on_chaos(seed in 0u64..1_000_000, cut in 0usize..8, r28 in 0u8..4) {
+        let mut mutator = ChaosMutator::new(seed);
+        let texts: Vec<String> =
+            chaos_base().iter().map(|t| mutated(&mut mutator, t)).collect();
+        let cut = cut % (texts.len() + 1);
+        let jobs = 1 + 3 * (seed as usize & 1);
+        assert_bookkeeping(&texts, cut, [r28 & 1 == 0, r28 & 2 == 0], jobs);
+    }
 }

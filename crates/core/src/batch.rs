@@ -22,8 +22,10 @@
 //!    one file to scan, skips the machinery and scans sequentially via
 //!    [`Anonymizer::discover_config`]; both modes warm byte-identical
 //!    state.
-//! 2. **Rewrite (clone workers).** Each worker takes a clone of the
-//!    warmed anonymizer and re-emits files. Every mapping the emit pass
+//! 2. **Rewrite (clone workers).** Each worker takes a copy of the
+//!    warmed anonymizer — all but the leak record and the emitted set,
+//!    which no rewrite reads (`Anonymizer::worker_copy`) — and
+//!    re-emits files. Every mapping the emit pass
 //!    needs already exists, so workers only perform pure lookups and
 //!    stateless keyed hashes; no cross-thread state is shared and no
 //!    insertion order can differ. A single-job run uses the same two
@@ -542,9 +544,9 @@ impl BatchPipeline {
         }
     }
 
-    /// Single-worker rewrite. Uses a clone (not the retained anonymizer)
-    /// so the retained state keeps exactly one pass of total statistics,
-    /// matching the parallel mode.
+    /// Single-worker rewrite. Uses a worker copy (not the retained
+    /// anonymizer) so the retained state keeps exactly one pass of total
+    /// statistics, matching the parallel mode.
     ///
     /// It stays separate from [`BatchPipeline::rewrite_parallel`] for
     /// memory, not speed: running the one-job rewrite on a one-worker
@@ -561,7 +563,7 @@ impl BatchPipeline {
         failed: &mut [Option<BatchFailure>],
         obs: &mut ObsShard,
     ) {
-        let mut anon = self.anonymizer.clone();
+        let mut anon = self.anonymizer.worker_copy();
         for &i in pending {
             let t_file = obs.span_start();
             let result = catch_unwind(AssertUnwindSafe(|| anon.anonymize_config(&inputs[i].text)));
@@ -584,9 +586,9 @@ impl BatchPipeline {
                         phase: BatchPhase::Rewrite,
                         cause: panic_message(payload.as_ref()),
                     });
-                    // The clone may hold partial state from the aborted
+                    // The copy may hold partial state from the aborted
                     // emit; start fresh from the warmed original.
-                    anon = self.anonymizer.clone();
+                    anon = self.anonymizer.worker_copy();
                 }
             }
         }
@@ -621,7 +623,7 @@ impl BatchPipeline {
                     // Each worker re-emits from its own copy of the warmed
                     // state; only lookups happen, so copies never diverge
                     // in any way that affects output.
-                    let mut anon = warmed.clone();
+                    let mut anon = warmed.worker_copy();
                     let mut shard = ObsShard::new(clock);
                     let tid = w as u32 + 1;
                     loop {
@@ -657,7 +659,7 @@ impl BatchPipeline {
                                     cause: panic_message(payload.as_ref()),
                                 });
                                 drop(guard);
-                                anon = warmed.clone();
+                                anon = warmed.worker_copy();
                             }
                         }
                     }

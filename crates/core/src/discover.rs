@@ -42,6 +42,16 @@ pub enum ObservedIp {
     V6(Ip6),
 }
 
+impl std::fmt::Display for ObservedIp {
+    /// The address in its usual text form, as the leak record holds it.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ObservedIp::V4(ip) => std::fmt::Display::fmt(ip, f),
+            ObservedIp::V6(ip) => std::fmt::Display::fmt(ip, f),
+        }
+    }
+}
+
 /// A log of first observations of trie-mutating identifiers, keyed by
 /// identifier with the earliest corpus position seen.
 ///

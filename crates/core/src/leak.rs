@@ -64,7 +64,12 @@ impl LeakRecord {
     /// Parses the JSON shape produced by [`LeakRecord::to_json`]. Missing
     /// keys are treated as empty sets; non-string members are an error.
     pub fn from_json_str(text: &str) -> Result<LeakRecord, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
+        LeakRecord::from_json(&Json::parse(text).map_err(|e| e.to_string())?)
+    }
+
+    /// [`LeakRecord::from_json_str`] over an already-parsed document (a
+    /// state document's `record` member).
+    pub fn from_json(doc: &Json) -> Result<LeakRecord, String> {
         let set = |key: &str| -> Result<BTreeSet<String>, String> {
             match doc.get(key) {
                 None => Ok(BTreeSet::new()),

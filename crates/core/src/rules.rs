@@ -454,10 +454,10 @@ pub enum LineClass {
 ///
 /// A contextual rule fires only on a line whose first word is the first
 /// word of one of its [`Anchor`]s, except R20's trailer, which needs one
-/// of the [`SECRET_KEYWORDS`] in the line. Both checks read the rule
-/// table, so a line that passes neither provably cannot fire a context
-/// rule, and the context matcher can skip it without changing a byte of
-/// output or a rule fire count.
+/// of the secret keywords (`password`, `secret`, `key`, `md5`) in the
+/// line. Both checks read the rule table, so a line that passes neither
+/// provably cannot fire a context rule, and the context matcher can
+/// skip it without changing a byte of output or a rule fire count.
 ///
 /// The filter is a *conservative superset*: a false positive (`keyboard`
 /// contains `key`) merely runs the matcher needlessly. The lockstep

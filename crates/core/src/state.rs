@@ -24,14 +24,26 @@
 //! re-checked after replay, so a corrupted or reordered journal is
 //! refused rather than silently forking the mapping history.
 //!
-//! Everything else merges commutatively and is stored directly: the
-//! leak record, the emitted-image exclusion set, and a per-file map of
-//! `{watermark, stats, prefilter counts}` used by warm runs to skip
-//! unchanged files while still reporting cold-identical deterministic
-//! metrics. The keyed permutations (ASN, community) and token hashes
-//! are stateless functions of the owner secret and need no table — the
-//! state stores only their parameter check values, so a load under the
-//! wrong secret or changed parameters is refused.
+//! Everything else is stored directly: the leak record, the
+//! emitted-image exclusion set, and a per-file map of `{watermark,
+//! stats, prefilter counts}` used by warm runs to skip unchanged files
+//! while still reporting cold-identical deterministic metrics. The
+//! keyed permutations (ASN, community) and token hashes are stateless
+//! functions of the owner secret and need no table — the state stores
+//! only their parameter check values, so a load under the wrong secret
+//! or changed parameters is refused.
+//!
+//! Loading replays the journal into the tries and the journal only,
+//! and adopts the stored record and emitted set as they are. That is
+//! sound because the bookkeeping is per identifier: an address gets its
+//! original in the record (under leak-highlighting, R28) and its image
+//! in the emitted set exactly when it enters the journal, so a captured
+//! document's record addresses are a subset of its journal formatted
+//! and its emitted set holds every journaled image. A state saved with
+//! R28 off and loaded with it on lacks the addresses; since a journaled
+//! address is never recorded again, restore then formats the journal
+//! into the record (a record with as many addresses as the journal has
+//! entries already holds them all).
 //!
 //! ## Schema
 //!
@@ -381,7 +393,7 @@ impl AnonState {
         let record_doc = doc
             .get("record")
             .ok_or_else(|| corrupted(path, "\"record\" missing".into()))?;
-        let record = LeakRecord::from_json_str(&record_doc.to_string())
+        let record = LeakRecord::from_json(record_doc)
             .map_err(|m| corrupted(path, format!("\"record\": {m}")))?;
 
         let emitted = doc
@@ -472,11 +484,14 @@ impl AnonState {
         Ok(())
     }
 
-    /// Replays the journal into `anonymizer` (which must be fresh and
-    /// keyed by the matching secret), merges the stored record and
-    /// emitted set, and verifies the rebuilt tries against the stored
-    /// node counts and structure digests. Returns the restored (v4, v6)
-    /// node counts on success.
+    /// Replays the journal into `anonymizer` (fresh, and keyed by the
+    /// matching secret) to rebuild its tries and journal, verifies them
+    /// against the stored node counts and structure digests, then adopts
+    /// the stored record and emitted set as they are — except that a
+    /// state saved with leak-highlighting off, loaded with it on, has
+    /// its journal formatted into the record. Restoring into an
+    /// anonymizer that has already recorded something unions the sets
+    /// instead. Returns the restored (v4, v6) node counts on success.
     pub fn restore_into(
         &self,
         path: &str,
@@ -502,8 +517,7 @@ impl AnonState {
                     .to_string(),
             ));
         }
-        anonymizer.merge_leak_record(&self.record);
-        anonymizer.extend_emitted(self.emitted.iter().cloned());
+        anonymizer.adopt_recorded(&self.record, &self.emitted);
         Ok((n4 as u64, n6 as u64))
     }
 

@@ -512,6 +512,35 @@ mod tests {
     }
 
     #[test]
+    fn state_saved_without_leak_highlighting_is_recorded_on_open() {
+        // A store flushed with leak-highlighting off holds no address in
+        // its record; a tenant opened on it with the rule on must still
+        // record every journaled address, or its leak gate would pass a
+        // plaintext one.
+        let root = tmpdir("r28");
+        let sdir = root.join("alpha-state");
+        let mut quiet = spec("alpha", &sdir);
+        quiet.disabled_rules = vec!["leak-highlighting".to_string()];
+        let a_cfg = "hostname a\ninterface Ethernet0\n ip address 12.1.1.1 255.255.255.252\n";
+        let mut session1 = Tenant::open(&quiet, FlushMode::Drain, &StdFs);
+        assert_eq!(
+            session1.handle_anon("a.cfg", a_cfg.as_bytes(), &StdFs).0,
+            Status::Ok
+        );
+        assert!(session1.anonymizer().leak_record().ips.is_empty());
+        session1.flush(&StdFs).unwrap();
+
+        let reopened = Tenant::open(&spec("alpha", &sdir), FlushMode::Drain, &StdFs);
+        assert_eq!(*reopened.health(), TenantHealth::Serving);
+        assert!(
+            reopened.anonymizer().leak_record().ips.contains("12.1.1.1"),
+            "record {:?}",
+            reopened.anonymizer().leak_record().ips
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn torn_state_quarantines_without_flushing_over_it() {
         let root = tmpdir("torn");
         let sdir = root.join("torn-state");

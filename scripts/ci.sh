@@ -19,10 +19,11 @@ cargo test -q --release --offline -p confanon-crypto
 echo "==> clippy (offline, deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> doc build (offline, broken intra-doc links denied)"
-# Every crate root carries #![deny(rustdoc::broken_intra_doc_links)], so
-# a dangling [`link`] anywhere fails this step.
-cargo doc --workspace --no-deps --offline
+echo "==> doc build (offline, rustdoc warnings denied)"
+# Every crate root carries #![deny(rustdoc::broken_intra_doc_links)], and
+# -D warnings fails this step on any other rustdoc warning too — such as
+# public docs linking to a private item, whose rendered link is dead.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> perfbench: builds and passes its correctness gate"
 # perfbench (the benchmark of record, see BENCHMARK.json) is a package of
@@ -80,11 +81,11 @@ awk -v r="$ratio" 'BEGIN { exit !(r <= 1.25) }' || {
 echo "==> discovery bench block: present, speedup"
 # The sharded-discovery bench must have run and recorded its block, and
 # sharded discovery must beat the sequential baseline. The 1.5x bar needs
-# real cores for the scan to fan out over; on a single-core runner only the
-# deferred per-identifier trie/record work can win, and the zero-copy
-# PR made that deferred keyed-hash work ~4x cheaper — the single-core
-# advantage shrank to ~1.1-1.5x with noise dips near parity, so the bar
-# there is no-regression-within-noise (>= 0.9). See PERFORMANCE.md.
+# real cores for the scan to fan out over (the shards share one regexp
+# memo, so no pattern is enumerated twice); the sequential walk does its
+# per-identifier work once per identifier too, so a single-core runner
+# has nothing left to win and the bar there is no-regression-within-noise
+# (>= 0.9). See PERFORMANCE.md.
 grep -q '"discovery"'     BENCH_pipeline.json || { echo "missing discovery block"; exit 1; }
 grep -q '"sharded_ns"'    BENCH_pipeline.json || { echo "missing sharded_ns"; exit 1; }
 speedup=$(sed -n 's/.*"sharded_speedup": \([0-9.]*\).*/\1/p' BENCH_pipeline.json)

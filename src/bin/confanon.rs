@@ -755,9 +755,10 @@ fn discovery_bench_json(files: &[(String, String)], cfg: &AnonymizerConfig) -> J
         .with("files", inputs.len() as u64)
         .with("bytes", bytes)
         .with("jobs", DISCOVERY_BENCH_JOBS as u64)
-        // Logical cores actually available: below 2, the sharded arm can
-        // only win by its deferred per-occurrence trie/record work, not
-        // by parallel scanning — interpret `sharded_speedup` accordingly.
+        // Logical cores actually available: the sharded arm wins by
+        // scanning shards in parallel over one shared regexp memo, so
+        // below 2 it can only come close to parity — interpret
+        // `sharded_speedup` accordingly.
         .with(
             "parallelism",
             std::thread::available_parallelism().map_or(1, usize::from) as u64,

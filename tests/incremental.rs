@@ -617,6 +617,108 @@ confanon_testkit::props! {
     }
 }
 
+// ---- leak-highlighting toggled between sessions -----------------------
+
+/// Session 1 holds `a.cfg`; session 2 holds it and `zz/b.cfg`, which
+/// names the same address. The host names have letters no hex digest
+/// can spell, so an address is the only thing the gate can flag.
+fn toggle_corpora(root: &Path) -> (PathBuf, PathBuf) {
+    let line = " ip address 12.1.1.1 255.255.255.252\n";
+    let (s1, s2) = (root.join("s1"), root.join("s2"));
+    for dir in [&s1, &s2] {
+        std::fs::create_dir_all(dir).expect("mkdir");
+        std::fs::write(
+            dir.join("a.cfg"),
+            format!("hostname rtr\ninterface Ethernet0\n{line}"),
+        )
+        .expect("write a.cfg");
+    }
+    std::fs::create_dir_all(s2.join("zz")).expect("mkdir");
+    std::fs::write(
+        s2.join("zz/b.cfg"),
+        format!("hostname rtrzz\ninterface Ethernet0\n{line}"),
+    )
+    .expect("write b.cfg");
+    (s1, s2)
+}
+
+/// `batch --jobs 1` over `corpus` with `--state ST --out-dir O` (and
+/// `--quarantine-dir Q`) under `root`, plus `extra`; returns the exit code.
+fn toggle_run(root: &Path, corpus: &Path, tag: &str, extra: &[&str]) -> Option<i32> {
+    let mut cmd = bin();
+    cmd.args(["batch", "--secret", "incr-suite-secret", "--jobs", "1"])
+        .args(extra)
+        .arg("--state")
+        .arg(root.join(format!("st-{tag}")))
+        .arg("--out-dir")
+        .arg(root.join(format!("out-{tag}")))
+        .arg("--quarantine-dir")
+        .arg(root.join(format!("q-{tag}")))
+        .arg(corpus);
+    cmd.env_remove("CONFANON_CRASH_AFTER");
+    let out = cmd.output().expect("run batch");
+    assert!(
+        out.status.code().is_some(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.status.code()
+}
+
+#[test]
+fn state_saved_without_leak_highlighting_still_guards_a_warm_run() {
+    // Session 1 maps 12.1.1.1 without recording it (R28 off). Session 2
+    // turns R28 back on and ablates the address rule, so `zz/b.cfg`
+    // would carry the address in plaintext: the warm start must record
+    // every journaled address, and the gate must withhold the file.
+    let root = tmpdir("r28-off-on");
+    let (s1, s2) = toggle_corpora(&root);
+    let r28_off = ["--disable-rule", "leak-highlighting"];
+    assert_eq!(toggle_run(&root, &s1, "t", &r28_off), Some(0));
+    let code = toggle_run(&root, &s2, "t", &["--disable-rule", "ipv4-literal"]);
+    assert_eq!(code, Some(4), "the plaintext address must be quarantined");
+    let report = std::fs::read_to_string(root.join("q-t/leak_report.json")).expect("report");
+    assert!(report.contains("\"token\": \"12.1.1.1\""), "{report}");
+    assert!(report.contains("\"total_leaks\": 1,"), "{report}");
+    for (name, bytes) in snapshot(&root.join("out-t")) {
+        assert!(
+            !String::from_utf8_lossy(&bytes).contains("12.1.1.1"),
+            "{name} released the address"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn state_saved_with_leak_highlighting_still_guards_a_run_without_it() {
+    // The reverse toggle: a state saved with R28 on keeps guarding the
+    // addresses it recorded when loaded with R28 off. With the address
+    // rule on, the warm run releases what a cold run releases; with it
+    // ablated, the stored record still withholds the plaintext.
+    let root = tmpdir("r28-on-off");
+    let (s1, s2) = toggle_corpora(&root);
+    let r28_off = ["--disable-rule", "leak-highlighting"];
+    for tag in ["warm", "ablated"] {
+        assert_eq!(toggle_run(&root, &s1, tag, &[]), Some(0), "{tag} session 1");
+    }
+    assert_eq!(toggle_run(&root, &s2, "warm", &r28_off), Some(0));
+    assert_eq!(toggle_run(&root, &s2, "cold", &r28_off), Some(0));
+    let (warm, cold) = (
+        snapshot(&root.join("out-warm")),
+        snapshot(&root.join("out-cold")),
+    );
+    assert_eq!(warm, cold, "warm and cold runs release different bytes");
+    assert!(warm.contains_key("zz/b.cfg.anon"));
+
+    let mut ablated = r28_off.to_vec();
+    ablated.extend(["--disable-rule", "ipv4-literal"]);
+    assert_eq!(toggle_run(&root, &s2, "ablated", &ablated), Some(4));
+    let report = std::fs::read_to_string(root.join("q-ablated/leak_report.json")).expect("report");
+    assert!(report.contains("\"token\": \"12.1.1.1\""), "{report}");
+    assert!(report.contains("\"total_leaks\": 1,"), "{report}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn trace_spans_the_warm_start_work() {
     // The state load, the journal begin and the journal replay are most
