@@ -29,8 +29,8 @@ use crate::error::BatchPhase;
 use crate::leak::LeakRecord;
 use crate::passlist::PassList;
 use crate::rules::{
-    anchor_for, LineClass, LineClassCache, Locator, PrefilterStats, RuleId, REMOTE_AS,
-    SECRET_KEYWORDS,
+    anchor_for, LineClass, LineClassCache, Locator, PrefilterStats, RuleId, ALTERNATE_AS,
+    REMOTE_AS, SECRET_KEYWORDS,
 };
 use crate::stats::{AnonymizationStats, RewriteStats};
 
@@ -73,7 +73,7 @@ type MemoSlot = Arc<OnceLock<InternedRewrite>>;
 /// is a pure function of the pattern and the keyed permutations, while
 /// the same patterns repeat across a network's routers. An anonymizer
 /// and every clone of it share one memo (the field is an `Arc`): the
-/// sharded-discovery observers fill it together, so each distinct
+/// discovery shards fill it together, so each distinct
 /// pattern is enumerated once at any `--jobs`, and the rewrite workers
 /// enumerate nothing. Clones share the secret and `compact_regexps`,
 /// so every holder computes the same rewrite for a key and sharing can
@@ -264,10 +264,11 @@ pub struct Anonymizer {
     /// exist in emit mode, and per-file stats must stay identical
     /// between the discovery and emit passes.
     rewrite_stats: RewriteStats,
-    /// `Some` only on shard-scan clones during sharded discovery: instead
-    /// of mutating the tries, [`Anonymizer::map_ip`]/[`Anonymizer::map_ip6`]
-    /// log the address's first corpus position here for the canonical
-    /// replay. See [`crate::discover`].
+    /// `Some` only while a discovery shard scans (on the retained
+    /// anonymizer or an observer copy): instead of mutating the tries,
+    /// [`Anonymizer::map_ip`]/[`Anonymizer::map_ip6`] log the address's
+    /// first corpus position here for the canonical replay. See
+    /// [`crate::discover`].
     observe: Option<ObservationLog>,
     /// Append-only journal of every distinct trie-mapped identifier in
     /// first-mapped order — the replayable transcript persistent state
@@ -402,16 +403,17 @@ impl Anonymizer {
     /// Runs the full rule pipeline over one configuration *without*
     /// producing output text.
     ///
-    /// This is the sequential identifier-discovery pass of
-    /// [`crate::batch::BatchPipeline`]: it performs exactly the mapping
-    /// mutations an [`Anonymizer::anonymize_config`] call would — trie
-    /// inserts (in the same order), leak-record and emitted-image set
-    /// inserts, statistics — while skipping the two costs that dominate
-    /// emission and touch no shared state: per-segment salted hashing
-    /// (§4.1: one SHA-1 per non-pass-list token) and output-string
-    /// assembly. After discovering every file of a corpus, a clone of
-    /// this anonymizer re-emits any of those files with pure lookups,
-    /// byte-identical to a sequential run.
+    /// It performs exactly the mapping mutations an
+    /// [`Anonymizer::anonymize_config`] call would — trie inserts (in the
+    /// same order), leak-record and emitted-image set inserts, statistics
+    /// — while skipping the two costs that dominate emission and touch no
+    /// shared state: per-segment salted hashing (§4.1: one SHA-1 per
+    /// non-pass-list token) and output-string assembly. After discovering
+    /// every file of a corpus, a clone of this anonymizer re-emits any of
+    /// those files with pure lookups, byte-identical to a sequential run.
+    /// [`crate::batch::BatchPipeline`] runs it per file with the
+    /// observation log armed, which defers the trie inserts to one
+    /// canonical replay.
     pub fn discover_config(&mut self, text: &str) -> AnonymizationStats {
         self.emit = false;
         // Restore emit-mode even if the rule pipeline panics: the batch
@@ -668,6 +670,15 @@ impl Anonymizer {
                 Locator::AsnAfterRemoteAs => {
                     if let Some(pos) = lower.iter().position(|t| *t == REMOTE_AS) {
                         self.asn_at(pos + 1, texts, out, stats, rule);
+                    }
+                }
+                Locator::AsnThenAlternates(i) => {
+                    self.asn_at(i, texts, out, stats, rule);
+                    let rest = lower.get(i + 1..).unwrap_or_default();
+                    if let Some(pos) = rest.iter().position(|t| *t == ALTERNATE_AS) {
+                        for j in i + pos + 2..n {
+                            self.asn_at(j, texts, out, stats, rule);
+                        }
                     }
                 }
                 Locator::CommunitiesFrom(from) => {
@@ -1249,7 +1260,7 @@ impl Anonymizer {
         }
     }
 
-    /// A copy prepared for one sharded-discovery worker: empty
+    /// A copy prepared for one spawned discovery shard: empty
     /// accumulators (so absorbing it back never double-counts) and an
     /// armed observation log (so its scans log trie insertions instead of
     /// performing them). Shares the keyed stateless maps, the regexp
@@ -1259,8 +1270,21 @@ impl Anonymizer {
         a.total_stats = AnonymizationStats::default();
         a.prefilter_stats = PrefilterStats::default();
         a.rewrite_stats = RewriteStats::default();
-        a.observe = Some(ObservationLog::default());
+        a.start_observing();
         a
+    }
+
+    /// Arms a fresh observation log: from now on scans log the trie
+    /// insertions they would have made instead of making them, while
+    /// every order-independent accumulator fills in place. Discovery's
+    /// first shard observes this way on the retained anonymizer itself.
+    pub(crate) fn start_observing(&mut self) {
+        self.observe = Some(ObservationLog::default());
+    }
+
+    /// Disarms the observation log and returns what it logged.
+    pub(crate) fn stop_observing(&mut self) -> ObservationLog {
+        self.observe.take().unwrap_or_default()
     }
 
     /// One file of a shard scan: positions the observation log at
@@ -1309,7 +1333,7 @@ impl Anonymizer {
     }
 
     /// Prefilter fast/slow/cache counters accumulated so far (summed in
-    /// from shard workers after sharded discovery).
+    /// from the spawned shards after discovery).
     pub fn prefilter_stats(&self) -> &PrefilterStats {
         &self.prefilter_stats
     }
@@ -1736,8 +1760,8 @@ mod tests {
             "the budget bound the memo: {held}"
         );
 
-        // Misses through another holder of the shared memo (a sharded
-        // discovery worker) respect it too.
+        // Misses through another holder of the shared memo (a spawned
+        // discovery shard) respect it too.
         let shard = Arc::clone(&memo);
         for i in 64..128 {
             shard.get_or_rewrite(&key(i), || wide.clone());

@@ -6,36 +6,40 @@
 //! whole network and why the paper notes the table-based IP scheme does
 //! not parallelize trivially (unlike Xu's stateless scheme). The pipeline
 //! here recovers the parallelism anyway, with the output guaranteed
-//! byte-identical to a sequential run at any worker count:
+//! byte-identical to a sequential run at any worker count. Each pass is
+//! one algorithm at every `--jobs`; the job and file counts set only how
+//! many threads join it, and the calling thread is always the first:
 //!
-//! 1. **Discovery (sharded).** Workers scan disjoint contiguous file
-//!    ranges with *observer* clones of the anonymizer: every rule runs
-//!    and every order-independent accumulator (leak record, emitted
-//!    images, statistics) fills in normally, but the order-dependent
-//!    trie insertions are deferred — each worker logs the first corpus
-//!    position of every address it would have mapped
-//!    ([`crate::discover::ObservationLog`]). The shard logs merge
-//!    commutatively (min position per address) and one canonical replay,
-//!    sorted by position, then drives the real tries through exactly the
-//!    insertion sequence a sequential scan of the whole corpus would
-//!    have produced. A `jobs <= 1` pipeline, or a corpus with at most
-//!    one file to scan, skips the machinery and scans sequentially via
-//!    [`Anonymizer::discover_config`]; both modes warm byte-identical
-//!    state.
-//! 2. **Rewrite (clone workers).** Each worker takes a copy of the
-//!    warmed anonymizer — all but the leak record and the emitted set,
-//!    which no rewrite reads (`Anonymizer::worker_copy`) — and
-//!    re-emits files. Every mapping the emit pass
-//!    needs already exists, so workers only perform pure lookups and
-//!    stateless keyed hashes; no cross-thread state is shared and no
-//!    insertion order can differ. A single-job run uses the same two
-//!    passes (with one inline worker), so byte output *and* failure
+//! 1. **Discovery (observe, merge, replay).** `min(jobs, files)` shards
+//!    scan disjoint contiguous file ranges with the observation log
+//!    armed: every rule runs and every order-independent accumulator
+//!    (leak record, emitted images, statistics) fills in normally, but
+//!    the order-dependent trie insertions are deferred — each shard logs
+//!    the first corpus position of every address it would have mapped
+//!    ([`crate::discover::ObservationLog`]). Shard 0 is the calling
+//!    thread scanning on the retained anonymizer itself, with no copy
+//!    and no spawn; each other shard scans an observer copy on a scoped
+//!    thread. The logs merge commutatively (min position per address)
+//!    and one canonical replay, sorted by position, then drives the real
+//!    tries through exactly the insertion sequence a sequential scan of
+//!    the whole corpus would have produced.
+//! 2. **Rewrite (copy workers).** `min(jobs, files)` workers take files
+//!    off one shared work index, each from its own copy of the warmed
+//!    anonymizer — all but the leak record and the emitted set, which no
+//!    rewrite reads (`Anonymizer::worker_copy`). Worker 0 is the calling
+//!    thread, so a one-job run spawns no thread at all. Every mapping the
+//!    emit pass needs already exists, so workers only perform pure
+//!    lookups and stateless keyed hashes; no cross-thread state is shared
+//!    and no insertion order can differ, so byte output *and* failure
 //!    reports are identical at every `--jobs` value.
 //!
 //! Byte-identity follows from the mappings being *sticky*: once an
 //! address (or any identifier) has an image, re-anonymizing it returns
 //! the same image without mutating state, and the discovery pass creates
-//! all images in exactly the order the sequential run would have.
+//! all images in exactly the order the sequential run would have. The
+//! sequential walk and one-worker rewrite this replaced survive as the
+//! test-only oracle in `batch/reference.rs`, which the equivalence
+//! properties compare every job count against.
 //!
 //! ## Fault isolation
 //!
@@ -45,14 +49,18 @@
 //! (file name, phase, panic message) and the file's output is withheld —
 //! fail closed — while every other file emits the bytes it would have
 //! emitted anyway. That stronger claim holds because a mid-file
-//! discovery panic leaves the same partial per-file contributions in
-//! every mode (an observer shard keeps the observations logged before
-//! the panic, exactly mirroring the partial trie mutations a sequential
-//! scan would have kept) and the rewrite pass is a pure function of the
-//! warmed state; a worker whose clone panicked discards it and
-//! re-clones before taking more work. Mutex poisoning from a contained
-//! panic is likewise recovered: slot writes are index-disjoint, so a
-//! poisoned lock holds no broken invariant.
+//! discovery panic leaves the same partial per-file contributions at
+//! every shard layout (a shard keeps the observations logged before the
+//! panic, exactly mirroring the partial trie mutations a sequential scan
+//! would have kept) and the rewrite pass is a pure function of the
+//! warmed state; a worker whose copy panicked discards it and re-copies
+//! before taking more work. A shard or worker that dies *outside* the
+//! per-file containment (which should be impossible) fails closed too,
+//! whichever thread it ran on: every file of the shard's range, or the
+//! file the worker held, is reported failed and withheld, and the panic
+//! never unwinds out of the run. Mutex poisoning from a contained panic
+//! is likewise recovered: slot writes are index-disjoint, so a poisoned
+//! lock holds no broken invariant.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -65,6 +73,9 @@ use crate::anonymizer::{Anonymizer, AnonymizerConfig};
 use crate::discover::ObservationLog;
 use crate::error::{panic_message, BatchFailure, BatchPhase};
 use crate::stats::{AnonymizationStats, RewriteStats};
+
+#[cfg(test)]
+mod reference;
 
 /// One input file of a batch: a display name and its configuration text.
 #[derive(Debug, Clone)]
@@ -127,11 +138,12 @@ pub struct BatchReport {
     /// Aggregate borrow-or-own accounting across the emitted outputs
     /// (the sum of each output's `rewrite` block).
     pub rewrite: RewriteStats,
-    /// Worker threads used for the rewrite pass.
+    /// Worker threads used for the rewrite pass, the calling thread
+    /// included.
     pub jobs: usize,
     /// The run's observability shard: phase/per-file spans plus
     /// discovery-pass counters and histograms. The `phase.discover.*`
-    /// counters are deterministic across `--jobs`, discovery modes, and
+    /// counters are deterministic across `--jobs`, shard layouts, and
     /// resumed-vs-one-shot runs, because discovery always covers the
     /// whole corpus and its counter merges are commutative sums;
     /// shard-layout-dependent values (shard count, prefilter cache hits)
@@ -148,6 +160,20 @@ pub struct BatchPipeline {
     jobs: usize,
     clock: Clock,
 }
+
+/// What one discovery shard found over its file range.
+struct ShardScan {
+    /// Contained per-file panics, by corpus index.
+    fails: Vec<(usize, BatchFailure)>,
+    /// Per-file contributions of the files that scanned cleanly.
+    found: Vec<(String, FileDiscovery)>,
+    /// The shard's spans, counters and histograms.
+    obs: ObsShard,
+}
+
+/// The output and failure slots the rewrite workers fill, by corpus
+/// index.
+type RewriteCells<'a> = Mutex<(&'a mut [Option<BatchOutput>], &'a mut [Option<BatchFailure>])>;
 
 impl BatchPipeline {
     /// Creates a pipeline over one owner secret. `jobs` is the worker
@@ -201,30 +227,29 @@ impl BatchPipeline {
     /// bytes are identical for every `jobs` value; files that panic are
     /// reported in [`BatchReport::failures`] instead of aborting the run.
     pub fn run(&mut self, inputs: &[BatchInput]) -> BatchReport {
-        self.run_skipping(inputs, &BTreeSet::new())
+        self.run_incremental(inputs, &BTreeSet::new(), &BTreeMap::new())
     }
 
-    /// [`Self::run`] with a resume skip set. Discovery still covers the
-    /// *whole* corpus in input order — the shared mapping state is
-    /// order-dependent, so a resumed run must perform the identical
-    /// sequence of mutations an uninterrupted run would — but files in
-    /// `skip` (their released bytes already verified on disk) are not
-    /// re-emitted. Byte-identity of the re-emitted files follows: the
-    /// warmed state is the same, and rewrite is a pure function of it.
-    pub fn run_skipping(&mut self, inputs: &[BatchInput], skip: &BTreeSet<String>) -> BatchReport {
-        self.run_incremental(inputs, skip, &BTreeMap::new())
-    }
-
-    /// [`Self::run_skipping`] with a prewarmed-discovery map: files whose
-    /// name has an entry are *not* scanned at all — the run trusts that
-    /// their identifier contributions are already present in the
-    /// anonymizer (restored from persisted state via journal replay) and
-    /// synthesizes their deterministic per-file counters from the stored
-    /// [`FileDiscovery`] instead, so the metrics document stays
-    /// byte-identical to a cold run over the same corpus. Discovery of
-    /// the remaining files runs in corpus order (sequential or sharded),
-    /// observing with their *original* corpus positions so the canonical
-    /// replay order matches the cold run's first-occurrence order.
+    /// [`Self::run`] with a resume skip set and a prewarmed-discovery
+    /// map.
+    ///
+    /// Discovery still covers the *whole* corpus in input order — the
+    /// shared mapping state is order-dependent, so a resumed run must
+    /// perform the identical sequence of mutations an uninterrupted run
+    /// would — but files in `skip` (their released bytes already
+    /// verified on disk) are not re-emitted. Byte-identity of the
+    /// re-emitted files follows: the warmed state is the same, and
+    /// rewrite is a pure function of it.
+    ///
+    /// Files whose name has an entry in `prewarmed` are *not* scanned at
+    /// all — the run trusts that their identifier contributions are
+    /// already present in the anonymizer (restored from persisted state
+    /// via journal replay) and synthesizes their deterministic per-file
+    /// counters from the stored [`FileDiscovery`] instead, so the metrics
+    /// document stays byte-identical to a cold run over the same corpus.
+    /// The remaining files are observed with their *original* corpus
+    /// positions, so the canonical replay order matches the cold run's
+    /// first-occurrence order.
     pub fn run_incremental(
         &mut self,
         inputs: &[BatchInput],
@@ -233,15 +258,13 @@ impl BatchPipeline {
     ) -> BatchReport {
         let mut obs = ObsShard::new(self.clock);
 
-        // Pass 1 — discovery with per-file containment, sequential or
-        // sharded (the warmed state is byte-identical either way; the
-        // determinism suite pins that equivalence). The partial mapping
-        // state a mid-file panic leaves behind is identical at any job
-        // count, so downstream emission stays deterministic. The
-        // counters and histograms recorded here inherit that determinism
-        // (resume skip sets only affect the rewrite pass), which is what
-        // lets the metrics document put them in its deterministic
-        // section.
+        // Pass 1 — discovery with per-file containment. The warmed state,
+        // including the partial mapping state a mid-file panic leaves
+        // behind, is identical at any job count, so downstream emission
+        // stays deterministic. The counters and histograms recorded here
+        // inherit that determinism (resume skip sets only affect the
+        // rewrite pass), which is what lets the metrics document put them
+        // in its deterministic section.
         let t_discover = obs.span_start();
         let mut failed: Vec<Option<BatchFailure>> = vec![None; inputs.len()];
         let mut discoveries: BTreeMap<String, FileDiscovery> = BTreeMap::new();
@@ -249,18 +272,18 @@ impl BatchPipeline {
         obs.span_end("discover", "phase", 0, t_discover);
 
         // Prefilter path counters are pure functions of line content —
-        // deterministic across job counts and discovery modes — so they
+        // deterministic across job counts and shard layouts — so they
         // live under the deterministic `phase.discover.` prefix. Cache
         // hit counts vary with shard layout (each shard warms its own
         // cache), so they report under the timing-section `discovery.`
-        // prefix instead. Snapshot now: rewrite clones keep their own
-        // discarded copies.
+        // prefix instead. Snapshot now: rewrite copies keep their own
+        // discarded counters.
         let pf = *self.anonymizer.prefilter_stats();
         obs.count("phase.discover.prefilter_fast_path_lines", pf.fast_path_lines);
         obs.count("phase.discover.prefilter_slow_path_lines", pf.slow_path_lines);
         obs.count("discovery.prefilter_cache_hits", pf.cache_hits);
 
-        // Pass 2 — rewrite the survivors from clones of the warmed
+        // Pass 2 — rewrite the survivors from copies of the warmed
         // state, except files the resume verification already vouched
         // for.
         let pending: Vec<usize> = (0..inputs.len())
@@ -275,13 +298,7 @@ impl BatchPipeline {
         slots.resize_with(inputs.len(), || None);
 
         let t_rewrite = obs.span_start();
-        let jobs = if self.jobs <= 1 || pending.len() <= 1 {
-            self.rewrite_inline(inputs, &pending, &mut slots, &mut failed, &mut obs);
-            1
-        } else {
-            self.rewrite_parallel(inputs, &pending, &mut slots, &mut failed, &mut obs);
-            self.jobs
-        };
+        let jobs = self.rewrite_pass(inputs, &pending, &mut slots, &mut failed, &mut obs);
         obs.span_end("rewrite", "phase", 0, t_rewrite);
         obs.count("phase.rewrite.skipped", skipped.len() as u64);
 
@@ -313,12 +330,11 @@ impl BatchPipeline {
         }
     }
 
-    /// Runs *only* the discovery pass (sequential at `jobs <= 1` or for
-    /// a single file, sharded otherwise), warming the mapping state
-    /// exactly as [`Self::run`] would before its rewrite pass, and
-    /// returns the contained per-file failures. This is the benchmark
-    /// entry point behind the CLI's `--bench-json` `discovery` block and
-    /// the perfbench discovery layer; production runs use [`Self::run`].
+    /// Runs *only* the discovery pass, warming the mapping state exactly
+    /// as [`Self::run`] would before its rewrite pass, and returns the
+    /// contained per-file failures. This is the benchmark entry point
+    /// behind the CLI's `--bench-json` `discovery` block and the
+    /// perfbench discovery layer; production runs use [`Self::run`].
     pub fn discover_corpus(&mut self, inputs: &[BatchInput]) -> Vec<BatchFailure> {
         let mut obs = ObsShard::new(self.clock);
         let mut failed: Vec<Option<BatchFailure>> = vec![None; inputs.len()];
@@ -327,14 +343,14 @@ impl BatchPipeline {
         failed.into_iter().flatten().collect()
     }
 
-    /// Discovery dispatch: prewarmed files contribute their stored,
+    /// The discovery pass: prewarmed files contribute their stored,
     /// order-independent accumulators (statistics, prefilter path
     /// counts) and synthesized per-file counters without being scanned —
     /// their trie insertions are already present via journal replay.
-    /// The remaining files scan sequentially or sharded; the sharded
-    /// path pays a worker-spawn and merge/replay cost that only
-    /// amortizes over multiple files, so single-file (or single-job)
-    /// runs take the sequential path.
+    /// The remaining files are observed by `min(jobs, files)` shards over
+    /// contiguous ranges, and the merged log replays in canonical order.
+    /// See the module docs and [`crate::discover`] for why the warmed
+    /// state is byte-identical to a sequential scan.
     fn discover_pass(
         &mut self,
         inputs: &[BatchInput],
@@ -364,323 +380,254 @@ impl BatchPipeline {
                 None => to_scan.push(i),
             }
         }
-        if self.jobs <= 1 || to_scan.len() <= 1 {
-            self.discover_sequential(inputs, &to_scan, failed, obs, discoveries);
-        } else {
-            self.discover_sharded(inputs, &to_scan, failed, obs, discoveries);
-        }
-    }
 
-    /// Sequential discovery: every file through
-    /// [`Anonymizer::discover_config`] in corpus order, mutating the
-    /// retained anonymizer directly.
-    fn discover_sequential(
-        &mut self,
-        inputs: &[BatchInput],
-        indices: &[usize],
-        failed: &mut [Option<BatchFailure>],
-        obs: &mut ObsShard,
-        discoveries: &mut BTreeMap<String, FileDiscovery>,
-    ) {
-        for &i in indices {
-            let f = &inputs[i];
-            let pf_before = *self.anonymizer.prefilter_stats();
-            let t_file = obs.span_start();
-            let result = catch_unwind(AssertUnwindSafe(|| self.anonymizer.discover_config(&f.text)));
-            obs.span_end(&f.name, "discover", 0, t_file);
-            obs.count("phase.discover.files", 1);
-            obs.count("phase.discover.input_bytes", f.text.len() as u64);
-            obs.record("file.input_bytes", f.text.len() as u64);
-            match result {
-                Ok(stats) => {
-                    obs.record("file.input_lines", stats.lines_total);
-                    let pf = *self.anonymizer.prefilter_stats();
-                    discoveries.insert(
-                        f.name.clone(),
-                        FileDiscovery {
-                            stats,
-                            prefilter_fast: pf.fast_path_lines - pf_before.fast_path_lines,
-                            prefilter_slow: pf.slow_path_lines - pf_before.slow_path_lines,
-                        },
-                    );
-                }
-                Err(payload) => {
-                    obs.count("phase.discover.panics_contained", 1);
-                    failed[i] = Some(BatchFailure {
-                        name: f.name.clone(),
-                        phase: BatchPhase::Discover,
-                        cause: panic_message(payload.as_ref()),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Sharded discovery: disjoint contiguous file ranges scanned by
-    /// observer clones in parallel, commutative merges, then one
-    /// canonical replay in first-occurrence order. See the module docs
-    /// and [`crate::discover`] for why the warmed state is byte-identical
-    /// to [`Self::discover_sequential`].
-    fn discover_sharded(
-        &mut self,
-        inputs: &[BatchInput],
-        indices: &[usize],
-        failed: &mut [Option<BatchFailure>],
-        obs: &mut ObsShard,
-        discoveries: &mut BTreeMap<String, FileDiscovery>,
-    ) {
-        let workers = self.jobs.min(indices.len());
+        let shards = self.jobs.min(to_scan.len()).max(1);
+        obs.count("discovery.shards", shards as u64);
         let clock = obs.clock();
-        obs.count("discovery.shards", workers as u64);
-        let template = self.anonymizer.observer();
         // Contiguous ranges over the to-scan list keep every
         // observation's corpus position globally ordered no matter which
-        // worker logged it; each observation carries its file's
+        // shard logged it; each observation carries its file's
         // *original* corpus index, so the canonical replay matches a
         // cold sequential scan's first-occurrence order.
-        let bounds: Vec<(usize, usize)> = (0..workers)
-            .map(|w| (w * indices.len() / workers, (w + 1) * indices.len() / workers))
-            .collect();
-
-        let mut shards: Vec<(Anonymizer, ObsShard)> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = bounds
-                .iter()
-                .enumerate()
-                .map(|(w, &(lo, hi))| {
-                    let template = &template;
-                    scope.spawn(move || {
-                        let mut anon = template.clone();
-                        let mut shard = ObsShard::new(clock);
-                        let tid = w as u32 + 1;
-                        let mut fails: Vec<(usize, BatchFailure)> = Vec::new();
-                        let mut found: Vec<(String, FileDiscovery)> = Vec::new();
-                        for &i in &indices[lo..hi] {
-                            let f = &inputs[i];
-                            let pf_before = *anon.prefilter_stats();
-                            let t_file = shard.span_start();
-                            let result = catch_unwind(AssertUnwindSafe(|| {
-                                anon.observe_file(i as u64, &f.text)
-                            }));
-                            shard.span_end(&f.name, "discover", tid, t_file);
-                            shard.count("phase.discover.files", 1);
-                            shard.count("phase.discover.input_bytes", f.text.len() as u64);
-                            shard.record("file.input_bytes", f.text.len() as u64);
-                            match result {
-                                Ok(stats) => {
-                                    shard.record("file.input_lines", stats.lines_total);
-                                    let pf = *anon.prefilter_stats();
-                                    found.push((
-                                        f.name.clone(),
-                                        FileDiscovery {
-                                            stats,
-                                            prefilter_fast: pf.fast_path_lines
-                                                - pf_before.fast_path_lines,
-                                            prefilter_slow: pf.slow_path_lines
-                                                - pf_before.slow_path_lines,
-                                        },
-                                    ));
-                                }
-                                Err(payload) => {
-                                    // The observations logged before the
-                                    // panic stay in the shard — exactly
-                                    // the partial mutations a sequential
-                                    // scan would have kept.
-                                    shard.count("phase.discover.panics_contained", 1);
-                                    fails.push((
-                                        i,
-                                        BatchFailure {
-                                            name: f.name.clone(),
-                                            phase: BatchPhase::Discover,
-                                            cause: panic_message(payload.as_ref()),
-                                        },
-                                    ));
-                                }
-                            }
-                        }
-                        (anon, fails, found, shard)
+        let indices = to_scan.as_slice();
+        let range =
+            move |w: usize| &indices[w * indices.len() / shards..(w + 1) * indices.len() / shards];
+        let observers: Vec<Anonymizer> = (1..shards).map(|_| self.anonymizer.observer()).collect();
+        let retained = &mut self.anonymizer;
+        let scans: Vec<std::thread::Result<(ShardScan, ObservationLog)>> =
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (1..)
+                    .zip(observers)
+                    .map(|(w, mut anon)| {
+                        scope.spawn(move || {
+                            (scan_range(&mut anon, inputs, range(w), w as u32 + 1, clock), anon)
+                        })
                     })
-                })
-                .collect();
-            for (w, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok((anon, fails, found, shard)) => {
-                        for (i, f) in fails {
-                            failed[i] = Some(f);
-                        }
-                        for (name, d) in found {
-                            discoveries.insert(name, d);
-                        }
-                        shards.push((anon, shard));
-                    }
-                    Err(_) => {
-                        // Worker infrastructure died outside the per-file
-                        // containment (should be impossible). Fail
-                        // closed: report every file of the shard and
-                        // forfeit its observations.
-                        for &i in &indices[bounds[w].0..bounds[w].1] {
-                            if failed[i].is_none() {
-                                failed[i] = Some(BatchFailure {
-                                    name: inputs[i].name.clone(),
-                                    phase: BatchPhase::Discover,
-                                    cause: "discovery worker crashed".to_string(),
-                                });
-                            }
-                        }
-                    }
+                    .collect();
+                // Shard 0 observes on the retained anonymizer itself; its
+                // log is disarmed whether or not the range completes.
+                retained.start_observing();
+                let first = catch_unwind(AssertUnwindSafe(|| {
+                    scan_range(retained, inputs, range(0), 1, clock)
+                }));
+                let log = retained.stop_observing();
+                let mut scans = vec![first.map(|scan| (scan, log))];
+                for handle in handles {
+                    let joined = handle.join();
+                    scans.push(joined.map(|(scan, anon)| (scan, retained.absorb_observer(anon))));
                 }
-            }
-        });
+                scans
+            });
 
         // Commutative merges in shard order, then the canonical replay
         // that drives the tries through the sequential insertion order.
-        let mut log = ObservationLog::default();
-        for (anon, shard) in shards {
-            obs.merge(&shard);
-            log.merge(self.anonymizer.absorb_observer(anon));
+        // A shard that died outside the per-file containment (should be
+        // impossible) fails its whole range closed and forfeits its
+        // observations; on shard 0 the leak record and statistics keep
+        // what the range added before the crash.
+        let mut merged = ObservationLog::default();
+        for (w, scan) in scans.into_iter().enumerate() {
+            match scan {
+                Ok((scan, log)) => {
+                    obs.merge(&scan.obs);
+                    for (i, f) in scan.fails {
+                        failed[i] = Some(f);
+                    }
+                    discoveries.extend(scan.found);
+                    merged.merge(log);
+                }
+                Err(_) => {
+                    for &i in range(w) {
+                        failed[i] = Some(BatchFailure {
+                            name: inputs[i].name.clone(),
+                            phase: BatchPhase::Discover,
+                            cause: "discovery worker crashed".to_string(),
+                        });
+                    }
+                }
+            }
         }
-        for observed in log.into_canonical_order() {
+        for observed in merged.into_canonical_order() {
             self.anonymizer.replay_observed(observed);
         }
     }
 
-    /// Single-worker rewrite. Uses a worker copy (not the retained
-    /// anonymizer) so the retained state keeps exactly one pass of total
-    /// statistics, matching the parallel mode.
-    ///
-    /// It stays separate from [`BatchPipeline::rewrite_parallel`] for
-    /// memory, not speed: running the one-job rewrite on a one-worker
-    /// pool raised perfbench's warm_append peak RSS from 85.2 to 100.4 MB
-    /// (two alternating 15 s pairs, 2-core Linux host; e9_batch moved
-    /// from 79.8 to 80.1 MB), past the benchmark's 15% bound. The cause
-    /// is unverified; the spawned thread's separate malloc arena is one
-    /// candidate.
-    fn rewrite_inline(
+    /// The rewrite pass: `min(jobs, files)` workers over one shared work
+    /// index, worker 0 on the calling thread (so one job spawns no
+    /// thread, and no thread's separate allocator arena adds to the peak
+    /// RSS). Each worker re-emits from its own copy of the warmed state
+    /// and records into a private shard; the shards merge in worker
+    /// order, and counter/histogram merges are sums, so the merged values
+    /// are independent of work-stealing order — only span timestamps
+    /// (timing data) vary run to run. Returns the worker count.
+    fn rewrite_pass(
         &self,
         inputs: &[BatchInput],
         pending: &[usize],
         slots: &mut [Option<BatchOutput>],
         failed: &mut [Option<BatchFailure>],
         obs: &mut ObsShard,
-    ) {
-        let mut anon = self.anonymizer.worker_copy();
-        for &i in pending {
-            let t_file = obs.span_start();
-            let result = catch_unwind(AssertUnwindSafe(|| anon.anonymize_config(&inputs[i].text)));
-            obs.span_end(&inputs[i].name, "rewrite", 1, t_file);
-            obs.count("phase.rewrite.files", 1);
-            match result {
-                Ok(out) => {
-                    obs.count("phase.rewrite.output_bytes", out.text.len() as u64);
-                    slots[i] = Some(BatchOutput {
-                        name: inputs[i].name.clone(),
-                        text: out.text,
-                        stats: out.stats,
-                        rewrite: anon.take_rewrite_stats(),
-                    });
-                }
-                Err(payload) => {
-                    obs.count("phase.rewrite.panics_contained", 1);
-                    failed[i] = Some(BatchFailure {
-                        name: inputs[i].name.clone(),
-                        phase: BatchPhase::Rewrite,
-                        cause: panic_message(payload.as_ref()),
-                    });
-                    // The copy may hold partial state from the aborted
-                    // emit; start fresh from the warmed original.
-                    anon = self.anonymizer.worker_copy();
-                }
-            }
-        }
-    }
-
-    /// Worker-pool rewrite over a shared work index.
-    fn rewrite_parallel(
-        &self,
-        inputs: &[BatchInput],
-        pending: &[usize],
-        slots: &mut [Option<BatchOutput>],
-        failed: &mut [Option<BatchFailure>],
-        obs: &mut ObsShard,
-    ) {
+    ) -> usize {
+        let workers = self.jobs.min(pending.len()).max(1);
         let next = AtomicUsize::new(0);
-        let cells = Mutex::new((slots, failed));
-        let warmed = &self.anonymizer;
+        let cells: RewriteCells = Mutex::new((slots, failed));
         let clock = obs.clock();
-        let workers = self.jobs.min(pending.len());
-        // Each worker records into a private shard; the shards merge
-        // below in worker order. Counter/histogram merges are sums, so
-        // the merged values are independent of work-stealing order —
-        // only span timestamps (timing data) vary run to run.
-        let shards = Mutex::new(vec![ObsShard::new(clock); workers]);
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let shards = &shards;
-                let next = &next;
-                let cells = &cells;
-                scope.spawn(move || {
-                    // Each worker re-emits from its own copy of the warmed
-                    // state; only lookups happen, so copies never diverge
-                    // in any way that affects output.
-                    let mut anon = warmed.worker_copy();
-                    let mut shard = ObsShard::new(clock);
-                    let tid = w as u32 + 1;
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= pending.len() {
-                            break;
-                        }
-                        let i = pending[k];
-                        let t_file = shard.span_start();
-                        let result =
-                            catch_unwind(AssertUnwindSafe(|| anon.anonymize_config(&inputs[i].text)));
-                        shard.span_end(&inputs[i].name, "rewrite", tid, t_file);
-                        shard.count("phase.rewrite.files", 1);
-                        // A panicking sibling poisons the mutex; writes
-                        // are index-disjoint, so the guarded data holds
-                        // no broken invariant and the lock is recovered.
-                        let mut guard = cells.lock().unwrap_or_else(|e| e.into_inner());
-                        match result {
-                            Ok(out) => {
-                                shard.count("phase.rewrite.output_bytes", out.text.len() as u64);
-                                guard.0[i] = Some(BatchOutput {
-                                    name: inputs[i].name.clone(),
-                                    text: out.text,
-                                    stats: out.stats,
-                                    rewrite: anon.take_rewrite_stats(),
-                                });
-                            }
-                            Err(payload) => {
-                                shard.count("phase.rewrite.panics_contained", 1);
-                                guard.1[i] = Some(BatchFailure {
-                                    name: inputs[i].name.clone(),
-                                    phase: BatchPhase::Rewrite,
-                                    cause: panic_message(payload.as_ref()),
-                                });
-                                drop(guard);
-                                anon = warmed.worker_copy();
-                            }
-                        }
-                    }
-                    let mut guard = shards.lock().unwrap_or_else(|e| e.into_inner());
-                    guard[w] = shard;
-                });
-            }
+        let warmed = &self.anonymizer;
+        let work = |w: usize| {
+            catch_unwind(AssertUnwindSafe(|| {
+                rewrite_worker(warmed, inputs, pending, &next, &cells, w as u32 + 1, clock)
+            }))
+        };
+        let shards: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..workers).map(|w| scope.spawn(move || work(w))).collect();
+            let mut shards = vec![work(0)];
+            shards.extend(handles.into_iter().map(|h| h.join().unwrap_or_else(Err)));
+            shards
         });
-
-        let collected = shards.into_inner().unwrap_or_else(|e| e.into_inner());
-        for shard in &collected {
+        for shard in shards.iter().flatten() {
             obs.merge(shard);
         }
+
+        // A worker that died outside the per-file containment (should be
+        // impossible) left the file it held with neither an output nor a
+        // failure, and so did the rest of the index if no other worker
+        // was left to drain it: fail them closed.
+        let (slots, failed) = cells.into_inner().unwrap_or_else(|e| e.into_inner());
+        for &i in pending {
+            if slots[i].is_none() && failed[i].is_none() {
+                failed[i] = Some(BatchFailure {
+                    name: inputs[i].name.clone(),
+                    phase: BatchPhase::Rewrite,
+                    cause: "rewrite worker crashed".to_string(),
+                });
+            }
+        }
+        workers
     }
+}
+
+/// One discovery shard: observes every file of `range` in corpus order
+/// on `anon`, whose observation log is armed, containing each file's
+/// panic. A contained panic keeps the observations logged before it —
+/// exactly the partial mutations a sequential scan would have kept.
+fn scan_range(
+    anon: &mut Anonymizer,
+    inputs: &[BatchInput],
+    range: &[usize],
+    tid: u32,
+    clock: Clock,
+) -> ShardScan {
+    let mut scan = ShardScan {
+        fails: Vec::new(),
+        found: Vec::new(),
+        obs: ObsShard::new(clock),
+    };
+    for &i in range {
+        let f = &inputs[i];
+        let pf_before = *anon.prefilter_stats();
+        let t_file = scan.obs.span_start();
+        let result = catch_unwind(AssertUnwindSafe(|| anon.observe_file(i as u64, &f.text)));
+        scan.obs.span_end(&f.name, "discover", tid, t_file);
+        scan.obs.count("phase.discover.files", 1);
+        scan.obs.count("phase.discover.input_bytes", f.text.len() as u64);
+        scan.obs.record("file.input_bytes", f.text.len() as u64);
+        match result {
+            Ok(stats) => {
+                scan.obs.record("file.input_lines", stats.lines_total);
+                let pf = *anon.prefilter_stats();
+                scan.found.push((
+                    f.name.clone(),
+                    FileDiscovery {
+                        stats,
+                        prefilter_fast: pf.fast_path_lines - pf_before.fast_path_lines,
+                        prefilter_slow: pf.slow_path_lines - pf_before.slow_path_lines,
+                    },
+                ));
+            }
+            Err(payload) => {
+                scan.obs.count("phase.discover.panics_contained", 1);
+                scan.fails.push((
+                    i,
+                    BatchFailure {
+                        name: f.name.clone(),
+                        phase: BatchPhase::Discover,
+                        cause: panic_message(payload.as_ref()),
+                    },
+                ));
+            }
+        }
+        #[cfg(test)]
+        crash_outside_containment(&f.name, BatchPhase::Discover);
+    }
+    scan
+}
+
+/// One rewrite worker: takes files off the shared index until it runs
+/// dry, re-emitting each from a copy of the warmed state (only lookups
+/// happen, so copies never diverge in any way that affects output) and
+/// re-copying after a contained panic, which may have left partial
+/// state in the copy.
+fn rewrite_worker(
+    warmed: &Anonymizer,
+    inputs: &[BatchInput],
+    pending: &[usize],
+    next: &AtomicUsize,
+    cells: &RewriteCells,
+    tid: u32,
+    clock: Clock,
+) -> ObsShard {
+    let mut anon = warmed.worker_copy();
+    let mut shard = ObsShard::new(clock);
+    while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+        let t_file = shard.span_start();
+        let result = catch_unwind(AssertUnwindSafe(|| anon.anonymize_config(&inputs[i].text)));
+        shard.span_end(&inputs[i].name, "rewrite", tid, t_file);
+        shard.count("phase.rewrite.files", 1);
+        #[cfg(test)]
+        crash_outside_containment(&inputs[i].name, BatchPhase::Rewrite);
+        // A panicking sibling poisons the mutex; writes are
+        // index-disjoint, so the guarded data holds no broken invariant
+        // and the lock is recovered.
+        let mut guard = cells.lock().unwrap_or_else(|e| e.into_inner());
+        match result {
+            Ok(out) => {
+                shard.count("phase.rewrite.output_bytes", out.text.len() as u64);
+                guard.0[i] = Some(BatchOutput {
+                    name: inputs[i].name.clone(),
+                    text: out.text,
+                    stats: out.stats,
+                    rewrite: anon.take_rewrite_stats(),
+                });
+            }
+            Err(payload) => {
+                shard.count("phase.rewrite.panics_contained", 1);
+                guard.1[i] = Some(BatchFailure {
+                    name: inputs[i].name.clone(),
+                    phase: BatchPhase::Rewrite,
+                    cause: panic_message(payload.as_ref()),
+                });
+                drop(guard);
+                anon = warmed.worker_copy();
+            }
+        }
+    }
+    shard
+}
+
+/// Test seam: a file named `crash-<phase>.cfg` crashes its discovery
+/// shard or rewrite worker just outside the per-file containment, where
+/// no input can reach, so the tests can drive the fail-closed handling
+/// of a crash that should be impossible.
+#[cfg(test)]
+fn crash_outside_containment(name: &str, phase: BatchPhase) {
+    assert_ne!(name, format!("crash-{}.cfg", phase.name()), "worker crashed");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn corpus() -> Vec<BatchInput> {
+    pub(super) fn corpus() -> Vec<BatchInput> {
         let mk = |i: u32| {
             format!(
                 "hostname r{i}.backbone.example.net\n\
@@ -908,7 +855,7 @@ mod tests {
     }
 
     #[test]
-    fn run_skipping_preserves_other_files_bytes() {
+    fn skipping_preserves_other_files_bytes() {
         // The resume property at the pipeline level: skipping verified
         // files changes nothing about the bytes of the files that are
         // re-emitted, because discovery still walks the whole corpus.
@@ -916,7 +863,11 @@ mod tests {
         let full = BatchPipeline::new(secret(), 2).run(&inputs);
         let skip = BTreeSet::from(["r2.cfg".to_string(), "r5.cfg".to_string()]);
         for jobs in [1, 4] {
-            let partial = BatchPipeline::new(secret(), jobs).run_skipping(&inputs, &skip);
+            let partial = BatchPipeline::new(secret(), jobs).run_incremental(
+                &inputs,
+                &skip,
+                &BTreeMap::new(),
+            );
             assert_eq!(partial.skipped, vec!["r2.cfg".to_string(), "r5.cfg".to_string()]);
             assert_eq!(partial.outputs.len(), inputs.len() - 2);
             for o in &partial.outputs {
@@ -948,9 +899,9 @@ mod tests {
 
     #[test]
     fn sharded_discovery_warms_identical_state() {
-        // The tentpole equivalence at the state level: emitted set, leak
-        // record, trie node counts, and total stats all match the
-        // sequential scan, at several worker counts.
+        // The equivalence at the state level: emitted set, leak record,
+        // trie node counts, and total stats match between one shard and
+        // several (`reference.rs` pins both to the sequential walk).
         let inputs = corpus();
         let mut seq = BatchPipeline::new(secret(), 1);
         seq.discover_corpus(&inputs);
@@ -973,7 +924,7 @@ mod tests {
     #[test]
     fn sharded_discovery_contains_panics_like_sequential() {
         // A poisoned file mid-corpus: the failure report and every other
-        // file's bytes match the sequential-discovery run exactly.
+        // file's bytes match the one-shard run exactly.
         let mut inputs = corpus();
         inputs[2].text.push_str("POISON PILL here\n");
         let reference = BatchPipeline::new(faulty("POISON", BatchPhase::Discover), 1).run(&inputs);
@@ -1007,9 +958,9 @@ mod tests {
 
     #[test]
     fn prefilter_counters_are_mode_invariant() {
-        // Fast/slow line counts are pure functions of the corpus: the
-        // sequential scan and any shard layout agree (cache hits, by
-        // design, may not — they live in the timing section).
+        // Fast/slow line counts are pure functions of the corpus: every
+        // shard layout agrees (cache hits, by design, may not — they
+        // live in the timing section).
         let inputs = corpus();
         let mut seq = BatchPipeline::new(secret(), 1);
         seq.discover_corpus(&inputs);
@@ -1028,9 +979,8 @@ mod tests {
     #[test]
     fn discoveries_are_mode_and_job_invariant() {
         // The per-file discovery records (stats + prefilter deltas) are
-        // pure functions of each file's text: sequential and sharded
-        // scans agree at every job count, and the deltas sum to the
-        // whole-corpus prefilter counters.
+        // pure functions of each file's text: every shard layout agrees,
+        // and the deltas sum to the whole-corpus prefilter counters.
         let inputs = corpus();
         let mut seq = BatchPipeline::new(secret(), 1);
         let reference = seq.run(&inputs).discoveries;
@@ -1126,10 +1076,10 @@ mod tests {
         );
     }
 
-    /// `BatchPipeline::new(cfg, 1)` is the sequential-discovery
-    /// reference the determinism properties compare against, so the
-    /// selection is pinned: no shards at one job or for a one-file
-    /// corpus, `min(jobs, files)` shards otherwise.
+    /// Every job count runs the same observe-merge-replay discovery, so
+    /// the shard count is `min(jobs, files)` throughout: one shard — the
+    /// calling thread — at one job or for a one-file corpus, and it is
+    /// recorded even then.
     #[test]
     fn discovery_mode_follows_jobs_and_file_count() {
         let inputs = corpus();
@@ -1141,14 +1091,82 @@ mod tests {
                 .get("discovery.shards")
                 .copied()
         };
-        assert_eq!(shards(1, &inputs), None);
-        assert_eq!(shards(4, &inputs[..1]), None);
+        assert_eq!(shards(1, &inputs), Some(1));
+        assert_eq!(shards(4, &inputs[..1]), Some(1));
         for jobs in [2, 3, 4, 8] {
             assert_eq!(
                 shards(jobs, &inputs),
                 Some(jobs.min(inputs.len()) as u64),
                 "jobs={jobs}"
             );
+        }
+    }
+
+    /// A one-job run is the calling thread alone in both passes: every
+    /// span it records is on lane 1, the first worker's.
+    #[test]
+    fn one_job_runs_on_the_calling_thread() {
+        let report = BatchPipeline::new(secret(), 1).run(&corpus());
+        assert_eq!(report.jobs, 1);
+        let lanes: BTreeSet<u32> = report
+            .obs
+            .spans()
+            .iter()
+            .filter(|s| s.cat != "phase")
+            .map(|s| s.tid)
+            .collect();
+        assert_eq!(lanes, BTreeSet::from([1]));
+    }
+
+    /// A discovery shard that dies outside the per-file containment fails
+    /// its whole range closed, on the calling thread (shard 0) as on a
+    /// spawned one, and the run returns normally. The surviving files
+    /// release exactly what a run over them alone releases: the crashed
+    /// range's observations are forfeited.
+    #[test]
+    fn crashed_discovery_shard_fails_its_range_closed() {
+        // (crashing file, jobs, the crashing shard's range)
+        for (at, jobs, lo, hi) in [(1, 1, 0, 6), (1, 2, 0, 3), (4, 2, 3, 6), (2, 3, 2, 4)] {
+            let mut inputs = corpus();
+            inputs[at].name = "crash-discover.cfg".to_string();
+            let report = BatchPipeline::new(secret(), jobs).run(&inputs);
+            let failed: Vec<&str> = report.failures.iter().map(|f| f.name.as_str()).collect();
+            let range: Vec<&str> = inputs[lo..hi].iter().map(|f| f.name.as_str()).collect();
+            assert_eq!(failed, range, "crash at {at}, jobs={jobs}");
+            assert!(report
+                .failures
+                .iter()
+                .all(|f| f.phase == BatchPhase::Discover && f.cause == "discovery worker crashed"));
+            let survivors = [&inputs[..lo], &inputs[hi..]].concat();
+            let alone = BatchPipeline::new(secret(), 1).run(&survivors);
+            let texts = |r: &BatchReport| -> Vec<(String, String)> {
+                r.outputs.iter().map(|o| (o.name.clone(), o.text.clone())).collect()
+            };
+            assert_eq!(texts(&report), texts(&alone), "crash at {at}, jobs={jobs}");
+        }
+    }
+
+    /// A rewrite worker that dies outside the per-file containment fails
+    /// the file it held closed, and the run returns normally. Other
+    /// workers go on taking files; the calling thread alone (one job)
+    /// leaves the rest of the index to be failed closed with it.
+    #[test]
+    fn crashed_rewrite_worker_fails_its_files_closed() {
+        let mut inputs = corpus();
+        inputs[2].name = "crash-rewrite.cfg".to_string();
+        let failed = |jobs: usize| -> Vec<String> {
+            let report = BatchPipeline::new(secret(), jobs).run(&inputs);
+            assert_eq!(report.outputs.len() + report.failures.len(), inputs.len());
+            assert!(report
+                .failures
+                .iter()
+                .all(|f| f.phase == BatchPhase::Rewrite && f.cause == "rewrite worker crashed"));
+            report.failures.into_iter().map(|f| f.name).collect()
+        };
+        let held_and_after: Vec<String> = inputs[2..].iter().map(|f| f.name.clone()).collect();
+        assert_eq!(failed(1), held_and_after);
+        for jobs in [2, 4] {
+            assert_eq!(failed(jobs), vec!["crash-rewrite.cfg".to_string()], "jobs={jobs}");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Identifier observations for sharded discovery.
+//! Identifier observations for discovery.
 //!
 //! The discovery pass exists to warm the [`crate::Anonymizer`]'s mapping
 //! state before the parallel rewrite pass, and for most of that state the
@@ -6,8 +6,8 @@
 //! emitted-image set, and the per-file statistics all merge
 //! commutatively. The two exceptions are the v4 and v6 prefix-preserving
 //! tries, whose node layout depends on the order addresses are *first*
-//! inserted. Sequential discovery gets that order for free; sharded
-//! discovery must reconstruct it.
+//! inserted. A sequential scan would get that order for free; discovery
+//! shards scan their ranges at once, so the order is reconstructed.
 //!
 //! The reconstruction rests on one property of the tries (pinned by the
 //! `ipanon` test suite): mappings are **sticky**. Once an address has an

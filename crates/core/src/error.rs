@@ -12,9 +12,9 @@ use std::fmt;
 /// The phase of the batch pipeline in which a per-file failure occurred.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum BatchPhase {
-    /// Sequential identifier-discovery pass.
+    /// Identifier-discovery pass.
     Discover,
-    /// Emit pass (sequential or parallel rewrite workers).
+    /// Emit pass (rewrite workers).
     Rewrite,
     /// Post-emission §6.1 leak scan.
     Scan,

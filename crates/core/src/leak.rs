@@ -20,6 +20,8 @@ use std::collections::{BTreeSet, HashSet};
 
 use confanon_testkit::json::Json;
 
+use crate::error::BatchFailure;
+
 /// Everything the anonymizer saw that must not appear in the output.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LeakRecord {
@@ -116,6 +118,55 @@ impl LeakReport {
     pub fn is_clean(&self) -> bool {
         self.leaks.is_empty()
     }
+}
+
+/// The `confanon-leak-report-v1` document (README.md): how many files
+/// were released, quarantined and panic-contained, every quarantined
+/// file's flagged lines, and the contained failures. A batch run writes
+/// it as `leak_report.json`; a serve tenant answers a quarantined request
+/// with it, for that one file. Round-trips through [`Json::parse`].
+pub fn leak_report_json<'r>(
+    clean_files: usize,
+    quarantined: impl IntoIterator<Item = (&'r str, &'r LeakReport)>,
+    failures: &[BatchFailure],
+) -> Json {
+    let mut total_leaks = 0;
+    let quarantined: Vec<Json> = quarantined
+        .into_iter()
+        .map(|(name, report)| {
+            total_leaks += report.leaks.len();
+            let leaks: Vec<Json> = report
+                .leaks
+                .iter()
+                .map(|l| {
+                    Json::obj()
+                        .with("line_no", l.line_no as u64)
+                        .with("token", l.token.as_str())
+                        .with("line", l.line.as_str())
+                })
+                .collect();
+            Json::obj()
+                .with("name", name)
+                .with("leaks", Json::Arr(leaks))
+        })
+        .collect();
+    let failures: Vec<Json> = failures
+        .iter()
+        .map(|f| {
+            Json::obj()
+                .with("name", f.name.as_str())
+                .with("phase", f.phase.name())
+                .with("cause", f.cause.as_str())
+        })
+        .collect();
+    Json::obj()
+        .with("schema", "confanon-leak-report-v1")
+        .with("clean_files", clean_files as u64)
+        .with("quarantined_files", quarantined.len() as u64)
+        .with("panic_contained_files", failures.len() as u64)
+        .with("total_leaks", total_leaks as u64)
+        .with("quarantined", Json::Arr(quarantined))
+        .with("failures", Json::Arr(failures))
 }
 
 /// Scans anonymized text against a [`LeakRecord`].
@@ -240,10 +291,12 @@ impl<'a> LeakScanner<'a> {
                 }
             }
         }
-        // Whole alphabetic runs vs recorded identity words. Runs that are
-        // already lowercase (the overwhelming majority of anonymized
-        // output) are checked as borrowed slices; only mixed-case runs
-        // are lowercased, into a buffer reused across lines.
+        // Whole alphabetic runs vs recorded identity words, skipping the
+        // salted-hash images the anonymizer emitted (their hex spells
+        // words like `b` or `face` by chance). Runs that are already
+        // lowercase (the overwhelming majority of anonymized output) are
+        // checked as borrowed slices; only mixed-case runs are
+        // lowercased, into a buffer reused across lines.
         if !self.words.is_empty() {
             let bytes = line.as_bytes();
             let mut i = 0;
@@ -253,6 +306,10 @@ impl<'a> LeakScanner<'a> {
                     continue;
                 }
                 let start = i;
+                if let Some(end) = image_end(bytes, start) {
+                    i = end;
+                    continue;
+                }
                 while i < bytes.len() && bytes[i].is_ascii_alphabetic() {
                     i += 1;
                 }
@@ -271,6 +328,22 @@ impl<'a> LeakScanner<'a> {
         }
         None
     }
+}
+
+/// The end of the salted-hash image that starts the alphabetic run at
+/// `start`, if it is one: `h` and exactly 16 lowercase hex digits
+/// (`TokenHasher::hash_token`), with no letter right after them. The
+/// hasher replaces alphabetic segments, so digits may abut an image
+/// (`Serial0` → `h…0`) but letters never do.
+fn image_end(bytes: &[u8], start: usize) -> Option<usize> {
+    let end = start + 17;
+    let image = bytes[start] == b'h'
+        && bytes
+            .get(start + 1..end)?
+            .iter()
+            .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+        && !bytes.get(end).is_some_and(u8::is_ascii_alphabetic);
+    image.then_some(end)
 }
 
 #[cfg(test)]
@@ -330,6 +403,31 @@ mod tests {
         let s = LeakScanner::new(&r);
         assert!(!s.scan("route-map UUNET-import deny 10").is_clean());
         assert!(s.scan("route-map h1234-import deny 10").is_clean());
+    }
+
+    #[test]
+    fn words_inside_hash_images_do_not_flag() {
+        // `b` and `h` spelled by an image's hex are not the recorded
+        // words; the same words in plaintext beside an image still are.
+        let r = record(&[], &[], &["b", "h", "rtr"]);
+        let s = LeakScanner::new(&r);
+        assert!(s.scan("hostname h53abe13b3533afe9").is_clean());
+        assert!(s.scan(" path tftp://10.0.0.9/$h666bb529d40ed5c7-$h852f65b119bd43c1").is_clean());
+        assert!(s.scan("interface h53abe13b3533afe90/1").is_clean());
+        for leaky in [
+            "hostname b h53abe13b3533afe9",
+            "hostname rtr-h53abe13b3533afe9",
+            "hostname h53abe13b3533afe9-b",
+            "hostname h53abe13b3533afe9.b.h",
+            "$h-$t h53abe13b3533afe9",
+        ] {
+            assert!(!s.scan(leaky).is_clean(), "{leaky}");
+        }
+        // Not image-shaped: a letter after the 16 digits, too few digits,
+        // or an uppercase digit.
+        for near in ["h53abe13b3533afe9b", "h53abe13b3533afe", "h53ABE13b3533afe9"] {
+            assert!(!s.scan(near).is_clean(), "{near}");
+        }
     }
 
     #[test]

@@ -38,6 +38,33 @@ fn r07_neighbor_remote_as() {
 }
 
 #[test]
+fn r07_alternate_as_maps_every_alternate() {
+    // With and without the `remote-as` in front; `alternate-as` itself
+    // survives as a keyword, and a public 4-byte alternate is recorded.
+    let (i702, i703, i704) = (image(702), image(703), image(704));
+    for (line, want) in [
+        (
+            " neighbor 9.9.9.9 remote-as 702 alternate-as 703 704
+",
+            format!("remote-as {i702} alternate-as {i703} {i704}"),
+        ),
+        (
+            " neighbor 9.9.9.9 alternate-as 703 704
+",
+            format!("alternate-as {i703} {i704}"),
+        ),
+    ] {
+        let mut a = anon();
+        let out = a.anonymize_config(line).text;
+        assert!(out.contains(&want), "{out}");
+        assert!(a.leak_record().asns.contains("703"), "{out}");
+    }
+    let mut a = anon();
+    a.anonymize_config(" neighbor 9.9.9.9 remote-as 702 alternate-as 262144\n");
+    assert!(a.leak_record().asns.contains("262144"));
+}
+
+#[test]
 fn r08_as_path_prepend_maps_every_asn() {
     let out = run(" set as-path prepend 701 701 1239\n");
     let i701 = image(701);

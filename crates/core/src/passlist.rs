@@ -23,7 +23,7 @@ use confanon_iosparse::{segment, Segment};
 /// as structure rather than identity. Matching is case-insensitive.
 const IOS_KEYWORDS: &[&str] = &[
     // Top-level and mode-opening commands.
-    "aaa", "access", "address", "aggregate", "alias", "area", "arp", "async", "atm",
+    "aaa", "access", "address", "aggregate", "alias", "alternate", "area", "arp", "async", "atm",
     "authentication", "authorization", "auto", "autonomous", "backbone", "bandwidth", "banner",
     "bgp", "boot", "bridge", "broadcast", "buffers", "cable", "card", "cdp", "class", "classless",
     "clock", "cluster", "community", "confederation", "config", "configuration", "console",

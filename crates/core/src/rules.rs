@@ -120,6 +120,11 @@ pub enum Locator {
     AsnsFrom(usize),
     /// [`Locator::Asn`] after the line's first `remote-as`, if any.
     AsnAfterRemoteAs,
+    /// [`Locator::Asn`] at the position, then on every token after the
+    /// first `alternate-as` past it, if any: the other ASNs a dynamic
+    /// neighbor may take (`neighbor x remote-as 702 alternate-as 703
+    /// 704`). Declines as [`Locator::Asn`] does.
+    AsnThenAlternates(usize),
     /// Maps every `asn:value` community from the position on. Declines
     /// symbolic ones (`additive`, `no-export`), which name nobody, and
     /// wider halves, recording a public ASN half. `a.b.c.d:nn` route
@@ -146,6 +151,9 @@ pub enum Locator {
 
 /// The keyword [`Locator::AsnAfterRemoteAs`] looks for.
 pub(crate) const REMOTE_AS: &str = "remote-as";
+
+/// The keyword [`Locator::AsnThenAlternates`] looks for.
+pub(crate) const ALTERNATE_AS: &str = "alternate-as";
 
 /// Keywords whose presence anywhere on a line fires R20's trailer: the
 /// token after each (past a one-digit encryption type) hashes as a secret.
@@ -208,8 +216,12 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         id: RuleId::R07NeighborRemoteAs,
         category: RuleCategory::AsnLocation,
         name: "neighbor-remote-as",
-        description: "`neighbor <ip> remote-as <asn>`: permute the peer ASN.",
-        anchors: &[at(&["neighbor", "*", REMOTE_AS], Locator::Asn(3))],
+        description: "`neighbor <ip> remote-as <asn> [alternate-as <asn>…]`: permute the peer \
+                      ASN and every alternate.",
+        anchors: &[
+            at(&["neighbor", "*", REMOTE_AS], Locator::AsnThenAlternates(3)),
+            at(&["neighbor", "*", ALTERNATE_AS], Locator::AsnsFrom(3)),
+        ],
     },
     RuleInfo {
         id: RuleId::R08AsPathPrepend,
@@ -658,6 +670,7 @@ mod tests {
         let arg = match anchor.locator {
             Locator::Asn(_) | Locator::AsnsFrom(_) => "701",
             Locator::AsnAfterRemoteAs => "10.0.0.0/8 peer-group pg remote-as 701",
+            Locator::AsnThenAlternates(_) => "701 alternate-as 702",
             Locator::CommunitiesFrom(_) | Locator::CommunityList(_) => "701:120",
             Locator::AsPathRegex(_) => "_701_",
             Locator::HashWhole(_) | Locator::ServerName(_) => "cr1.foo.com",

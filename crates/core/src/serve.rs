@@ -44,7 +44,8 @@
 //!   state from *before* the request.
 //! * `QUARANTINED` — the §6.1 gate found residual identifiers in this
 //!   request's output; the bytes are withheld and the tenant enters
-//!   quarantine.
+//!   quarantine. The payload is the `confanon-leak-report-v1` document
+//!   `batch` writes as `leak_report.json`, for the one file.
 //! * `TENANT-QUARANTINED` — the tenant is quarantined (leak hit
 //!   earlier, or its persisted state was unusable at startup); the
 //!   payload says which.

@@ -37,7 +37,7 @@ use crate::anonymizer::{Anonymizer, AnonymizerConfig};
 use crate::error::{panic_message, AnonError};
 use crate::fsx::{DurabilityStats, Fs};
 use crate::input::sanitize_bytes;
-use crate::leak::LeakScanner;
+use crate::leak::{leak_report_json, LeakScanner};
 use crate::manifest::RunManifest;
 use crate::rules::RuleId;
 use crate::serve::Status;
@@ -302,23 +302,8 @@ impl Tenant {
                 "leak gate: {} residual hit(s) in request {name:?}; output withheld",
                 scan.leaks.len()
             );
-            self.health = TenantHealth::LeakQuarantined {
-                reason: reason.clone(),
-            };
-            let leaks: Vec<Json> = scan
-                .leaks
-                .iter()
-                .map(|l| {
-                    Json::obj()
-                        .with("line_no", l.line_no as u64)
-                        .with("token", l.token.as_str())
-                })
-                .collect();
-            let doc = Json::obj()
-                .with("schema", "confanon-leak-report-v1")
-                .with("name", name)
-                .with("reason", reason.as_str())
-                .with("leaks", Json::Arr(leaks));
+            self.health = TenantHealth::LeakQuarantined { reason };
+            let doc = leak_report_json(0, [(name, &scan)], &[]);
             return (Status::Quarantined, doc.to_string_pretty().into_bytes());
         }
         // Gate passed: commit. The swap is the only mutation of the
@@ -618,6 +603,42 @@ mod tests {
         tenant.flush(&StdFs).unwrap();
         let reopened = Tenant::open(&spec("alpha", &sdir), FlushMode::Drain, &StdFs);
         assert_eq!(reopened.anonymizer().journal().len(), mapped_before);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A quarantined request is answered with the documented
+    /// `confanon-leak-report-v1` document, for that one file.
+    #[test]
+    fn quarantine_payload_is_the_documented_leak_report() {
+        let root = tmpdir("leak-report");
+        let mut tenant = Tenant::open(
+            &TenantSpec {
+                disabled_rules: vec!["neighbor-remote-as".to_string()],
+                ..spec("alpha", &root.join("state"))
+            },
+            FlushMode::Drain,
+            &StdFs,
+        );
+        let leaky = "router bgp 701\n neighbor 10.0.0.2 remote-as 701\n";
+        let (status, payload) = tenant.handle_anon("leak.cfg", leaky.as_bytes(), &StdFs);
+        assert_eq!(status, Status::Quarantined);
+        let doc = Json::parse(std::str::from_utf8(&payload).unwrap()).expect("payload parses");
+        let num = |key: &str| doc.get(key).and_then(Json::as_u64);
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("confanon-leak-report-v1"));
+        assert_eq!(num("clean_files"), Some(0));
+        assert_eq!(num("quarantined_files"), Some(1));
+        assert_eq!(num("panic_contained_files"), Some(0));
+        assert_eq!(num("total_leaks"), Some(1));
+        assert_eq!(doc.get("failures").and_then(Json::as_array).map(<[Json]>::len), Some(0));
+        let files = doc.get("quarantined").and_then(Json::as_array).expect("quarantined");
+        assert_eq!(files.len(), 1);
+        assert_eq!(files[0].get("name").and_then(Json::as_str), Some("leak.cfg"));
+        let leaks = files[0].get("leaks").and_then(Json::as_array).expect("leaks");
+        assert_eq!(leaks.len(), 1);
+        assert_eq!(leaks[0].get("line_no").and_then(Json::as_u64), Some(1));
+        assert_eq!(leaks[0].get("token").and_then(Json::as_str), Some("701"));
+        let line = leaks[0].get("line").and_then(Json::as_str).expect("line");
+        assert!(line.ends_with(" remote-as 701"), "{line}");
         let _ = std::fs::remove_dir_all(&root);
     }
 

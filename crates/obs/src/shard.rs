@@ -27,8 +27,8 @@ pub struct Span {
     pub name: String,
     /// Category (e.g. `"phase"`, `"discover"`, `"rewrite"`).
     pub cat: &'static str,
-    /// Logical thread lane: 0 = the sequential pipeline thread,
-    /// 1.. = rewrite workers.
+    /// Logical thread lane: 0 = the pipeline lane, 1.. = discovery
+    /// shards and rewrite workers (the calling thread is 1).
     pub tid: u32,
     /// Start offset from the run epoch, nanoseconds.
     pub start_ns: u64,

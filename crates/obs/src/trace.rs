@@ -13,8 +13,8 @@ use confanon_testkit::json::Json;
 use crate::shard::Span;
 
 /// Builds the trace document for a run's spans. `lanes` names the
-/// logical thread ids (tid 0 is always the sequential pipeline thread;
-/// rewrite workers are 1..).
+/// logical thread ids (tid 0 is always the pipeline lane; discovery
+/// shards and rewrite workers are 1.., the calling thread being 1).
 pub fn chrome_trace_json(spans: &[Span], lanes: &[(u32, &str)]) -> Json {
     let mut events: Vec<Json> = Vec::with_capacity(spans.len() + lanes.len() + 1);
     events.push(metadata_event("process_name", 0, "confanon batch"));

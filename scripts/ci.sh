@@ -29,14 +29,19 @@ echo "==> perfbench: builds and passes its correctness gate"
 # perfbench (the benchmark of record, see BENCHMARK.json) is a package of
 # its own outside the workspace, so the steps above never compile it: an
 # API change it calls into would otherwise break the benchmark silently.
-# One short untraced e9_batch run exercises its correctness gate.
+# One short untraced run of each workload exercises its correctness gate:
+# e9_batch the cold path, warm_append the warm one (state load, journal
+# replay, discovery of the appended files, and the ground-truth scan
+# against the state's exclusions).
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
-perf_result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload e9_batch --seconds 1 --trace 0 | tail -n 1)
-echo "$perf_result"
-echo "$perf_result" | grep -q '"correct": true' || {
-    echo "perfbench correctness gate failed"; exit 1;
-}
+for workload in e9_batch warm_append; do
+    perf_result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0 | tail -n 1)
+    echo "$perf_result"
+    echo "$perf_result" | grep -q '"correct": true' || {
+        echo "perfbench correctness gate failed on $workload"; exit 1;
+    }
+done
 
 echo "==> smoke bench: batch pipeline throughput"
 # The ISSUE's smoke bench target is a corpus directory; `examples/` holds

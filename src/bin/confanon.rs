@@ -716,11 +716,12 @@ fn observability_overhead_json(
 /// target ("sharded ≥1.5× sequential at `--jobs 4`").
 const DISCOVERY_BENCH_JOBS: usize = 4;
 
-/// Benchmarks the discovery pass in isolation: the sharded scan at
-/// [`DISCOVERY_BENCH_JOBS`] workers versus the sequential one-job scan
-/// (min-of-5 each, observability stripped so the clock measures only the
-/// pass itself). The corpus is tiled up to at least 64 files so worker
-/// spawn and merge/replay overhead cannot dominate a small smoke corpus.
+/// Benchmarks the discovery pass in isolation: [`DISCOVERY_BENCH_JOBS`]
+/// shards versus one (the same observe-merge-replay algorithm on the
+/// calling thread alone, reported under its old name `sequential_ns`),
+/// min-of-5 each, observability stripped so the clock measures only the
+/// pass itself. The corpus is tiled up to at least 64 files so shard
+/// spawn and copy overhead cannot dominate a small smoke corpus.
 fn discovery_bench_json(files: &[(String, String)], cfg: &AnonymizerConfig) -> Json {
     use confanon::core::{BatchInput, BatchPipeline};
 

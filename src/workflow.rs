@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use confanon_confgen::{generate_decoy_routers, Network};
-use confanon_core::leak::{LeakRecord, LeakReport, LeakScanner};
+use confanon_core::leak::{leak_report_json, LeakRecord, LeakReport, LeakScanner};
 use confanon_core::publish::Outputs;
 use confanon_core::state::{file_marks, state_path, watermark};
 use confanon_core::{
@@ -140,44 +140,13 @@ impl GatedCorpusRun {
     /// per-file failures and summary counts. Round-trips through
     /// [`Json::parse`].
     pub fn leak_report_json(&self) -> Json {
-        let quarantined: Vec<Json> = self
-            .quarantined
-            .iter()
-            .map(|q| {
-                let leaks: Vec<Json> = q
-                    .report
-                    .leaks
-                    .iter()
-                    .map(|l| {
-                        Json::obj()
-                            .with("line_no", l.line_no as u64)
-                            .with("token", l.token.as_str())
-                            .with("line", l.line.as_str())
-                    })
-                    .collect();
-                Json::obj()
-                    .with("name", q.output.name.as_str())
-                    .with("leaks", Json::Arr(leaks))
-            })
-            .collect();
-        let failures: Vec<Json> = self
-            .failures
-            .iter()
-            .map(|f| {
-                Json::obj()
-                    .with("name", f.name.as_str())
-                    .with("phase", f.phase.name())
-                    .with("cause", f.cause.as_str())
-            })
-            .collect();
-        Json::obj()
-            .with("schema", "confanon-leak-report-v1")
-            .with("clean_files", self.clean.len() as u64)
-            .with("quarantined_files", self.quarantined.len() as u64)
-            .with("panic_contained_files", self.failures.len() as u64)
-            .with("total_leaks", self.leak_count() as u64)
-            .with("quarantined", Json::Arr(quarantined))
-            .with("failures", Json::Arr(failures))
+        leak_report_json(
+            self.clean.len(),
+            self.quarantined
+                .iter()
+                .map(|q| (q.output.name.as_str(), &q.report)),
+            &self.failures,
+        )
     }
 
     /// Total input files this run accounted for, in any state.
@@ -189,8 +158,8 @@ impl GatedCorpusRun {
     /// corpus and config across any `--jobs` value AND across a resumed
     /// vs. one-shot run.
     ///
-    /// Everything here derives from the sequential discovery pass, which
-    /// always walks the *whole* corpus in input order (a resume skip set
+    /// Everything here derives from the discovery pass, which always
+    /// covers the *whole* corpus in input order (a resume skip set
     /// only suppresses re-emission): aggregate anonymization counters,
     /// per-rule fire counts, prefix-trie node counts, and the
     /// discovery-side counters/histograms. Corpus accounting uses

@@ -174,13 +174,18 @@ fn anonymize_withholds_outputs_its_self_audit_flags() {
 /// code, the number of `.anon` files released into the out dir, and the
 /// leak report (empty when none was written).
 fn batch_one_file(root: &Path, text: &str) -> (Option<i32>, usize, String) {
+    batch_one_file_under(root, "s", text)
+}
+
+/// [`batch_one_file`] under the owner secret `secret`.
+fn batch_one_file_under(root: &Path, secret: &str, text: &str) -> (Option<i32>, usize, String) {
     let _ = std::fs::remove_dir_all(root);
     let corpus = root.join("corpus");
     std::fs::create_dir_all(&corpus).expect("mk corpus");
     std::fs::write(corpus.join("a.cfg"), text).expect("write");
     let (out_dir, quarantine) = (root.join("out"), root.join("quar"));
     let out = bin()
-        .args(["batch", "--secret", "s", "--out-dir"])
+        .args(["batch", "--secret", secret, "--out-dir"])
         .arg(&out_dir)
         .arg("--quarantine-dir")
         .arg(&quarantine)
@@ -218,6 +223,43 @@ fn public_4byte_asns_are_withheld_not_released() {
     // A private 4-byte ASN (RFC 6996) names no network.
     let (code, released, _) = batch_one_file(&root, "router bgp 4200000001\n");
     assert_eq!((code, released), (Some(0), 1));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn words_spelled_by_hash_images_are_not_leaks() {
+    // Under this secret the image of `b` spells a lone `b`
+    // (`hostname h53abe13b3533afe9`), and every image starts with `h`,
+    // which the IOS archive path's `$h` records as an identity word.
+    // Both were quarantined (exit 4) although nothing leaked.
+    let root = tmpdir("image-words");
+    for text in [
+        "hostname b\n",
+        "hostname rtr3\narchive\n path tftp://10.0.0.9/$h-$t\n",
+    ] {
+        let (code, released, report) = batch_one_file_under(&root, "incr-suite-secret", text);
+        assert_eq!((code, released), (Some(0), 1), "{text:?}: {report}");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn alternate_as_asns_are_mapped() {
+    // Every ASN after `alternate-as` is permuted (and recorded), with or
+    // without `remote-as` in front; the keyword itself survives.
+    let root = tmpdir("alternate-as");
+    let (code, released, report) = batch_one_file_under(
+        &root,
+        "incr-suite-secret",
+        "router bgp 701\n neighbor 12.1.1.2 remote-as 702 alternate-as 703\n\
+         neighbor 12.1.1.3 alternate-as 704 705\n",
+    );
+    assert_eq!((code, released), (Some(0), 1), "{report}");
+    let out = std::fs::read_to_string(root.join("out").join("a.cfg.anon")).expect("released");
+    assert_eq!(out.matches(" alternate-as ").count(), 2, "{out}");
+    for asn in ["701", "702", "703", "704", "705"] {
+        assert!(!out.split_whitespace().any(|t| t == asn), "{asn} released: {out}");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 
