@@ -768,25 +768,37 @@ impl Anonymizer {
         out[i] = Some(image);
     }
 
-    /// Records an all-digit ASN the 16-bit map declined when it is public
-    /// in the 4-byte space, so the leak gate withholds any output that
-    /// releases it.
-    fn record_wide_asn(&mut self, digits: &str) {
-        if digits.bytes().all(|b| b.is_ascii_digit())
-            && digits.parse::<u32>().is_ok_and(is_public32)
-        {
-            self.record.asns.insert(digits.to_string());
+    /// Records, as written, an ASN token the 16-bit map declined when it
+    /// is public in the 4-byte space (RFC 6793): asplain digits, or asdot
+    /// `X.Y` with `1 ≤ X ≤ 65535` and `Y ≤ 65535`, which is `65536·X + Y`.
+    /// The leak gate then withholds any output that releases it.
+    fn record_wide_asn(&mut self, tok: &str) {
+        let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+        let asn = match tok.split_once('.') {
+            Some((x, y)) if digits(x) && digits(y) => match (x.parse::<u16>(), y.parse::<u16>()) {
+                (Ok(x), Ok(y)) if x >= 1 => Some((u32::from(x) << 16) | u32::from(y)),
+                _ => None,
+            },
+            None if digits(tok) => tok.parse::<u32>().ok(),
+            _ => None,
+        };
+        if asn.is_some_and(is_public32) {
+            self.record.asns.insert(tok.to_string());
         }
     }
 
     /// Maps a community literal token, recording the ASN half. With R27
     /// disabled (ablation) the value half keeps its original integer —
     /// exactly the information/anonymity trade-off of §4.5. A community
-    /// with a half wider than 16 bits is declined, its ASN half recorded
-    /// if public.
+    /// with a half wider than 16 bits, or an asdot ASN half (`4.10:100`),
+    /// is declined, its ASN half recorded if public.
     fn try_community(&mut self, token: &str, stats: &mut AnonymizationStats) -> Option<String> {
         let (a, v) = token.split_once(':')?;
-        if !a.bytes().all(|b| b.is_ascii_digit()) || !v.bytes().all(|b| b.is_ascii_digit()) {
+        if !v.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        if !a.bytes().all(|b| b.is_ascii_digit()) {
+            self.record_wide_asn(a);
             return None;
         }
         let (Ok(asn), Ok(value)) = (a.parse::<u16>(), v.parse::<u16>()) else {
@@ -963,7 +975,8 @@ impl Anonymizer {
 
     /// The generic per-token transformation — addresses, prefixes,
     /// community literals, numbers, and the segmentation + pass-list +
-    /// hash fallback — in borrow-or-own form: returns
+    /// hash fallback, which also maps the dotted quads of a compound
+    /// token's non-alphabetic segments — in borrow-or-own form: returns
     /// `None` — no allocation — when the token is kept verbatim (pure
     /// numbers, pass-listed words, disabled-rule keeps). During
     /// discovery it always returns `None`: output is discarded, and the
@@ -1034,14 +1047,21 @@ impl Anonymizer {
                 return result;
             }
         }
-        // R01/R02/R26: segmentation, pass-list, hash.
-        if !self.enabled(RuleId::R26TokenHashing) {
+        // R22 on the dotted quads inside a compound token
+        // (`tftp://12.1.1.1/cfg`, `12.1.1.1:100`), and R01/R02/R26:
+        // segmentation, pass-list, hash.
+        let hashing = self.enabled(RuleId::R26TokenHashing);
+        let mapping = self.enabled(RuleId::R22Ipv4Literal);
+        if !hashing && !mapping {
             return None;
         }
         // Fast path: a token that is one pure alphabetic run (most IOS
         // keywords) needs no segment vector — one byte-class scan and
         // one pass-list lookup decide it.
         if tok.bytes().all(|b| BYTE_CLASS[b as usize] & CLASS_ALPHA != 0) {
+            if !hashing {
+                return None;
+            }
             stats.fire(RuleId::R01SplitAlphaRuns);
             if self.cfg.pass_list.contains(tok) {
                 stats.segments_passed += 1;
@@ -1055,48 +1075,68 @@ impl Anonymizer {
             return self.emit.then(|| self.hash_emit(tok));
         }
         let segs = segment(tok);
-        if segs.len() > 1 {
+        if hashing && segs.len() > 1 {
             // R02: punctuation split the word into independently checked
             // segments (`cr1.lax.foo.com`, `Ethernet0/0`).
             stats.fire(RuleId::R02SplitPunctuation);
         }
         // Pass 1 — classification and side effects only: decide whether
-        // any alphabetic segment actually hashes. If none does, the
-        // token is byte-identical and no assembly happens at all.
+        // any alphabetic segment actually hashes, and map every dotted
+        // quad of the other segments, once per occurrence. If nothing
+        // hashes or maps, the token is byte-identical and no assembly
+        // happens at all.
         let mut any_hashed = false;
+        let mut images = Vec::new();
         for seg in &segs {
-            if let Segment::Alpha(a) = seg {
-                if self.cfg.pass_list.contains(a) {
-                    stats.segments_passed += 1;
-                } else {
-                    any_hashed = true;
-                    stats.fire(RuleId::R26TokenHashing);
-                    stats.segments_hashed += 1;
-                    // `a` is already one non-pass-list alpha segment, so
-                    // the re-segmentation in `record_word` is skipped.
-                    if self.enabled(RuleId::R28LeakHighlighting) {
-                        self.record_alpha(a);
+            match *seg {
+                Segment::Alpha(a) if hashing => {
+                    if self.cfg.pass_list.contains(a) {
+                        stats.segments_passed += 1;
+                    } else {
+                        any_hashed = true;
+                        stats.fire(RuleId::R26TokenHashing);
+                        stats.segments_hashed += 1;
+                        // `a` is already one non-pass-list alpha segment,
+                        // so the re-segmentation in `record_word` is
+                        // skipped.
+                        if self.enabled(RuleId::R28LeakHighlighting) {
+                            self.record_alpha(a);
+                        }
                     }
                 }
+                Segment::Other(o) if mapping => {
+                    for (_, ip) in quads_in(o) {
+                        images.push(self.map_ip(ip, stats));
+                    }
+                }
+                _ => {}
             }
         }
-        stats.fire(RuleId::R01SplitAlphaRuns);
-        if !any_hashed || !self.emit {
+        if hashing {
+            stats.fire(RuleId::R01SplitAlphaRuns);
+        }
+        if !self.emit || (!any_hashed && images.is_empty()) {
             return None;
         }
-        // Pass 2 — assembly, emit mode only.
+        // Pass 2 — assembly, emit mode only, reusing pass 1's images.
+        let mut images = images.into_iter();
         let mut outb = String::with_capacity(tok.len());
         for seg in segs {
             match seg {
-                Segment::Other(o) => outb.push_str(o),
-                Segment::Alpha(a) => {
-                    if self.cfg.pass_list.contains(a) {
-                        outb.push_str(a);
-                    } else {
-                        let h = self.hash_emit(a);
-                        outb.push_str(&h);
+                Segment::Other(o) if mapping => {
+                    let mut kept = 0;
+                    for ((run, _), image) in quads_in(o).zip(images.by_ref()) {
+                        outb.push_str(&o[kept..run.start]);
+                        outb.push_str(&image.to_string());
+                        kept = run.end;
                     }
+                    outb.push_str(&o[kept..]);
                 }
+                Segment::Alpha(a) if hashing && !self.cfg.pass_list.contains(a) => {
+                    let h = self.hash_emit(a);
+                    outb.push_str(&h);
+                }
+                Segment::Other(kept) | Segment::Alpha(kept) => outb.push_str(kept),
             }
         }
         Some(outb)
@@ -1433,6 +1473,34 @@ impl Anonymizer {
 enum RegexDomain {
     AsPath,
     Community,
+}
+
+/// The dotted quads inside a non-alphabetic segment, with their byte
+/// ranges: every maximal digit-and-dot run that parses as IPv4. A run of
+/// more or fewer than four parts (`1.3.6.1.4.1.9`, `0/0.5`) is none.
+fn quads_in(seg: &str) -> impl Iterator<Item = (std::ops::Range<usize>, Ip)> + '_ {
+    let bytes = seg.as_bytes();
+    let in_run = |b: u8| b.is_ascii_digit() || b == b'.';
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        while i < bytes.len() {
+            if !in_run(bytes[i]) {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < bytes.len() && in_run(bytes[i]) {
+                i += 1;
+            }
+            // The shortest quad is `0.0.0.0`.
+            if i - start >= 7 {
+                if let Ok(ip) = seg[start..i].parse::<Ip>() {
+                    return Some((start..i, ip));
+                }
+            }
+        }
+        None
+    })
 }
 
 /// Truncates a banner header to `banner <type> <delim>` (drops any

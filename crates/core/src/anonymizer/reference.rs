@@ -142,12 +142,15 @@ impl Anonymizer {
         if tok.bytes().all(|b| b.is_ascii_digit()) {
             return self.keep(tok);
         }
+        // R22 on the dotted quads inside a compound token, and
         // R01/R02/R26: segmentation, pass-list, hash.
-        if !self.enabled(RuleId::R26TokenHashing) {
+        let hashing = self.enabled(RuleId::R26TokenHashing);
+        let mapping = self.enabled(RuleId::R22Ipv4Literal);
+        if !hashing && !mapping {
             return self.keep(tok);
         }
         let segs = segment(tok);
-        if segs.len() > 1 {
+        if hashing && segs.len() > 1 {
             // R02: punctuation split the word into independently checked
             // segments (`cr1.lax.foo.com`, `Ethernet0/0`).
             stats.fire(RuleId::R02SplitPunctuation);
@@ -156,8 +159,18 @@ impl Anonymizer {
         for seg in segs {
             match seg {
                 Segment::Other(o) => {
+                    let o = if mapping {
+                        self.map_quads(o, stats)
+                    } else {
+                        o.to_string()
+                    };
                     if self.emit {
-                        outb.push_str(o);
+                        outb.push_str(&o);
+                    }
+                }
+                Segment::Alpha(a) if !hashing => {
+                    if self.emit {
+                        outb.push_str(a);
                     }
                 }
                 Segment::Alpha(a) => {
@@ -179,8 +192,33 @@ impl Anonymizer {
                 }
             }
         }
-        stats.fire(RuleId::R01SplitAlphaRuns);
+        if hashing {
+            stats.fire(RuleId::R01SplitAlphaRuns);
+        }
         outb
+    }
+
+    /// The reference for the dotted quads of a non-alphabetic segment:
+    /// char by char, each maximal digit-and-dot run that parses as IPv4
+    /// is mapped, left to right, and everything else is kept.
+    fn map_quads(&mut self, seg: &str, stats: &mut AnonymizationStats) -> String {
+        let mut out = String::new();
+        let mut run = String::new();
+        // A trailing space ends the last run; it is popped below.
+        for c in seg.chars().chain([' ']) {
+            if c.is_ascii_digit() || c == '.' {
+                run.push(c);
+                continue;
+            }
+            match run.parse::<Ip>() {
+                Ok(ip) => out.push_str(&self.map_ip(ip, stats).to_string()),
+                Err(_) => out.push_str(&run),
+            }
+            run.clear();
+            out.push(c);
+        }
+        out.pop();
+        out
     }
 
     /// A token kept verbatim: cloned for emission, elided during
@@ -260,14 +298,15 @@ fn mutated(mutator: &mut ChaosMutator, text: &str) -> String {
 }
 
 /// Strategy: a small config whose lines are biased toward the shapes the
-/// rules care about (addresses, ASNs, hostnames, pass-list keywords).
+/// rules care about (addresses, also inside compound tokens, ASNs in
+/// asplain and asdot, hostnames, pass-list keywords).
 fn config_text() -> impl Strategy<Value = String> {
     let line = || {
         (
             any::<u32>(),
             1u16..64000,
             pattern("[a-zA-Z][a-zA-Z0-9.-]{0,12}"),
-            0u8..6,
+            0u8..9,
         )
             .prop_map(|(raw, asn, word, shape)| {
                 let ip = Ip(raw);
@@ -277,6 +316,9 @@ fn config_text() -> impl Strategy<Value = String> {
                     2 => format!(" ip address {ip} 255.255.255.0"),
                     3 => format!(" description link to {word} via {ip}"),
                     4 => "interface Serial0/0".to_string(),
+                    5 => format!("boot host tftp://{ip}/{word}"),
+                    6 => format!(" set extcommunity rt {ip}:{asn} {word}{ip}"),
+                    7 => format!("router bgp {}.{asn}", raw >> 16),
                     _ => format!(" snmp-server community {word} RO"),
                 }
             })
@@ -300,9 +342,20 @@ fn chaos_base() -> &'static [String] {
 confanon_testkit::props! {
     cases = 256;
 
-    /// The shipped line path matches the reference on generated configs.
-    fn zero_copy_matches_reference_on_generated(text in config_text(), secret in any::<u64>()) {
-        assert_lockstep(&config(secret), &[text]);
+    /// The shipped line path matches the reference on generated configs,
+    /// with token hashing (R26) and address mapping (R22) each on or off.
+    fn zero_copy_matches_reference_on_generated(
+        text in config_text(),
+        secret in any::<u64>(),
+        ablate in 0u8..4,
+    ) {
+        let mut cfg = config(secret);
+        for (bit, rule) in [(1, RuleId::R26TokenHashing), (2, RuleId::R22Ipv4Literal)] {
+            if ablate & bit != 0 {
+                cfg = cfg.without_rule(rule);
+            }
+        }
+        assert_lockstep(&cfg, &[text]);
     }
 
     /// The same lockstep on one chaos-mutated config: hostile token

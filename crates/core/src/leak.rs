@@ -7,9 +7,24 @@
 //! sees before hashing them, and then grep out all lines from the
 //! anonymized configs that still include any of those numbers."
 //!
-//! The scanner matches *whole* numbers and *whole* dotted quads (the
-//! paper's plain `grep` would flag AS 1 inside unrelated integers — its
-//! own Genuity footnote — so we tokenize first). Because the ASN map is a
+//! The scanner tokenizes first: the paper's plain `grep` would flag AS 1
+//! inside unrelated integers (its own Genuity footnote). A whitespace
+//! token of a line is one of two kinds:
+//!
+//! * an IPv6 address or `addr/len` prefix, looked up whole. Nothing
+//!   inside it is scanned: its hex groups may be all-decimal
+//!   (`3a07:148:577::`) or spell a word (`2b91:35a8:de5::`).
+//! * anything else, scanned for maximal runs. A digit-and-dot run of four
+//!   parts is looked up as an address wherever it sits in the token
+//!   (`tftp://12.1.1.1/cfg`, `12.1.1.1:100`, `host12.1.1.1`). A run with
+//!   no dot, or with two parts (asdot, `4.10`), is looked up as an ASN
+//!   unless a letter or a salted-hash image touches it (`Serial701`,
+//!   `h…701`). Runs of three, or five and more, parts (`1.3.6.1.4.1.9`)
+//!   are neither. An alphabetic run that is not a hash image is looked up
+//!   as a word, case-insensitively.
+//!
+//! A line is flagged on its first address, else its first ASN, else its
+//! first word. Because the ASN map is a
 //! permutation over a shared space, a legitimate image may coincide with
 //! a recorded original; callers that know the mapping can pass the image
 //! set to [`LeakScanner::scan_excluding`] to suppress those
@@ -216,7 +231,7 @@ impl<'a> LeakScanner<'a> {
     }
 
     /// Scans `text`, returning every line still containing a recorded
-    /// item as a whole number / quad / word.
+    /// item as one of the runs the module doc describes.
     pub fn scan(&self, text: &str) -> LeakReport {
         let mut report = LeakReport::default();
         let mut buf = String::new();
@@ -232,101 +247,94 @@ impl<'a> LeakScanner<'a> {
         report
     }
 
+    /// The first recorded item `line` still holds, in the order
+    /// address, ASN, word: the first address anywhere in the line wins,
+    /// then the first ASN, then the first word. One pass over the line's
+    /// whitespace tokens (see the module doc for the token model).
     fn first_leak_in(&self, line: &str, buf: &mut String) -> Option<String> {
-        // Address tokens first (digit runs inside a quad are not
-        // standalone numbers). `addr/len` prefix tokens match on the
-        // address part. Recorded addresses always start with a hex digit
-        // or contain `:`, so purely alphabetic tokens skip the lookups.
-        if !self.ips.is_empty() {
-            for token in line.split(|c: char| c.is_ascii_whitespace()) {
-                if token.is_empty()
-                    || (!token.as_bytes()[0].is_ascii_alphanumeric() && !token.contains(':'))
-                {
-                    continue;
-                }
-                let bare = token.split_once('/').map_or(token, |(a, _)| a);
-                for t in [token, bare] {
-                    if self.ips.contains(t) && !self.excluded.contains(t) {
-                        return Some(t.to_string());
-                    }
-                }
+        let mut asn: Option<&str> = None;
+        let mut word: Option<String> = None;
+        for token in line.split(|c: char| c.is_ascii_whitespace()) {
+            if token.is_empty() {
+                continue;
             }
-        }
-        // Whole digit runs (catches ASNs inside rewritten regexps like
-        // `4401|14041` without false-matching `701` inside `17012`),
-        // scanned per whitespace token so address-shaped tokens can be
-        // skipped wholesale: hex groups of an IPv6 token (`3a07:148:577::`)
-        // are identifiers even when they happen to be all-decimal.
-        if !self.asns.is_empty() {
-            for token in line.split(|c: char| c.is_ascii_whitespace()) {
-                let bare = token.split_once('/').map_or(token, |(a, _)| a);
-                if token.contains(':') && bare.parse::<confanon_netprim::Ip6>().is_ok() {
-                    continue;
+            // An IPv6 address or prefix is looked up whole, and nothing
+            // inside it is scanned: its hex groups are identifiers even
+            // when they are all-decimal (`3a07:148:577::`) or spell a word
+            // (`2b91:35a8:de5::`).
+            let bare = token.split_once('/').map_or(token, |(a, _)| a);
+            if token.contains(':') && bare.parse::<confanon_netprim::Ip6>().is_ok() {
+                if let Some(t) = [token, bare].into_iter().find(|t| self.hit(&self.ips, t)) {
+                    return Some(t.to_string());
                 }
-                let bytes = token.as_bytes();
-                let mut i = 0;
-                while i < bytes.len() {
-                    if !bytes[i].is_ascii_digit() {
+                continue;
+            }
+            let bytes = token.as_bytes();
+            // Where the last skipped hash image ended: digits right after
+            // one are an identifier's fragment (`rtr701` → `h…701`), as
+            // are digits next to a letter.
+            let mut after_image = usize::MAX;
+            let mut i = 0;
+            while i < bytes.len() {
+                let b = bytes[i];
+                if b.is_ascii_digit() || b == b'.' {
+                    let start = i;
+                    let mut dots = 0;
+                    while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
+                        dots += usize::from(bytes[i] == b'.');
                         i += 1;
+                    }
+                    let run = &token[start..i];
+                    if dots == 3 {
+                        if self.hit(&self.ips, run) {
+                            return Some(run.to_string());
+                        }
+                    } else if dots <= 1 && asn.is_none() {
+                        let in_ident = start == after_image
+                            || (start > 0 && bytes[start - 1].is_ascii_alphabetic())
+                            || bytes.get(i).is_some_and(u8::is_ascii_alphabetic);
+                        if !in_ident && self.hit(&self.asns, run) {
+                            asn = Some(run);
+                        }
+                    }
+                } else if b.is_ascii_alphabetic() {
+                    if let Some(end) = image_end(bytes, i) {
+                        i = end;
+                        after_image = end;
                         continue;
                     }
                     let start = i;
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
+                    while i < bytes.len() && bytes[i].is_ascii_alphabetic() {
                         i += 1;
                     }
-                    let before = if start > 0 { bytes[start - 1] } else { b' ' };
-                    let after = if i < bytes.len() { bytes[i] } else { b' ' };
-                    // Runs adjacent to `.` are octets of a dotted quad
-                    // (handled above); runs adjacent to letters are fragments
-                    // of an identifier (`Serial0/1`'s neighbours are fine,
-                    // but the hex of a hashed token is not a number).
-                    let in_quad = before == b'.' || after == b'.';
-                    let in_ident = before.is_ascii_alphabetic() || after.is_ascii_alphabetic();
-                    if !in_quad && !in_ident {
+                    if word.is_none() && !self.words.is_empty() {
+                        // Runs that are already lowercase (the overwhelming
+                        // majority of anonymized output) are checked as
+                        // borrowed slices; only mixed-case runs are
+                        // lowercased, into a buffer reused across lines.
                         let run = &token[start..i];
-                        if self.asns.contains(run) && !self.excluded.contains(run) {
-                            return Some(run.to_string());
+                        let lowered: &str = if run.bytes().any(|b| b.is_ascii_uppercase()) {
+                            buf.clear();
+                            buf.extend(run.chars().map(|c| c.to_ascii_lowercase()));
+                            buf.as_str()
+                        } else {
+                            run
+                        };
+                        if self.hit(&self.words, lowered) {
+                            word = Some(lowered.to_string());
                         }
                     }
-                }
-            }
-        }
-        // Whole alphabetic runs vs recorded identity words, skipping the
-        // salted-hash images the anonymizer emitted (their hex spells
-        // words like `b` or `face` by chance). Runs that are already
-        // lowercase (the overwhelming majority of anonymized output) are
-        // checked as borrowed slices; only mixed-case runs are
-        // lowercased, into a buffer reused across lines.
-        if !self.words.is_empty() {
-            let bytes = line.as_bytes();
-            let mut i = 0;
-            while i < bytes.len() {
-                if !bytes[i].is_ascii_alphabetic() {
-                    i += 1;
-                    continue;
-                }
-                let start = i;
-                if let Some(end) = image_end(bytes, start) {
-                    i = end;
-                    continue;
-                }
-                while i < bytes.len() && bytes[i].is_ascii_alphabetic() {
-                    i += 1;
-                }
-                let run = &line[start..i];
-                let word: &str = if run.bytes().any(|b| b.is_ascii_uppercase()) {
-                    buf.clear();
-                    buf.extend(run.chars().map(|c| c.to_ascii_lowercase()));
-                    buf.as_str()
                 } else {
-                    run
-                };
-                if self.words.contains(word) && !self.excluded.contains(word) {
-                    return Some(word.to_string());
+                    i += 1;
                 }
             }
         }
-        None
+        asn.map(str::to_string).or(word)
+    }
+
+    /// `item` is in `set` and is not a legitimate image.
+    fn hit(&self, set: &HashSet<&str>, item: &str) -> bool {
+        set.contains(item) && !self.excluded.contains(item)
     }
 }
 
@@ -395,6 +403,58 @@ mod tests {
         let s = LeakScanner::new(&r);
         assert!(!s.scan(" ip address 1.1.1.1 255.255.255.0").is_clean());
         assert!(s.scan(" ip address 11.1.1.11 255.255.255.0").is_clean());
+    }
+
+    #[test]
+    fn addresses_are_found_inside_compound_tokens() {
+        let r = record(&[], &["12.1.1.1"], &[]);
+        let s = LeakScanner::new(&r);
+        for leaky in [
+            "boot host tftp://12.1.1.1/cfg",
+            " set extcommunity rt 12.1.1.1:100",
+            "hostname host12.1.1.1",
+            "access-list 151 deny ip host 12.1.1.1\u{FFFD}\u{FFFD}",
+        ] {
+            let report = s.scan(leaky);
+            assert_eq!(report.leaks.len(), 1, "{leaky}");
+            assert_eq!(report.leaks[0].token, "12.1.1.1", "{leaky}");
+        }
+        // Only a whole four-part run is an address.
+        for clean in [
+            "host 112.1.1.1",
+            "host 12.1.1.12",
+            "oid 12.1.1.1.5",
+            "x 2.1.1.1",
+        ] {
+            assert!(s.scan(clean).is_clean(), "{clean}");
+        }
+    }
+
+    #[test]
+    fn asdot_runs_match_recorded_asdot_asns() {
+        let r = record(&["4.10"], &[], &[]);
+        let s = LeakScanner::new(&r);
+        for leaky in ["router bgp 4.10", " remote-as 4.10", "(4.10|7)", "rt 4.10:100"] {
+            assert!(!s.scan(leaky).is_clean(), "{leaky}");
+        }
+        for clean in [
+            "ip address 12.1.4.10",
+            "version 14.10",
+            "x 4.10.1",
+            "Serial4.10",
+        ] {
+            assert!(s.scan(clean).is_clean(), "{clean}");
+        }
+    }
+
+    #[test]
+    fn first_address_then_first_asn_then_first_word() {
+        let r = record(&["701"], &["1.1.1.1"], &["uunet"]);
+        let s = LeakScanner::new(&r);
+        let token = |line: &str| s.scan(line).leaks[0].token.clone();
+        assert_eq!(token("uunet 701 x/1.1.1.1"), "1.1.1.1");
+        assert_eq!(token("uunet 701"), "701");
+        assert_eq!(token("uunet rtr-uunet"), "uunet");
     }
 
     #[test]
@@ -476,6 +536,18 @@ mod ipv6_scan_tests {
         assert!(!s.scan(" neighbor 9.9.9.9 remote-as 577").is_clean());
         // And inside a community token (not a valid v6 address) too.
         assert!(!s.scan(" set community 577:100").is_clean());
+    }
+
+    #[test]
+    fn words_spelled_by_v6_hex_groups_are_not_words() {
+        let r = LeakRecord {
+            words: ["de".to_string()].into_iter().collect(),
+            ..Default::default()
+        };
+        let s = LeakScanner::new(&r);
+        assert!(!s.scan("hostname de").is_clean());
+        assert!(s.scan(" ipv6 address 2b91:35a8:de5::1/64").is_clean());
+        assert!(s.scan(" ipv6 address 2b91:35a8:de5::1").is_clean());
     }
 
     #[test]

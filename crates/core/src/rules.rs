@@ -112,9 +112,10 @@ pub struct Anchor {
 pub enum Locator {
     /// Permutes the 16-bit ASN at the position. Declines words, which the
     /// per-token pass hashes or passes as keywords, and wider numbers: a
-    /// public 4-byte ASN (RFC 6793) is recorded, a private one (RFC 6996)
-    /// names no network, and one past 32 bits is no ASN. Asdot (`1.10`)
-    /// is declined and not yet located (ROADMAP.md).
+    /// public 4-byte ASN (RFC 6793), asplain (`262154`) or asdot (`4.10`),
+    /// is recorded as written, a private one (RFC 6996) names no network,
+    /// and one past 32 bits is no ASN. 4-byte ASNs are not yet mapped
+    /// (ROADMAP.md).
     Asn(usize),
     /// [`Locator::Asn`] on every token from the position on.
     AsnsFrom(usize),
@@ -126,9 +127,10 @@ pub enum Locator {
     /// 704`). Declines as [`Locator::Asn`] does.
     AsnThenAlternates(usize),
     /// Maps every `asn:value` community from the position on. Declines
-    /// symbolic ones (`additive`, `no-export`), which name nobody, and
-    /// wider halves, recording a public ASN half. `a.b.c.d:nn` route
-    /// targets are declined and not yet located (ROADMAP.md).
+    /// symbolic ones (`additive`, `no-export`), which name nobody, wider
+    /// or asdot (`4.10:100`) ASN halves, recording a public one as
+    /// [`Locator::Asn`] does, and `a.b.c.d:nn` route targets, whose
+    /// address the per-token pass maps through the trie.
     CommunitiesFrom(usize),
     /// Rewrites the as-path regexp from the position to the line's end by
     /// language enumeration over 16-bit ASNs, or hashes it whole if it

@@ -1,21 +1,18 @@
-//! Std-only testing and benchmarking toolkit for the confanon workspace.
+//! Std-only testing toolkit for the confanon workspace.
 //!
 //! The build environment is hermetic: no registry, no external crates.
-//! This crate supplies, from scratch, the four capabilities the workspace
-//! previously imported:
+//! This crate supplies, from scratch, the capabilities the workspace
+//! previously imported, and the test harnesses built on them:
 //!
 //! * [`rng`] — a deterministic xorshift64\* PRNG behind `rand`-shaped
 //!   traits (`Rng`, `SeedableRng`, `SliceRandom`), so the corpus
-//!   generator and benches keep their generic `<R: Rng>` signatures.
+//!   generator keeps its generic `<R: Rng>` signatures.
 //! * [`mod@props`] — a property-test harness (`props!` macro) with random
 //!   case generation, integrated shrinking over the recorded choice
 //!   stream, and a `TESTKIT_SEED` / `TESTKIT_CASES` env override.
 //! * [`json`] — a tiny JSON value type with a writer *and* parser,
 //!   replacing `serde_json` for stats/report emission and the
 //!   `confanon scan --record` input path.
-//! * [`mod@bench`] — a wall-clock bench runner replacing `criterion`,
-//!   with warmup, calibration, median-of-batches timing, and JSON
-//!   report emission.
 //! * [`chaos`] — a seeded corpus mutator (truncation, invalid UTF-8
 //!   splices, control characters, unterminated banners, oversized
 //!   lines, deep nesting) for hostile-input hardening tests.
@@ -37,7 +34,6 @@
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod bench;
 pub mod chaos;
 pub mod faultfs;
 pub mod json;

@@ -205,6 +205,33 @@ ls "$chaos_dir/asn32-out" | grep -q '\.anon$' && {
     echo "4-byte ASNs: anonymize wrote a flagged output"; exit 1;
 }
 
+# 3b. A dotted quad inside a compound token (a URL, an `a.b.c.d:nn`
+#     route target) is mapped, so the release holds no copy of it; an
+#     asdot 4-byte ASN is recorded, so the gate withholds the file.
+mkdir -p "$chaos_dir/quad-in" "$chaos_dir/asdot-in"
+printf ' ip address 12.1.1.1 255.255.255.252\nboot host tftp://12.1.1.1/cfg\n set extcommunity rt 12.1.1.1:100\n' \
+    > "$chaos_dir/quad-in/a.cfg"
+printf 'router bgp 4.10\n' > "$chaos_dir/asdot-in/a.cfg"
+set +e
+./target/release/confanon batch "$chaos_dir/quad-in" --jobs 1 \
+    --out-dir "$chaos_dir/quad-out" --quarantine-dir "$chaos_dir/quad-q"
+code=$?
+./target/release/confanon batch "$chaos_dir/asdot-in" --jobs 1 \
+    --out-dir "$chaos_dir/asdot-out" --quarantine-dir "$chaos_dir/asdot-q"
+asdot_code=$?
+set -e
+[ "$code" -eq 0 ] || { echo "compound quads: expected exit 0, got $code"; exit 1; }
+grep -rwF 12.1.1.1 "$chaos_dir/quad-out" && {
+    echo "compound quads: the release holds 12.1.1.1"; exit 1;
+}
+[ "$asdot_code" -eq 4 ] || { echo "asdot ASN: expected exit 4, got $asdot_code"; exit 1; }
+[ -f "$chaos_dir/asdot-q/leak_report.json" ] || {
+    echo "asdot ASN: missing leak_report.json"; exit 1;
+}
+ls "$chaos_dir/asdot-out" | grep -q '\.anon$' && {
+    echo "asdot ASN: batch released a file"; exit 1;
+}
+
 # 4. 64 chaos-mutated hostile configs never crash the pipeline or escape
 #    the taxonomy (exit 0/3/4), and the run is deterministic: jobs=1 and
 #    jobs=4 agree on the exit code and on every released byte.

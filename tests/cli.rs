@@ -173,12 +173,16 @@ fn anonymize_withholds_outputs_its_self_audit_flags() {
 /// Runs `batch` over a one-file corpus holding `text`; returns the exit
 /// code, the number of `.anon` files released into the out dir, and the
 /// leak report (empty when none was written).
-fn batch_one_file(root: &Path, text: &str) -> (Option<i32>, usize, String) {
+fn batch_one_file(root: &Path, text: impl AsRef<[u8]>) -> (Option<i32>, usize, String) {
     batch_one_file_under(root, "s", text)
 }
 
 /// [`batch_one_file`] under the owner secret `secret`.
-fn batch_one_file_under(root: &Path, secret: &str, text: &str) -> (Option<i32>, usize, String) {
+fn batch_one_file_under(
+    root: &Path,
+    secret: &str,
+    text: impl AsRef<[u8]>,
+) -> (Option<i32>, usize, String) {
     let _ = std::fs::remove_dir_all(root);
     let corpus = root.join("corpus");
     std::fs::create_dir_all(&corpus).expect("mk corpus");
@@ -212,30 +216,47 @@ fn public_4byte_asns_are_withheld_not_released() {
         let token = format!("\"token\": \"{asn}\"");
         assert!(report.contains(&token), "{asn}: {report}");
     }
+    // Asdot spells the same ASNs: 4.10 is 262,154 and 6.20 is 393,236.
+    let (code, released, report) = batch_one_file(
+        &root,
+        "router bgp 4.10\n neighbor 12.1.1.2 remote-as 6.20\n",
+    );
+    assert_eq!((code, released), (Some(4), 0));
+    for asn in ["4.10", "6.20"] {
+        let token = format!("\"token\": \"{asn}\"");
+        assert!(report.contains(&token), "{asn}: {report}");
+    }
     for line in [
         "ip as-path access-list 6 permit _396982_\n",
         " set community 396982:100\n",
         " bgp confederation peers 262145\n",
+        " set extcommunity rt 4.10:100\n",
     ] {
         let (code, released, _) = batch_one_file(&root, line);
         assert_eq!((code, released), (Some(4), 0), "{line:?}");
     }
-    // A private 4-byte ASN (RFC 6996) names no network.
-    let (code, released, _) = batch_one_file(&root, "router bgp 4200000001\n");
-    assert_eq!((code, released), (Some(0), 1));
+    // A private 4-byte ASN (RFC 6996) names no network, in either
+    // notation (64086.59904 is 4,200,000,000).
+    for text in ["router bgp 4200000001\n", "router bgp 64086.59904\n"] {
+        let (code, released, _) = batch_one_file(&root, text);
+        assert_eq!((code, released), (Some(0), 1), "{text:?}");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
 fn words_spelled_by_hash_images_are_not_leaks() {
     // Under this secret the image of `b` spells a lone `b`
-    // (`hostname h53abe13b3533afe9`), and every image starts with `h`,
-    // which the IOS archive path's `$h` records as an identity word.
-    // Both were quarantined (exit 4) although nothing leaked.
+    // (`hostname h53abe13b3533afe9`), every image starts with `h`, which
+    // the IOS archive path's `$h` records as an identity word, and the
+    // image of `2400:bb5:1ff5::1` spells `de` in its hex groups
+    // (`3156:de4:…`). All were quarantined (exit 4) although nothing
+    // leaked.
     let root = tmpdir("image-words");
     for text in [
         "hostname b\n",
         "hostname rtr3\narchive\n path tftp://10.0.0.9/$h-$t\n",
+        "hostname de\n ipv6 address 2400:bb5:1ff5::1/64\n",
     ] {
         let (code, released, report) = batch_one_file_under(&root, "incr-suite-secret", text);
         assert_eq!((code, released), (Some(0), 1), "{text:?}: {report}");
@@ -259,6 +280,35 @@ fn alternate_as_asns_are_mapped() {
     assert_eq!(out.matches(" alternate-as ").count(), 2, "{out}");
     for asn in ["701", "702", "703", "704", "705"] {
         assert!(!out.split_whitespace().any(|t| t == asn), "{asn} released: {out}");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn dotted_quads_inside_compound_tokens_are_mapped() {
+    // The per-token pass maps the address inside a URL, a route target
+    // and a token with repaired bytes after it; each was released in
+    // plaintext with exit 0.
+    let root = tmpdir("compound-quads");
+    for (addr, text) in [
+        (
+            "12.1.1.1",
+            &b" ip address 12.1.1.1 255.255.255.252\nboot host tftp://12.1.1.1/cfg\n"[..],
+        ),
+        (
+            "12.1.1.1",
+            b" ip address 12.1.1.1 255.255.255.252\n set extcommunity rt 12.1.1.1:100\n",
+        ),
+        (
+            "21.164.249.240",
+            b"access-list 151 deny ip host 21.164.249.240\xC0\xAF any log\n",
+        ),
+    ] {
+        let (code, released, report) = batch_one_file(&root, text);
+        assert_eq!((code, released), (Some(0), 1), "{addr}: {report}");
+        let out = std::fs::read_to_string(root.join("out").join("a.cfg.anon")).expect("released");
+        let mut runs = out.split(|c: char| !(c.is_ascii_digit() || c == '.'));
+        assert!(!runs.any(|run| run == addr), "{addr} released: {out}");
     }
     let _ = std::fs::remove_dir_all(&root);
 }
