@@ -1000,15 +1000,19 @@ impl Anonymizer {
                 }
                 return None;
             }
-            // R23: prefix token `a.b.c.d/len`.
+            // R23: prefix token `a.b.c.d/len`. A length past 32 is no
+            // prefix: the token falls through to the compound-token pass,
+            // which maps its quad under R22 and keeps `/len` as written.
             if let Some((addr, len)) = tok.split_once('/') {
                 if let (Ok(ip), Ok(len)) = (addr.parse::<Ip>(), len.parse::<u8>()) {
-                    if len <= 32 && self.enabled(RuleId::R23PrefixToken) {
+                    if !self.enabled(RuleId::R23PrefixToken) {
+                        return None;
+                    }
+                    if len <= 32 {
                         stats.fire(RuleId::R23PrefixToken);
                         let mapped = self.map_ip(ip, stats);
                         return self.emit.then(|| format!("{mapped}/{len}"));
                     }
-                    return None;
                 }
             }
             // R14: bare community attribute — classic `asn:value` or RFC
@@ -1476,8 +1480,10 @@ enum RegexDomain {
 }
 
 /// The dotted quads inside a non-alphabetic segment, with their byte
-/// ranges: every maximal digit-and-dot run that parses as IPv4. A run of
-/// more or fewer than four parts (`1.3.6.1.4.1.9`, `0/0.5`) is none.
+/// ranges: every maximal digit-and-dot run whose core, the run without
+/// its leading and trailing dots, parses as IPv4 (`12.1.1.1.` holds
+/// one). A core of more or fewer than four parts (`1.3.6.1.4.1.9`,
+/// `0/0.5`, `12.1.1.1.5`) is none.
 fn quads_in(seg: &str) -> impl Iterator<Item = (std::ops::Range<usize>, Ip)> + '_ {
     let bytes = seg.as_bytes();
     let in_run = |b: u8| b.is_ascii_digit() || b == b'.';
@@ -1488,14 +1494,21 @@ fn quads_in(seg: &str) -> impl Iterator<Item = (std::ops::Range<usize>, Ip)> + '
                 i += 1;
                 continue;
             }
-            let start = i;
+            let mut start = i;
             while i < bytes.len() && in_run(bytes[i]) {
                 i += 1;
             }
+            let mut end = i;
+            while start < end && bytes[start] == b'.' {
+                start += 1;
+            }
+            while end > start && bytes[end - 1] == b'.' {
+                end -= 1;
+            }
             // The shortest quad is `0.0.0.0`.
-            if i - start >= 7 {
-                if let Ok(ip) = seg[start..i].parse::<Ip>() {
-                    return Some((start..i, ip));
+            if end - start >= 7 {
+                if let Ok(ip) = seg[start..end].parse::<Ip>() {
+                    return Some((start..end, ip));
                 }
             }
         }

@@ -76,10 +76,14 @@ impl Anonymizer {
             }
             return self.keep(tok);
         }
-        // R23: prefix token `a.b.c.d/len`.
+        // R23: prefix token `a.b.c.d/len`; a length past 32 falls through
+        // to the compound-token pass.
         if let Some((addr, len)) = tok.split_once('/') {
             if let (Ok(ip), Ok(len)) = (addr.parse::<Ip>(), len.parse::<u8>()) {
-                if len <= 32 && self.enabled(RuleId::R23PrefixToken) {
+                if !self.enabled(RuleId::R23PrefixToken) {
+                    return self.keep(tok);
+                }
+                if len <= 32 {
                     stats.fire(RuleId::R23PrefixToken);
                     let mapped = self.map_ip(ip, stats);
                     return if self.emit {
@@ -88,7 +92,6 @@ impl Anonymizer {
                         String::new()
                     };
                 }
-                return self.keep(tok);
             }
         }
         // R14: bare community attribute — classic `asn:value` or RFC 8092
@@ -199,8 +202,9 @@ impl Anonymizer {
     }
 
     /// The reference for the dotted quads of a non-alphabetic segment:
-    /// char by char, each maximal digit-and-dot run that parses as IPv4
-    /// is mapped, left to right, and everything else is kept.
+    /// char by char, each maximal digit-and-dot run whose core (the run
+    /// without its leading and trailing dots) parses as IPv4 has the core
+    /// mapped, left to right, and everything else is kept.
     fn map_quads(&mut self, seg: &str, stats: &mut AnonymizationStats) -> String {
         let mut out = String::new();
         let mut run = String::new();
@@ -210,8 +214,14 @@ impl Anonymizer {
                 run.push(c);
                 continue;
             }
-            match run.parse::<Ip>() {
-                Ok(ip) => out.push_str(&self.map_ip(ip, stats).to_string()),
+            let core = run.trim_matches('.');
+            match core.parse::<Ip>() {
+                Ok(ip) => {
+                    let lead = run.len() - run.trim_start_matches('.').len();
+                    out.push_str(&run[..lead]);
+                    out.push_str(&self.map_ip(ip, stats).to_string());
+                    out.push_str(&run[lead + core.len()..]);
+                }
                 Err(_) => out.push_str(&run),
             }
             run.clear();
@@ -298,15 +308,16 @@ fn mutated(mutator: &mut ChaosMutator, text: &str) -> String {
 }
 
 /// Strategy: a small config whose lines are biased toward the shapes the
-/// rules care about (addresses, also inside compound tokens, ASNs in
-/// asplain and asdot, hostnames, pass-list keywords).
+/// rules care about (addresses, also inside compound tokens, beside dots
+/// and before an out-of-range prefix length, ASNs in asplain and asdot,
+/// hostnames, pass-list keywords).
 fn config_text() -> impl Strategy<Value = String> {
     let line = || {
         (
             any::<u32>(),
             1u16..64000,
             pattern("[a-zA-Z][a-zA-Z0-9.-]{0,12}"),
-            0u8..9,
+            0u8..11,
         )
             .prop_map(|(raw, asn, word, shape)| {
                 let ip = Ip(raw);
@@ -319,6 +330,8 @@ fn config_text() -> impl Strategy<Value = String> {
                     5 => format!("boot host tftp://{ip}/{word}"),
                     6 => format!(" set extcommunity rt {ip}:{asn} {word}{ip}"),
                     7 => format!("router bgp {}.{asn}", raw >> 16),
+                    8 => format!("ip route {ip}/{} Null0", 20 + asn % 30),
+                    9 => format!("logging .{ip}. ({ip}.) {ip}.{asn} {asn}.{ip}"),
                     _ => format!(" snmp-server community {word} RO"),
                 }
             })

@@ -14,14 +14,15 @@
 //! * an IPv6 address or `addr/len` prefix, looked up whole. Nothing
 //!   inside it is scanned: its hex groups may be all-decimal
 //!   (`3a07:148:577::`) or spell a word (`2b91:35a8:de5::`).
-//! * anything else, scanned for maximal runs. A digit-and-dot run of four
-//!   parts is looked up as an address wherever it sits in the token
-//!   (`tftp://12.1.1.1/cfg`, `12.1.1.1:100`, `host12.1.1.1`). A run with
-//!   no dot, or with two parts (asdot, `4.10`), is looked up as an ASN
-//!   unless a letter or a salted-hash image touches it (`Serial701`,
-//!   `h…701`). Runs of three, or five and more, parts (`1.3.6.1.4.1.9`)
-//!   are neither. An alphabetic run that is not a hash image is looked up
-//!   as a word, case-insensitively.
+//! * anything else, scanned for maximal runs. A digit-and-dot run whose
+//!   core (the run without its leading and trailing dots) has four parts
+//!   is looked up as an address wherever it sits in the token
+//!   (`tftp://12.1.1.1/cfg`, `12.1.1.1:100`, `host12.1.1.1`,
+//!   `12.1.1.1.`). A run with no dot, or with two parts (asdot, `4.10`),
+//!   is looked up as an ASN unless a letter or a salted-hash image
+//!   touches it (`Serial701`, `h…701`). Other runs (`1.3.6.1.4.1.9`,
+//!   `12.1.1.1.5`) are neither. An alphabetic run that is not a hash
+//!   image is looked up as a word, case-insensitively.
 //!
 //! A line is flagged on its first address, else its first ASN, else its
 //! first word. Because the ASN map is a
@@ -67,39 +68,28 @@ impl LeakRecord {
         self.len() == 0
     }
 
-    /// The record as JSON: `{"asns": [...], "ips": [...], "words": [...]}`.
-    pub fn to_json(&self) -> Json {
-        let set = |s: &BTreeSet<String>| {
-            Json::Arr(s.iter().map(|v| Json::Str(v.clone())).collect())
-        };
-        Json::obj()
-            .with("asns", set(&self.asns))
-            .with("ips", set(&self.ips))
-            .with("words", set(&self.words))
-    }
-
-    /// Parses the JSON shape produced by [`LeakRecord::to_json`]. Missing
-    /// keys are treated as empty sets; non-string members are an error.
+    /// Parses a record document, `{"asns": [...], "ips": [...],
+    /// "words": [...]}`. Missing keys are treated as empty sets;
+    /// non-string members are an error.
     pub fn from_json_str(text: &str) -> Result<LeakRecord, String> {
-        LeakRecord::from_json(&Json::parse(text).map_err(|e| e.to_string())?)
+        LeakRecord::from_json(Json::parse(text).map_err(|e| e.to_string())?)
     }
 
     /// [`LeakRecord::from_json_str`] over an already-parsed document (a
-    /// state document's `record` member).
-    pub fn from_json(doc: &Json) -> Result<LeakRecord, String> {
-        let set = |key: &str| -> Result<BTreeSet<String>, String> {
-            match doc.get(key) {
+    /// state document's `record` member), whose strings it moves into
+    /// the sets.
+    pub fn from_json(mut doc: Json) -> Result<LeakRecord, String> {
+        let mut set = |key: &str| -> Result<BTreeSet<String>, String> {
+            match doc.take(key) {
                 None => Ok(BTreeSet::new()),
-                Some(v) => v
-                    .as_array()
-                    .ok_or_else(|| format!("{key:?} must be an array"))?
-                    .iter()
-                    .map(|item| {
-                        item.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| format!("{key:?} must hold strings"))
+                Some(Json::Arr(items)) => items
+                    .into_iter()
+                    .map(|item| match item {
+                        Json::Str(s) => Ok(s),
+                        _ => Err(format!("{key:?} must hold strings")),
                     })
                     .collect(),
+                Some(_) => Err(format!("{key:?} must be an array")),
             }
         };
         Ok(LeakRecord {
@@ -285,9 +275,12 @@ impl<'a> LeakScanner<'a> {
                         i += 1;
                     }
                     let run = &token[start..i];
-                    if dots == 3 {
-                        if self.hit(&self.ips, run) {
-                            return Some(run.to_string());
+                    // Dots around a run are punctuation: its core is an
+                    // address when it has four parts (`12.1.1.1.`).
+                    let core = run.trim_matches('.');
+                    if core.bytes().filter(|&b| b == b'.').count() == 3 {
+                        if self.hit(&self.ips, core) {
+                            return Some(core.to_string());
                         }
                     } else if dots <= 1 && asn.is_none() {
                         let in_ident = start == after_image
@@ -403,6 +396,25 @@ mod tests {
         let s = LeakScanner::new(&r);
         assert!(!s.scan(" ip address 1.1.1.1 255.255.255.0").is_clean());
         assert!(s.scan(" ip address 11.1.1.11 255.255.255.0").is_clean());
+    }
+
+    #[test]
+    fn addresses_are_found_beside_dots() {
+        let r = record(&[], &["12.1.1.1"], &[]);
+        let s = LeakScanner::new(&r);
+        for leaky in ["logging 12.1.1.1.", "logging .12.1.1.1", "see (12.1.1.1.)"] {
+            let report = s.scan(leaky);
+            assert_eq!(report.leaks.len(), 1, "{leaky}");
+            assert_eq!(report.leaks[0].token, "12.1.1.1", "{leaky}");
+        }
+        for clean in [
+            "oid 12.1.1.1.5",
+            "oid 1.12.1.1.1",
+            "oid ..12.1.1",
+            "version 12.1.1.",
+        ] {
+            assert!(s.scan(clean).is_clean(), "{clean}");
+        }
     }
 
     #[test]

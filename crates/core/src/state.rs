@@ -74,7 +74,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use confanon_netprim::{Ip, Ip6};
-use confanon_testkit::json::Json;
+use confanon_testkit::json::{Json, JsonWriter};
 
 use crate::anonymizer::{Anonymizer, AnonymizerConfig};
 use crate::batch::FileDiscovery;
@@ -290,47 +290,56 @@ impl AnonState {
         }
     }
 
-    /// The state as a JSON document.
-    pub fn to_json(&self) -> Json {
-        let mut files = Json::obj();
-        for (name, mark) in &self.files {
-            files.set(
-                name,
-                Json::obj()
-                    .with("watermark", mark.watermark.as_str())
-                    .with("prefilter_fast", mark.prefilter_fast)
-                    .with("prefilter_slow", mark.prefilter_slow)
-                    .with("stats", mark.stats.to_json()),
-            );
-        }
-        Json::obj()
-            .with("schema", STATE_SCHEMA)
-            .with("secret_fingerprint", self.secret_fingerprint.as_str())
-            .with("perm_params", self.perm_params.as_str())
-            .with("trie4_nodes", self.trie4_nodes)
-            .with("trie6_nodes", self.trie6_nodes)
-            .with("trie4_digest", format!("{:016x}", self.trie4_digest))
-            .with("trie6_digest", format!("{:016x}", self.trie6_digest))
-            .with(
-                "journal",
-                Json::Arr(
-                    self.journal
-                        .iter()
-                        .map(|o| Json::Str(journal_entry_to_string(o)))
-                        .collect(),
-                ),
-            )
-            .with("record", self.record.to_json())
-            .with(
-                "emitted",
-                Json::Arr(self.emitted.iter().map(|s| Json::Str(s.clone())).collect()),
-            )
-            .with("files", files)
-    }
-
-    /// The serialized document: pretty JSON plus a trailing newline.
+    /// The serialized document: pretty JSON plus a trailing newline,
+    /// streamed from the state's own fields with no [`Json`] tree in
+    /// between.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut text = self.to_json().to_string_pretty();
+        // About one short indented line per set entry and a stats block
+        // per file: the buffer is sized once instead of doubling.
+        let entries = self.journal.len() + self.record.len() + self.emitted.len();
+        let mut text = String::with_capacity(24 * entries + 1024 * (self.files.len() + 1));
+        let mut w = JsonWriter::pretty(&mut text);
+        let strings = |w: &mut JsonWriter, set: &BTreeSet<String>| {
+            w.begin_array();
+            for s in set {
+                w.string(s);
+            }
+            w.end_array();
+        };
+        w.begin_object();
+        w.key("schema").string(STATE_SCHEMA);
+        w.key("secret_fingerprint").string(&self.secret_fingerprint);
+        w.key("perm_params").string(&self.perm_params);
+        w.key("trie4_nodes").number(self.trie4_nodes as f64);
+        w.key("trie6_nodes").number(self.trie6_nodes as f64);
+        w.key("trie4_digest").string(&format!("{:016x}", self.trie4_digest));
+        w.key("trie6_digest").string(&format!("{:016x}", self.trie6_digest));
+        w.key("journal").begin_array();
+        for obs in &self.journal {
+            w.string(&journal_entry_to_string(obs));
+        }
+        w.end_array();
+        w.key("record").begin_object();
+        for (key, set) in [
+            ("asns", &self.record.asns),
+            ("ips", &self.record.ips),
+            ("words", &self.record.words),
+        ] {
+            strings(w.key(key), set);
+        }
+        w.end_object();
+        strings(w.key("emitted"), &self.emitted);
+        w.key("files").begin_object();
+        for (name, mark) in &self.files {
+            w.key(name).begin_object();
+            w.key("watermark").string(&mark.watermark);
+            w.key("prefilter_fast").number(mark.prefilter_fast as f64);
+            w.key("prefilter_slow").number(mark.prefilter_slow as f64);
+            w.key("stats").value(&mark.stats.to_json());
+            w.end_object();
+        }
+        w.end_object();
+        w.end_object();
         text.push('\n');
         text.into_bytes()
     }
@@ -344,8 +353,8 @@ impl AnonState {
     /// [`AnonState::check_owner`] so the caller controls when the
     /// expected values are known.
     pub fn from_json_str(path: &str, text: &str) -> Result<AnonState, AnonError> {
-        let doc = Json::parse(text)
-            .map_err(|e| corrupted(path, format!("not valid JSON: {e}")))?;
+        let mut doc =
+            Json::parse(text).map_err(|e| corrupted(path, format!("not valid JSON: {e}")))?;
         let schema = doc.get("schema").and_then(Json::as_str);
         if schema != Some(STATE_SCHEMA) {
             return Err(AnonError::StateInvalid {
@@ -390,21 +399,25 @@ impl AnonState {
             .collect::<Result<Vec<ObservedIp>, String>>()
             .map_err(|m| corrupted(path, m))?;
 
+        // The record's and the emitted set's strings are moved out of
+        // the parsed document, not copied.
         let record_doc = doc
-            .get("record")
+            .take("record")
             .ok_or_else(|| corrupted(path, "\"record\" missing".into()))?;
         let record = LeakRecord::from_json(record_doc)
             .map_err(|m| corrupted(path, format!("\"record\": {m}")))?;
 
-        let emitted = doc
-            .get("emitted")
-            .and_then(Json::as_array)
-            .ok_or_else(|| corrupted(path, "\"emitted\" missing or not an array".into()))?
-            .iter()
-            .map(|item| {
-                item.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| corrupted(path, "\"emitted\" must hold strings".into()))
+        let Some(Json::Arr(emitted)) = doc.take("emitted") else {
+            return Err(corrupted(
+                path,
+                "\"emitted\" missing or not an array".into(),
+            ));
+        };
+        let emitted = emitted
+            .into_iter()
+            .map(|item| match item {
+                Json::Str(s) => Ok(s),
+                _ => Err(corrupted(path, "\"emitted\" must hold strings".into())),
             })
             .collect::<Result<BTreeSet<String>, AnonError>>()?;
 
@@ -558,6 +571,50 @@ mod tests {
     use super::*;
     use crate::anonymizer::AnonymizerConfig;
     use crate::manifest::RunManifest;
+
+    impl AnonState {
+        /// The reference for [`AnonState::to_bytes`]: the document as a
+        /// [`Json`] tree, built from copies of the state's strings.
+        fn to_json(&self) -> Json {
+            let mut files = Json::obj();
+            for (name, mark) in &self.files {
+                files.set(
+                    name,
+                    Json::obj()
+                        .with("watermark", mark.watermark.as_str())
+                        .with("prefilter_fast", mark.prefilter_fast)
+                        .with("prefilter_slow", mark.prefilter_slow)
+                        .with("stats", mark.stats.to_json()),
+                );
+            }
+            let set =
+                |s: &BTreeSet<String>| Json::Arr(s.iter().map(|v| Json::Str(v.clone())).collect());
+            let record = Json::obj()
+                .with("asns", set(&self.record.asns))
+                .with("ips", set(&self.record.ips))
+                .with("words", set(&self.record.words));
+            Json::obj()
+                .with("schema", STATE_SCHEMA)
+                .with("secret_fingerprint", self.secret_fingerprint.as_str())
+                .with("perm_params", self.perm_params.as_str())
+                .with("trie4_nodes", self.trie4_nodes)
+                .with("trie6_nodes", self.trie6_nodes)
+                .with("trie4_digest", format!("{:016x}", self.trie4_digest))
+                .with("trie6_digest", format!("{:016x}", self.trie6_digest))
+                .with(
+                    "journal",
+                    Json::Arr(
+                        self.journal
+                            .iter()
+                            .map(|o| Json::Str(journal_entry_to_string(o)))
+                            .collect(),
+                    ),
+                )
+                .with("record", record)
+                .with("emitted", set(&self.emitted))
+                .with("files", files)
+        }
+    }
 
     fn warmed_anonymizer() -> Anonymizer {
         let mut a = Anonymizer::new(AnonymizerConfig::new(b"state-test-secret".to_vec()));
@@ -716,6 +773,88 @@ mod tests {
         let back = AnonState::load(&StdFs, &dir).expect("load").expect("present");
         assert_eq!(back, state);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Runs `texts` under names that need escaping or are not ASCII,
+    /// captures the state, and checks the streamed document against the
+    /// tree reference byte for byte and through a parse.
+    fn assert_streams_like_the_tree(texts: Vec<String>) {
+        use crate::batch::{BatchInput, BatchPipeline};
+        const NAMES: [&str; 5] = ["net/r", "q\"uote", "back\\slash", "ctl\u{1}\u{1f}", "é中"];
+        let inputs: Vec<BatchInput> = texts
+            .into_iter()
+            .enumerate()
+            .map(|(i, text)| BatchInput {
+                name: format!("{}{i:03}.cfg", NAMES[i % NAMES.len()]),
+                text,
+            })
+            .collect();
+        let mut p = BatchPipeline::new(AnonymizerConfig::new(b"stream-secret".to_vec()), 1);
+        let report = p.run(&inputs);
+        let marks = inputs
+            .iter()
+            .map(|f| (f.name.clone(), watermark(&f.text)))
+            .collect();
+        let state = AnonState::capture(
+            p.anonymizer(),
+            RunManifest::fingerprint(b"stream-secret"),
+            file_marks(&report.discoveries, &marks),
+        );
+        assert!(!state.files.is_empty() && !state.journal.is_empty());
+        let mut want = state.to_json().to_string_pretty();
+        want.push('\n');
+        assert_eq!(String::from_utf8(state.to_bytes()).expect("UTF-8"), want);
+        let back = AnonState::from_json_str("state.json", &want).expect("parse");
+        assert_eq!(back, state);
+    }
+
+    fn generated(seed: u64) -> Vec<String> {
+        confanon_confgen::generate_dataset(&confanon_confgen::DatasetSpec {
+            seed,
+            networks: 1,
+            mean_routers: 3,
+            backbone_fraction: 0.5,
+        })
+        .networks
+        .into_iter()
+        .flat_map(|n| n.routers.into_iter().map(|r| r.config))
+        .collect()
+    }
+
+    #[test]
+    fn streamed_document_matches_the_tree_with_ipv6() {
+        let a = warmed_anonymizer();
+        let mut state = capture(&a);
+        assert!(state.journal.iter().any(|o| matches!(o, ObservedIp::V6(_))));
+        let mark = state.files["r1.cfg"].clone();
+        for name in ["q\"uote.cfg", "back\\slash.cfg", "ctl\u{7}.cfg", "é中.cfg"] {
+            state.files.insert(name.to_string(), mark.clone());
+        }
+        let mut want = state.to_json().to_string_pretty();
+        want.push('\n');
+        assert_eq!(String::from_utf8(state.to_bytes()).expect("UTF-8"), want);
+        assert_eq!(AnonState::from_json_str("p", &want).expect("parse"), state);
+    }
+
+    confanon_testkit::props! {
+        cases = 8;
+
+        /// The streamed state document equals the tree reference on
+        /// states captured from generated corpora.
+        fn streamed_document_matches_the_tree_on_generated(seed in 0u64..1_000_000) {
+            assert_streams_like_the_tree(generated(seed));
+        }
+
+        /// The same on chaos-mutated corpora, whose hostile bytes reach
+        /// the recorded words.
+        fn streamed_document_matches_the_tree_on_chaos(seed in 0u64..1_000_000) {
+            let mut mutator = confanon_testkit::chaos::ChaosMutator::new(seed);
+            let texts = generated(seed ^ 0xC4A0_5EED)
+                .iter()
+                .map(|t| crate::input::sanitize_bytes(&mutator.mutate(t.as_bytes()).bytes).0)
+                .collect();
+            assert_streams_like_the_tree(texts);
+        }
     }
 
     confanon_testkit::props! {

@@ -154,6 +154,11 @@ impl IpAnonymizer {
     /// paper's claim that collision handling "maintains the
     /// structure-preserving property" is realized. (The recursive remap
     /// in [`IpAnonymizer::anonymize`] remains as a last-resort fallback.)
+    ///
+    /// A fresh node's keyed bit is a pure function of its left-aligned
+    /// input path, and a node reached by input bit 0 has its parent's
+    /// path, so the walk keeps the last path it keyed with its raw bit
+    /// and computes one keyed bit per distinct path, not one per node.
     pub fn map_raw(&mut self, ip: Ip) -> Ip {
         // Depth at which the trailing zero run of `ip` begins (32 = none).
         let tz = if self.preserve_trailing_zeros {
@@ -169,6 +174,8 @@ impl IpAnonymizer {
         // Node id visited at each depth, plus whether it was created by
         // *this* walk (fresh nodes are repairable, below).
         let mut visited: [(u32, bool); 32] = [(0, false); 32];
+        // The last keyed path of this walk and its raw (unsalted) bit.
+        let mut keyed: Option<(u32, bool)> = None;
         for depth in 0u8..32 {
             let in_bit = ip.bit(depth);
             visited[depth as usize].0 = node as u32;
@@ -185,8 +192,12 @@ impl IpAnonymizer {
                     {
                         false
                     } else {
-                        self.prf.bit("iptrie", &next_path.to_be_bytes()[..])
-                            ^ self.depth_salts[usize::from(depth) + 1]
+                        let raw = match keyed {
+                            Some((p, raw)) if p == next_path => raw,
+                            _ => self.prf.bit("iptrie", &next_path.to_be_bytes()[..]),
+                        };
+                        keyed = Some((next_path, raw));
+                        raw ^ self.depth_salts[usize::from(depth) + 1]
                     };
                     self.nodes.push(Node {
                         flip,
@@ -276,6 +287,9 @@ impl IpAnonymizer {
         out
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -98,7 +98,8 @@ impl Ip6Anonymizer {
         depth >= trailing_zero_from
     }
 
-    /// The raw trie map (no passthrough / collision handling).
+    /// The raw trie map (no passthrough / collision handling). Like the
+    /// v4 walk, it computes one keyed bit per distinct input path.
     pub fn map_raw(&mut self, ip: Ip6) -> Ip6 {
         let tz = ip.0.trailing_zeros().min(128) as u8;
         let trailing_zero_from = 128 - tz;
@@ -106,6 +107,8 @@ impl Ip6Anonymizer {
         let mut out: u128 = 0;
         let mut node = 0usize;
         let mut path: u128 = 0;
+        // The last keyed path of this walk and its raw (unsalted) bit.
+        let mut keyed: Option<(u128, bool)> = None;
         let mut visited: [(u32, bool); 128] = [(0, false); 128];
         for depth in 0u8..128 {
             let in_bit = ip.bit(depth);
@@ -121,8 +124,12 @@ impl Ip6Anonymizer {
                     {
                         false
                     } else {
-                        self.prf.bit("ip6trie", &next_path.to_be_bytes()[..])
-                            ^ self.depth_salts[usize::from(depth) + 1]
+                        let raw = match keyed {
+                            Some((p, raw)) if p == next_path => raw,
+                            _ => self.prf.bit("ip6trie", &next_path.to_be_bytes()[..]),
+                        };
+                        keyed = Some((next_path, raw));
+                        raw ^ self.depth_salts[usize::from(depth) + 1]
                     };
                     self.nodes.push(Node {
                         flip,
@@ -189,6 +196,9 @@ impl Ip6Anonymizer {
         out
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -206,10 +206,11 @@ ls "$chaos_dir/asn32-out" | grep -q '\.anon$' && {
 }
 
 # 3b. A dotted quad inside a compound token (a URL, an `a.b.c.d:nn`
-#     route target) is mapped, so the release holds no copy of it; an
+#     route target, a prefix with an out-of-range length, a quad with a
+#     dot beside it) is mapped, so the release holds no copy of it; an
 #     asdot 4-byte ASN is recorded, so the gate withholds the file.
 mkdir -p "$chaos_dir/quad-in" "$chaos_dir/asdot-in"
-printf ' ip address 12.1.1.1 255.255.255.252\nboot host tftp://12.1.1.1/cfg\n set extcommunity rt 12.1.1.1:100\n' \
+printf ' ip address 12.1.1.1 255.255.255.252\nboot host tftp://12.1.1.1/cfg\n set extcommunity rt 12.1.1.1:100\nip route 12.1.1.1/33 Null0\nlogging 12.1.1.1.\n' \
     > "$chaos_dir/quad-in/a.cfg"
 printf 'router bgp 4.10\n' > "$chaos_dir/asdot-in/a.cfg"
 set +e

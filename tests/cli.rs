@@ -313,6 +313,62 @@ fn dotted_quads_inside_compound_tokens_are_mapped() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Runs `batch` over one file holding `text` and asserts that it exits 0
+/// and releases the file with no digit-and-dot run equal to `addr` once
+/// the dots around the run are set aside. Returns the released text.
+fn assert_released_without(root: &Path, addr: &str, text: &str) -> String {
+    let (code, released, report) = batch_one_file(root, text);
+    assert_eq!((code, released), (Some(0), 1), "{text:?}: {report}");
+    let out = std::fs::read_to_string(root.join("out").join("a.cfg.anon")).expect("released");
+    let mut runs = out.split(|c: char| !(c.is_ascii_digit() || c == '.'));
+    assert!(
+        !runs.any(|run| run.trim_matches('.') == addr),
+        "{addr} released: {out}"
+    );
+    out
+}
+
+#[test]
+fn out_of_range_prefix_lengths_map_their_address() {
+    // R23 kept `12.1.1.1/33` verbatim: the address was released in
+    // plaintext with exit 0, or, when another line recorded it, the
+    // whole file was withheld (exit 4).
+    let root = tmpdir("prefix-len-33");
+    for iface in ["10.9.9.1", "12.1.1.1"] {
+        let text = format!(
+            "hostname rtr\ninterface Serial0\n ip address {iface} 255.255.255.252\n\
+             ip route 12.1.1.1/33 Null0\n"
+        );
+        let out = assert_released_without(&root, "12.1.1.1", &text);
+        assert!(
+            out.contains("/33 Null0"),
+            "the length stays as written: {out}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn dotted_quads_beside_dots_are_mapped() {
+    // A dot beside a quad made a five-part run that neither the
+    // per-token pass mapped nor the gate looked up: released in
+    // plaintext with exit 0, even when another line recorded it.
+    let root = tmpdir("quad-dots");
+    for line in [
+        "logging 12.1.1.1.",
+        "logging .12.1.1.1",
+        "logging (12.1.1.1.)",
+    ] {
+        for iface in ["10.9.9.1", "12.1.1.1"] {
+            let text = format!(
+                "hostname rtr\ninterface Serial0\n ip address {iface} 255.255.255.252\n{line}\n"
+            );
+            assert_released_without(&root, "12.1.1.1", &text);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Files with extension `ext` under `dir`, recursively.
 fn count_files(dir: &Path, ext: &str) -> usize {
     std::fs::read_dir(dir)

@@ -719,7 +719,7 @@ fn batch_sigterm_exits_resumable_and_resume_completes() {
     let root = tmpdir("batch-term");
     let corpus = root.join("corpus");
     let status = bin()
-        .args(["generate", "--networks", "2", "--routers", "6", "--seed", "77"])
+        .args(["generate", "--networks", "3", "--routers", "6", "--seed", "77"])
         .arg("--out-dir")
         .arg(&corpus)
         .stderr(Stdio::null())
@@ -740,8 +740,9 @@ fn batch_sigterm_exits_resumable_and_resume_completes() {
     assert!(status.success());
 
     // Interrupted run: SIGTERM lands mid-run (the corpus is large
-    // enough that 200 ms in, the pipeline is still working), the
-    // publish loop stops after the in-flight atomic write, exit 5.
+    // enough that 200 ms in, the pipeline is still working: a debug
+    // build takes about 0.8 s over it), the publish loop stops after
+    // the in-flight atomic write, exit 5.
     let out = root.join("out-interrupted");
     let mut child = bin()
         .args(["batch", "--secret", "term-secret"])
