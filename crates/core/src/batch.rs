@@ -447,9 +447,7 @@ impl BatchPipeline {
                 }
             }
         }
-        for observed in merged.into_canonical_order() {
-            self.anonymizer.replay_observed(observed);
-        }
+        self.anonymizer.replay_observed(merged.into_canonical_order());
     }
 
     /// The rewrite pass: `min(jobs, files)` workers over one shared work

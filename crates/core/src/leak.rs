@@ -18,11 +18,12 @@
 //!   core (the run without its leading and trailing dots) has four parts
 //!   is looked up as an address wherever it sits in the token
 //!   (`tftp://12.1.1.1/cfg`, `12.1.1.1:100`, `host12.1.1.1`,
-//!   `12.1.1.1.`). A run with no dot, or with two parts (asdot, `4.10`),
-//!   is looked up as an ASN unless a letter or a salted-hash image
-//!   touches it (`Serial701`, `h…701`). Other runs (`1.3.6.1.4.1.9`,
-//!   `12.1.1.1.5`) are neither. An alphabetic run that is not a hash
-//!   image is looked up as a word, case-insensitively.
+//!   `12.1.1.1.`). A run whose core has one part, or two (asdot,
+//!   `4.10`), is looked up as an ASN by its core (`702.`, `(702.)`)
+//!   unless a letter or a salted-hash image touches the run
+//!   (`Serial701`, `h…701`). Other runs (`1.3.6.1.4.1.9`, `12.1.1.1.5`,
+//!   `1.702.3`) are neither. An alphabetic run that is not a hash image
+//!   is looked up as a word, case-insensitively.
 //!
 //! A line is flagged on its first address, else its first ASN, else its
 //! first word. Because the ASN map is a
@@ -269,16 +270,15 @@ impl<'a> LeakScanner<'a> {
                 let b = bytes[i];
                 if b.is_ascii_digit() || b == b'.' {
                     let start = i;
-                    let mut dots = 0;
                     while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
-                        dots += usize::from(bytes[i] == b'.');
                         i += 1;
                     }
-                    let run = &token[start..i];
                     // Dots around a run are punctuation: its core is an
-                    // address when it has four parts (`12.1.1.1.`).
-                    let core = run.trim_matches('.');
-                    if core.bytes().filter(|&b| b == b'.').count() == 3 {
+                    // address when it has four parts (`12.1.1.1.`), an
+                    // ASN when it has one or two (`702.`, asdot `4.10`).
+                    let core = token[start..i].trim_matches('.');
+                    let dots = core.bytes().filter(|&b| b == b'.').count();
+                    if dots == 3 {
                         if self.hit(&self.ips, core) {
                             return Some(core.to_string());
                         }
@@ -286,8 +286,8 @@ impl<'a> LeakScanner<'a> {
                         let in_ident = start == after_image
                             || (start > 0 && bytes[start - 1].is_ascii_alphabetic())
                             || bytes.get(i).is_some_and(u8::is_ascii_alphabetic);
-                        if !in_ident && self.hit(&self.asns, run) {
-                            asn = Some(run);
+                        if !in_ident && self.hit(&self.asns, core) {
+                            asn = Some(core);
                         }
                     }
                 } else if b.is_ascii_alphabetic() {
@@ -388,6 +388,24 @@ mod tests {
         // 1.2.3.701 contains the digit run 701 but as an octet, not an ASN.
         let r = record(&["701"], &[], &[]);
         assert!(LeakScanner::new(&r).scan("ip address 1.2.3.701").is_clean());
+    }
+
+    #[test]
+    fn asn_beside_a_dot_is_found_by_its_core() {
+        let r = record(&["702"], &[], &[]);
+        let s = LeakScanner::new(&r);
+        for line in ["description peer 702.", "peer .702", "see (702.)"] {
+            let report = s.scan(line);
+            assert_eq!(report.leaks.len(), 1, "{line}");
+            assert_eq!(report.leaks[0].token, "702", "{line}");
+        }
+        for line in [
+            "description peer 7020.",
+            "interface Serial702.",
+            "oid 1.702.3",
+        ] {
+            assert!(s.scan(line).is_clean(), "{line}");
+        }
     }
 
     #[test]

@@ -211,8 +211,11 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         id: RuleId::R06RouterBgpAsn,
         category: RuleCategory::AsnLocation,
         name: "router-bgp-asn",
-        description: "`router bgp <asn>`: permute the process ASN.",
-        anchors: &[at(&["router", "bgp"], Locator::Asn(2))],
+        description: "`router bgp <asn>`, `redistribute bgp <asn>`: permute the process ASN.",
+        anchors: &[
+            at(&["router", "bgp"], Locator::Asn(2)),
+            at(&["redistribute", "bgp"], Locator::Asn(2)),
+        ],
     },
     RuleInfo {
         id: RuleId::R07NeighborRemoteAs,

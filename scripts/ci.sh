@@ -207,12 +207,19 @@ ls "$chaos_dir/asn32-out" | grep -q '\.anon$' && {
 
 # 3b. A dotted quad inside a compound token (a URL, an `a.b.c.d:nn`
 #     route target, a prefix with an out-of-range length, a quad with a
-#     dot beside it) is mapped, so the release holds no copy of it; an
-#     asdot 4-byte ASN is recorded, so the gate withholds the file.
-mkdir -p "$chaos_dir/quad-in" "$chaos_dir/asdot-in"
+#     dot beside it) is mapped, so the release holds no copy of it; so
+#     is the ASN after `redistribute bgp`. An asdot 4-byte ASN is
+#     recorded, and a recorded ASN with a dot beside it is found, so the
+#     gate withholds each of those files.
+mkdir -p "$chaos_dir/quad-in" "$chaos_dir/asdot-in" "$chaos_dir/redist-in" \
+    "$chaos_dir/asndot-in"
 printf ' ip address 12.1.1.1 255.255.255.252\nboot host tftp://12.1.1.1/cfg\n set extcommunity rt 12.1.1.1:100\nip route 12.1.1.1/33 Null0\nlogging 12.1.1.1.\n' \
     > "$chaos_dir/quad-in/a.cfg"
 printf 'router bgp 4.10\n' > "$chaos_dir/asdot-in/a.cfg"
+printf 'router bgp 701\n neighbor 12.1.1.2 remote-as 702\nrouter ospf 1\n redistribute bgp 701 subnets\n' \
+    > "$chaos_dir/redist-in/a.cfg"
+printf 'router bgp 701\n neighbor 12.1.1.2 remote-as 702\n neighbor 12.1.1.2 description peer 702.\n' \
+    > "$chaos_dir/asndot-in/a.cfg"
 set +e
 ./target/release/confanon batch "$chaos_dir/quad-in" --jobs 1 \
     --out-dir "$chaos_dir/quad-out" --quarantine-dir "$chaos_dir/quad-q"
@@ -220,6 +227,12 @@ code=$?
 ./target/release/confanon batch "$chaos_dir/asdot-in" --jobs 1 \
     --out-dir "$chaos_dir/asdot-out" --quarantine-dir "$chaos_dir/asdot-q"
 asdot_code=$?
+./target/release/confanon batch "$chaos_dir/redist-in" --jobs 1 \
+    --out-dir "$chaos_dir/redist-out" --quarantine-dir "$chaos_dir/redist-q"
+redist_code=$?
+./target/release/confanon batch "$chaos_dir/asndot-in" --jobs 1 \
+    --out-dir "$chaos_dir/asndot-out" --quarantine-dir "$chaos_dir/asndot-q"
+asndot_code=$?
 set -e
 [ "$code" -eq 0 ] || { echo "compound quads: expected exit 0, got $code"; exit 1; }
 grep -rwF 12.1.1.1 "$chaos_dir/quad-out" && {
@@ -231,6 +244,21 @@ grep -rwF 12.1.1.1 "$chaos_dir/quad-out" && {
 }
 ls "$chaos_dir/asdot-out" | grep -q '\.anon$' && {
     echo "asdot ASN: batch released a file"; exit 1;
+}
+[ "$redist_code" -eq 0 ] || {
+    echo "redistribute bgp: expected exit 0, got $redist_code"; exit 1;
+}
+grep -rw 701 "$chaos_dir/redist-out" && {
+    echo "redistribute bgp: the release holds 701"; exit 1;
+}
+[ "$asndot_code" -eq 4 ] || {
+    echo "ASN beside a dot: expected exit 4, got $asndot_code"; exit 1;
+}
+[ -f "$chaos_dir/asndot-q/leak_report.json" ] || {
+    echo "ASN beside a dot: missing leak_report.json"; exit 1;
+}
+ls "$chaos_dir/asndot-out" | grep -q '\.anon$' && {
+    echo "ASN beside a dot: batch released a file"; exit 1;
 }
 
 # 4. 64 chaos-mutated hostile configs never crash the pipeline or escape

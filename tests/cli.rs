@@ -369,6 +369,40 @@ fn dotted_quads_beside_dots_are_mapped() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+#[test]
+fn recorded_asns_beside_a_dot_are_withheld() {
+    // The gate looked the run `702.` up with its dot, so it never matched
+    // the recorded `702`: the line was released in plaintext with exit 0.
+    let root = tmpdir("asn-dot");
+    let (code, released, report) = batch_one_file(
+        &root,
+        "router bgp 701\n neighbor 12.1.1.2 remote-as 702\n neighbor 12.1.1.2 \
+         description peer 702.\n",
+    );
+    assert_eq!((code, released), (Some(4), 0), "{report}");
+    assert!(report.contains("\"token\": \"702\""), "{report}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn redistribute_bgp_maps_the_process_asn() {
+    // No anchor located the ASN after `redistribute bgp`, so the gate
+    // found the `701` that `router bgp 701` recorded and withheld a file
+    // in which nothing else leaked (exit 4).
+    let root = tmpdir("redistribute-bgp");
+    let (code, released, report) = batch_one_file(
+        &root,
+        "router bgp 701\n neighbor 12.1.1.2 remote-as 702\n\
+         router ospf 1\n redistribute bgp 701 subnets\n",
+    );
+    assert_eq!((code, released), (Some(0), 1), "{report}");
+    let out = std::fs::read_to_string(root.join("out").join("a.cfg.anon")).expect("released");
+    assert!(out.contains("redistribute bgp "), "{out}");
+    let mut words = out.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+    assert!(!words.any(|w| w == "701"), "701 released: {out}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Files with extension `ext` under `dir`, recursively.
 fn count_files(dir: &Path, ext: &str) -> usize {
     std::fs::read_dir(dir)

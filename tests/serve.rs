@@ -739,10 +739,12 @@ fn batch_sigterm_exits_resumable_and_resume_completes() {
         .expect("golden batch");
     assert!(status.success());
 
-    // Interrupted run: SIGTERM lands mid-run (the corpus is large
-    // enough that 200 ms in, the pipeline is still working: a debug
-    // build takes about 0.8 s over it), the publish loop stops after
-    // the in-flight atomic write, exit 5.
+    // Interrupted run: SIGTERM lands mid-publish, the publish loop stops
+    // after the in-flight atomic write, exit 5. The signal goes out once
+    // the commit's journal write is visible: it replaces the begin
+    // manifest (every entry `pending`) with one that says `released`,
+    // before any byte write, so the signal lands while the bytes publish
+    // however fast the build gets there.
     let out = root.join("out-interrupted");
     let mut child = bin()
         .args(["batch", "--secret", "term-secret"])
@@ -753,7 +755,16 @@ fn batch_sigterm_exits_resumable_and_resume_completes() {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn batch");
-    std::thread::sleep(Duration::from_millis(200));
+    let manifest = out.join("run_manifest.json");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !std::fs::read_to_string(&manifest).is_ok_and(|t| t.contains("\"released\"")) {
+        assert!(
+            child.try_wait().expect("poll batch").is_none(),
+            "batch exited before its commit journal was seen"
+        );
+        assert!(Instant::now() < deadline, "no commit journal within 60 s");
+        std::thread::sleep(Duration::from_micros(100));
+    }
     unsafe {
         kill(child.id() as i32, 15);
     }
