@@ -29,7 +29,7 @@ use crate::error::BatchPhase;
 use crate::leak::LeakRecord;
 use crate::passlist::PassList;
 use crate::rules::{
-    anchor_for, LineClass, LineClassCache, Locator, PrefilterStats, RuleId, ALTERNATE_AS,
+    anchor_for, LineClass, Locator, Prefilter, PrefilterStats, RuleId, ALTERNATE_AS,
     REMOTE_AS, SECRET_KEYWORDS,
 };
 use crate::stats::{AnonymizationStats, RewriteStats};
@@ -246,9 +246,6 @@ pub struct Anonymizer {
     /// where output assembly and the stateless token hashes are skipped
     /// but every rule, mapping-state mutation, and counter still runs.
     emit: bool,
-    /// Interned prefilter verdicts per line text (a pure function of the
-    /// line, so cache state can never change behaviour).
-    line_cache: LineClassCache,
     prefilter_stats: PrefilterStats,
     /// Interned salted token hashes (a pure function of the owner secret
     /// and the token — identifiers repeat heavily in real configs, so
@@ -337,7 +334,6 @@ impl Anonymizer {
             emitted: BTreeSet::new(),
             total_stats: AnonymizationStats::default(),
             emit: true,
-            line_cache: LineClassCache::default(),
             prefilter_stats: PrefilterStats::default(),
             hash_memo: HashMap::new(),
             regex_memo: Arc::default(),
@@ -610,13 +606,16 @@ impl Anonymizer {
         // slice-pattern matcher are skipped wholesale. The verdict is a
         // conservative superset (see [`crate::rules::Prefilter`]), so
         // output bytes and rule fire counts are identical either way.
-        if self.line_cache.classify(line, &mut self.prefilter_stats) == LineClass::ContextScan {
+        if Prefilter::classify(line) == LineClass::ContextScan {
+            self.prefilter_stats.slow_path_lines += 1;
             // One lowercase copy of the whole line instead of one String
             // per token: ASCII lowercasing is byte-for-byte, so the token
             // spans index into the lowered copy directly.
             let lowered = line.to_ascii_lowercase();
             let lower: Vec<&str> = toks.iter().map(|t| &lowered[t.start..t.end()]).collect();
             self.apply_context_rules(&lower, &texts, &mut out, stats);
+        } else {
+            self.prefilter_stats.fast_path_lines += 1;
         }
 
         // Per-token pass for everything the context rules left alone;
@@ -1287,7 +1286,6 @@ impl Anonymizer {
             emitted: _,
             total_stats,
             emit,
-            line_cache,
             prefilter_stats,
             hash_memo,
             regex_memo,
@@ -1307,7 +1305,6 @@ impl Anonymizer {
             emitted: BTreeSet::new(),
             total_stats: total_stats.clone(),
             emit: *emit,
-            line_cache: line_cache.clone(),
             prefilter_stats: *prefilter_stats,
             hash_memo: hash_memo.clone(),
             regex_memo: Arc::clone(regex_memo),

@@ -310,14 +310,16 @@ fn mutated(mutator: &mut ChaosMutator, text: &str) -> String {
 /// Strategy: a small config whose lines are biased toward the shapes the
 /// rules care about (addresses, also inside compound tokens, beside dots
 /// and before an out-of-range prefix length, ASNs in asplain and asdot
-/// and after `redistribute bgp`, hostnames, pass-list keywords).
+/// and after `redistribute bgp`, `match source-protocol bgp` and `set
+/// origin egp`, a prepend's `last-as` count, hostnames, pass-list
+/// keywords).
 fn config_text() -> impl Strategy<Value = String> {
     let line = || {
         (
             any::<u32>(),
             1u16..64000,
             pattern("[a-zA-Z][a-zA-Z0-9.-]{0,12}"),
-            0u8..12,
+            0u8..15,
         )
             .prop_map(|(raw, asn, word, shape)| {
                 let ip = Ip(raw);
@@ -333,6 +335,9 @@ fn config_text() -> impl Strategy<Value = String> {
                     8 => format!("ip route {ip}/{} Null0", 20 + asn % 30),
                     9 => format!("logging .{ip}. ({ip}.) {ip}.{asn} {asn}.{ip}"),
                     10 => format!(" redistribute bgp {asn} subnets"),
+                    11 => format!(" set as-path prepend last-as {}", asn % 10 + 1),
+                    12 => format!(" match source-protocol bgp {asn}"),
+                    13 => format!(" set origin egp {asn}"),
                     _ => format!(" snmp-server community {word} RO"),
                 }
             })

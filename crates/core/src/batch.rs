@@ -145,10 +145,10 @@ pub struct BatchReport {
     /// discovery-pass counters and histograms. The `phase.discover.*`
     /// counters are deterministic across `--jobs`, shard layouts, and
     /// resumed-vs-one-shot runs, because discovery always covers the
-    /// whole corpus and its counter merges are commutative sums;
-    /// shard-layout-dependent values (shard count, prefilter cache hits)
-    /// report under the `discovery.*` prefix, which the metrics document
-    /// files in its timing section.
+    /// whole corpus and its counter merges are commutative sums; the
+    /// shard count, which depends on the layout, reports under the
+    /// `discovery.*` prefix, which the metrics document files in its
+    /// timing section.
     pub obs: ObsShard,
 }
 
@@ -273,15 +273,11 @@ impl BatchPipeline {
 
         // Prefilter path counters are pure functions of line content —
         // deterministic across job counts and shard layouts — so they
-        // live under the deterministic `phase.discover.` prefix. Cache
-        // hit counts vary with shard layout (each shard warms its own
-        // cache), so they report under the timing-section `discovery.`
-        // prefix instead. Snapshot now: rewrite copies keep their own
-        // discarded counters.
+        // live under the deterministic `phase.discover.` prefix. Snapshot
+        // now: rewrite copies keep their own discarded counters.
         let pf = *self.anonymizer.prefilter_stats();
         obs.count("phase.discover.prefilter_fast_path_lines", pf.fast_path_lines);
         obs.count("phase.discover.prefilter_slow_path_lines", pf.slow_path_lines);
-        obs.count("discovery.prefilter_cache_hits", pf.cache_hits);
 
         // Pass 2 — rewrite the survivors from copies of the warmed
         // state, except files the resume verification already vouched

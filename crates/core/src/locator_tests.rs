@@ -127,6 +127,7 @@ fn plain_integers_near_locators_do_not_move() {
         " timers bgp 701 2103\n",            // keepalive/hold timers
         "access-list 701 permit ip any any\n", // (invalid number, still not an ASN position)
         " match as-path 701\n",              // a *list reference*, not an ASN
+        " set as-path prepend last-as 701\n", // a repeat count, not an ASN
     ] {
         let out = run(line);
         assert!(out.contains("701"), "{line:?} -> {out:?} moved a plain integer");

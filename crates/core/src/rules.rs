@@ -211,10 +211,12 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         id: RuleId::R06RouterBgpAsn,
         category: RuleCategory::AsnLocation,
         name: "router-bgp-asn",
-        description: "`router bgp <asn>`, `redistribute bgp <asn>`: permute the process ASN.",
+        description: "`router bgp <asn>`, `redistribute bgp <asn>`, `match source-protocol bgp \
+                      <asn>`: permute the process ASN.",
         anchors: &[
             at(&["router", "bgp"], Locator::Asn(2)),
             at(&["redistribute", "bgp"], Locator::Asn(2)),
+            at(&["match", "source-protocol", "bgp"], Locator::Asn(3)),
         ],
     },
     RuleInfo {
@@ -232,8 +234,16 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         id: RuleId::R08AsPathPrepend,
         category: RuleCategory::AsnLocation,
         name: "as-path-prepend",
-        description: "`set as-path prepend <asn>…`: permute every prepended ASN.",
-        anchors: &[at(&["set", "as-path", "prepend"], Locator::AsnsFrom(3))],
+        description: "`set as-path prepend <asn>…`, `set origin egp <asn>`: permute every ASN a \
+                      route-map sets; `last-as <n>` keeps its repeat count.",
+        // `last-as <n>` repeats the last AS n times (IOS takes 1–10): the
+        // count is no ASN, so this anchor declines it and maps only past
+        // it. It precedes the next one, which also matches its lines.
+        anchors: &[
+            at(&["set", "as-path", "prepend", "last-as"], Locator::AsnsFrom(5)),
+            at(&["set", "as-path", "prepend"], Locator::AsnsFrom(3)),
+            at(&["set", "origin", "egp"], Locator::Asn(3)),
+        ],
     },
     RuleInfo {
         id: RuleId::R09AsPathAccessListRegex,
@@ -449,7 +459,7 @@ pub(crate) fn anchors() -> impl Iterator<Item = (RuleId, &'static Anchor)> {
 
 /// The first anchor whose head the lowered line `words` starts with.
 /// Anchors of different rules never match the same line, so only
-/// R12's two forms depend on this order.
+/// R08's `last-as` form and R12's two forms depend on this order.
 pub(crate) fn anchor_for(words: &[&str]) -> Option<(RuleId, &'static Anchor)> {
     let first = *words.first()?;
     anchors().find(|(_, a)| a.head[0] == first && a.matches(words))
@@ -537,20 +547,14 @@ impl Prefilter {
     }
 }
 
-/// Prefilter behaviour counters, kept *outside* [`crate::stats::AnonymizationStats`]
-/// deliberately: cache state varies with work-stealing order on rewrite
-/// clones, and per-file stats must stay byte-deterministic.
+/// Prefilter path counters: pure functions of the lines classified, so
+/// they sum the same at any shard layout.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefilterStats {
     /// Lines classified [`LineClass::TokenLocal`] (context matcher skipped).
     pub fast_path_lines: u64,
     /// Lines classified [`LineClass::ContextScan`] (full matcher ran).
     pub slow_path_lines: u64,
-    /// Classifications answered from the interned line cache. Unlike the
-    /// two path counters (pure functions of line content), this varies
-    /// with shard layout, so it reports under a timing-section metrics
-    /// key.
-    pub cache_hits: u64,
 }
 
 impl PrefilterStats {
@@ -558,65 +562,6 @@ impl PrefilterStats {
     pub fn absorb(&mut self, other: &PrefilterStats) {
         self.fast_path_lines += other.fast_path_lines;
         self.slow_path_lines += other.slow_path_lines;
-        self.cache_hits += other.cache_hits;
-    }
-}
-
-/// Interned per-line classification cache in front of
-/// [`Prefilter::classify`].
-///
-/// Router configs repeat lines heavily (`!`, ` no ip directed-broadcast`,
-/// …), so most classifications are answered by one hash lookup. The
-/// cache stores a pure function of the line text and is therefore
-/// harmless to clone, clear, or cap: a hit and a miss produce the same
-/// verdict. Insertion stops at a fixed cap so a hostile corpus of unique
-/// lines cannot grow it without bound.
-#[derive(Debug, Clone, Default)]
-pub struct LineClassCache {
-    map: std::collections::HashMap<String, LineClass>,
-}
-
-/// Distinct-line cap for [`LineClassCache`]; beyond it, classifications
-/// still happen but are no longer interned.
-const LINE_CACHE_CAP: usize = 4096;
-
-/// Lines longer than this bypass the cache: repeated lines in real
-/// configs are short boilerplate (` exit`, ` no shutdown`), while long
-/// lines are identifier-bearing and nearly always unique, so hashing and
-/// interning them costs more than the one [`Prefilter::classify`] scan
-/// they would save.
-const LINE_CACHE_MAX_LEN: usize = 96;
-
-impl LineClassCache {
-    /// Classifies `line`, consulting and (under the cap) populating the
-    /// cache, and bumps the matching counters.
-    pub fn classify(&mut self, line: &str, stats: &mut PrefilterStats) -> LineClass {
-        if line.len() > LINE_CACHE_MAX_LEN {
-            let c = Prefilter::classify(line);
-            match c {
-                LineClass::ContextScan => stats.slow_path_lines += 1,
-                LineClass::TokenLocal => stats.fast_path_lines += 1,
-            }
-            return c;
-        }
-        let class = match self.map.get(line) {
-            Some(&c) => {
-                stats.cache_hits += 1;
-                c
-            }
-            None => {
-                let c = Prefilter::classify(line);
-                if self.map.len() < LINE_CACHE_CAP {
-                    self.map.insert(line.to_string(), c);
-                }
-                c
-            }
-        };
-        match class {
-            LineClass::ContextScan => stats.slow_path_lines += 1,
-            LineClass::TokenLocal => stats.fast_path_lines += 1,
-        }
-        class
     }
 }
 
@@ -662,8 +607,9 @@ mod tests {
         assert_eq!(RuleId::R09AsPathAccessListRegex.to_string(), "as-path-regexp");
     }
 
-    /// The anchor as lines: every alternative, `7` for a wildcard, then
-    /// an argument its locator maps, in lower and upper case.
+    /// The anchor as lines: every alternative, `7` for a wildcard and for
+    /// each word an ASN locator skips (`last-as 7`), then an argument its
+    /// locator maps, in lower and upper case.
     fn anchor_lines(anchor: &Anchor) -> Vec<String> {
         let mut lines = vec![String::new()];
         for word in anchor.head.iter().map(|w| if *w == "*" { "7" } else { w }) {
@@ -682,7 +628,11 @@ mod tests {
             Locator::Secret(_) => "s3cr3t",
             Locator::Phone(_) => "14155551234",
         };
-        let lines = lines.into_iter().map(|l| l + arg);
+        let skip = match anchor.locator {
+            Locator::Asn(at) | Locator::AsnsFrom(at) => at - anchor.head.len(),
+            _ => 0,
+        };
+        let lines = lines.into_iter().map(|l| l + &"7 ".repeat(skip) + arg);
         lines.flat_map(|l| [l.to_ascii_uppercase(), l]).collect()
     }
 
@@ -775,26 +725,5 @@ mod tests {
         assert_eq!(Prefilter::classify("x keyboard y"), LineClass::ContextScan);
         assert_eq!(Prefilter::classify("ipx network 1"), LineClass::TokenLocal);
         assert_eq!(Prefilter::classify("settings on"), LineClass::TokenLocal);
-    }
-
-    #[test]
-    fn line_cache_hits_and_caps() {
-        let mut cache = LineClassCache::default();
-        let mut stats = PrefilterStats::default();
-        assert_eq!(cache.classify("interface e0", &mut stats), LineClass::TokenLocal);
-        assert_eq!(cache.classify("interface e0", &mut stats), LineClass::TokenLocal);
-        assert_eq!(cache.classify("router bgp 1", &mut stats), LineClass::ContextScan);
-        assert_eq!(stats.fast_path_lines, 2);
-        assert_eq!(stats.slow_path_lines, 1);
-        assert_eq!(stats.cache_hits, 1);
-
-        // Past the cap, verdicts keep flowing (uncached) and stay right.
-        for i in 0..5000 {
-            cache.classify(&format!("unique line {i}"), &mut stats);
-        }
-        assert_eq!(
-            cache.classify("router bgp 2", &mut stats),
-            LineClass::ContextScan
-        );
     }
 }

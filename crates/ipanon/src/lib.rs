@@ -2,23 +2,28 @@
 //!
 //! Paper §4.3. Two schemes are implemented:
 //!
-//! * [`IpAnonymizer`] — the scheme the paper ships: an extended version of
-//!   Minshall's tcpdpriv `-a50` table-based prefix-preserving mapping.
-//!   "We have found that using a data-structure-based mapping scheme makes
-//!   it easier to implement these requirements. By controlling how new
-//!   entries are added to the data-structure, we can shape the mapping to
-//!   have the needed properties while maintaining as much of the
-//!   randomness needed for security as possible." The extensions:
+//! * [`Trie`] — the scheme the paper ships: an extended version of
+//!   Minshall's tcpdpriv `-a50` table-based prefix-preserving mapping,
+//!   written once and instantiated per address [`Family`]:
+//!   [`IpAnonymizer`] (`Trie<V4>`) and [`Ip6Anonymizer`] (`Trie<V6>`,
+//!   DESIGN §6b's 128-bit generalization). "We have found that using a
+//!   data-structure-based mapping scheme makes it easier to implement
+//!   these requirements. By controlling how new entries are added to the
+//!   data-structure, we can shape the mapping to have the needed
+//!   properties while maintaining as much of the randomness needed for
+//!   security as possible." The extensions:
 //!
 //!   1. **class preserving** — the class-defining leading bits (1 for A,
-//!      2 for B, 3 for C, 4 for D/E) map identically;
+//!      2 for B, 3 for C, 4 for D/E) map identically; IPv6 pins the
+//!      `2000::/3` bits instead;
 //!   2. **special addresses pass through** — netmask-valued quads,
 //!      wildcard-valued quads, multicast, reserved, loopback, and
-//!      link-local are returned unchanged and never entered in the trie;
+//!      link-local (and their IPv6 counterparts) are returned unchanged
+//!      and never entered in the trie;
 //!   3. **collision remapping** — when an ordinary address's image lands
 //!      on a special value, the image is recursively re-mapped "until
 //!      there is no collision". Termination and injectivity are argued in
-//!      [`IpAnonymizer::anonymize`]'s docs and enforced by tests;
+//!      [`Trie::anonymize`]'s docs and enforced by tests;
 //!   4. **subnet-address preserving** — an address whose host part is all
 //!      zeros maps to another all-zeros-suffix address whenever the trie
 //!      nodes for that suffix are first created by it (best-effort, as in
@@ -46,8 +51,8 @@ mod trie6;
 
 pub use cryptopan::CryptoPan;
 pub use scramble::RandomScramble;
-pub use trie::IpAnonymizer;
-pub use trie6::Ip6Anonymizer;
+pub use trie::{Family, IpAnonymizer, Trie, Word, V4};
+pub use trie6::{Ip6Anonymizer, V6};
 
 #[cfg(test)]
 mod property_tests {

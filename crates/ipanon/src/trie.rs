@@ -1,4 +1,5 @@
-//! The table-based (binary trie) prefix-preserving mapping.
+//! The table-based (binary trie) prefix-preserving mapping, written once
+//! for both address families.
 //!
 //! Every trie node corresponds to an input bit-prefix `p` and stores one
 //! bit `flip`: the output bit at depth `|p|` is `input_bit ⊕ flip`. Two
@@ -8,24 +9,96 @@
 //! The paper's extensions are implemented as constraints on `flip` when a
 //! node is first created:
 //!
-//! * **class bits** — `flip = 0` at depth 0 and at depths 1..4 while the
-//!   path so far is all ones (those are the class-defining bits);
-//! * **special prefix regions** — `flip = 0` while the path is a proper
-//!   prefix of 127/8 or 169.254/16, so each region maps onto itself and
-//!   ordinary inputs can never land inside one (multicast 224/4 and
-//!   reserved 240/4 are already pinned by the class bits);
+//! * **pinned bits** — `flip = 0` wherever the [`Family`] pins the path
+//!   ([`Family::pinned`]). IPv4 pins the class-defining bits (depth 0,
+//!   and depths 1..4 while the path so far is all ones) and the proper
+//!   prefixes of 127/8 and 169.254/16; IPv6 pins the `2000::/3` bits and
+//!   the proper prefixes of `fe80::/10` and `ff00::/8`. Each region maps
+//!   onto itself, so ordinary inputs can never land inside one;
 //! * **trailing zeros** — if the address being inserted ends in `t` zero
 //!   bits, nodes created in the last `t` levels get `flip = 0`, mapping
 //!   subnet addresses to subnet addresses when first seen;
 //! * otherwise `flip` is a keyed PRF bit of the input path — deterministic
 //!   per owner secret but unpredictable without it.
 //!
-//! Point specials (netmask- and wildcard-valued quads) are not prefix
-//! regions and are instead handled by the §4.3 recursive remap in
-//! [`IpAnonymizer::anonymize`].
+//! Point specials (netmask- and wildcard-valued quads, `::`, `::1`) are
+//! not prefix regions and are instead handled by the creation-time repair
+//! in [`Trie::map_raw`] and the §4.3 recursive remap in
+//! [`Trie::anonymize`].
+
+use std::fmt;
+use std::marker::PhantomData;
+use std::ops::{BitAnd, BitOr, BitXor, Shl};
 
 use confanon_crypto::Prf;
 use confanon_netprim::{special_kind, Ip};
+
+/// An address as a word, `u32` or `u128`, read from its most significant
+/// bit: the bit at depth `d` is the `d`-th from the top.
+pub trait Word:
+    Copy
+    + Eq
+    + From<bool>
+    + Shl<u8, Output = Self>
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + BitXor<Output = Self>
+{
+    /// The width in bits.
+    const BITS: u8;
+    /// The byte array of the word.
+    type Bytes: AsRef<[u8]>;
+    /// The big-endian bytes: the PRF input of a node's path.
+    fn to_be_bytes(self) -> Self::Bytes;
+    /// The number of trailing zero bits (`BITS` for zero).
+    fn trailing_zeros(self) -> u32;
+    /// The word with only the bit at `depth` set.
+    fn at(depth: u8) -> Self {
+        Self::from(true) << (Self::BITS - 1 - depth)
+    }
+}
+
+macro_rules! word {
+    ($($t:ty),*) => {$(
+        impl Word for $t {
+            const BITS: u8 = <$t>::BITS as u8;
+            type Bytes = [u8; std::mem::size_of::<$t>()];
+            fn to_be_bytes(self) -> Self::Bytes {
+                <$t>::to_be_bytes(self)
+            }
+            fn trailing_zeros(self) -> u32 {
+                <$t>::trailing_zeros(self)
+            }
+        }
+    )*};
+}
+word!(u32, u128);
+
+/// What differs between the IPv4 and the IPv6 trie.
+pub trait Family {
+    /// The address.
+    type Addr: Copy + fmt::Display;
+    /// The address's word.
+    type Word: Word;
+    /// PRF domain of a node's keyed bit.
+    const LABEL: &'static str;
+    /// PRF domain of the per-depth salt.
+    const DEPTH_LABEL: &'static str;
+    /// Bound on the recursive remap's steps in [`Trie::anonymize`].
+    const REMAP_GUARD: u32;
+    /// The word of `addr`.
+    fn word(addr: Self::Addr) -> Self::Word;
+    /// The address of `word`.
+    fn addr(word: Self::Word) -> Self::Addr;
+    /// Whether the address passes through unchanged; no ordinary input
+    /// may map onto one.
+    fn is_special(word: Self::Word) -> bool;
+    /// Whether the node at `depth` on `path` keeps `flip = 0` for good: a
+    /// class or family bit, or a proper prefix of a protected region.
+    /// Reads only the `depth` bits above the node. A fresh node is
+    /// created unflipped there, and the repair never re-flips it.
+    fn pinned(path: Self::Word, depth: u8) -> bool;
+}
 
 /// Sentinel for "no child".
 const NONE: u32 = u32::MAX;
@@ -39,54 +112,49 @@ struct Node {
     child: [u32; 2],
 }
 
-/// The extended `-a50` anonymizer (see module docs).
+/// The extended `-a50` anonymizer of one address family (see module
+/// docs).
 #[derive(Clone)]
-pub struct IpAnonymizer {
+pub struct Trie<F: Family> {
     prf: Prf,
     nodes: Vec<Node>,
     preserve_trailing_zeros: bool,
-    /// [`IpAnonymizer::depth_salt`] for depths 0..=32, computed once at
-    /// construction: the salt is a pure function of (secret, depth), and
-    /// paying one HMAC per *fresh trie node* for one of 33 values was
-    /// measurably the second-largest cost of corpus discovery.
-    depth_salts: [bool; 33],
+    /// Bit `d` is the keyed salt of depth `d` (see [`Trie::map_raw`]),
+    /// computed once at construction: the salt is a pure function of
+    /// (secret, depth), and paying one HMAC per *fresh trie node* for it
+    /// was measurably the second-largest cost of corpus discovery.
+    depth_salts: u128,
+    family: PhantomData<F>,
 }
 
-/// The two special *prefix regions* that must map to themselves and that
-/// ordinary traffic must therefore avoid: loopback and link-local.
-/// Encoded as (bits, length).
-const REGIONS: [(u32, u8); 2] = [
-    (0x7F00_0000, 8),  // 127.0.0.0/8
-    (0xA9FE_0000, 16), // 169.254.0.0/16
-];
-
-impl IpAnonymizer {
+impl<F: Family> Trie<F> {
     /// Creates an anonymizer keyed by the owner secret (with the paper's
     /// subnet-address preservation on).
-    pub fn new(owner_secret: &[u8]) -> IpAnonymizer {
-        IpAnonymizer::with_options(owner_secret, true)
+    pub fn new(owner_secret: &[u8]) -> Trie<F> {
+        Trie::with_options(owner_secret, true)
     }
 
-    /// Like [`IpAnonymizer::new`], optionally disabling the
-    /// subnet-address (trailing-zero) preservation of §3.2 — rule R24's
-    /// ablation switch. Prefix/class/special guarantees are unaffected.
-    pub fn with_options(owner_secret: &[u8], preserve_trailing_zeros: bool) -> IpAnonymizer {
+    /// Like [`Trie::new`], optionally disabling the subnet-address
+    /// (trailing-zero) preservation of §3.2 — rule R24's ablation switch.
+    /// Prefix/class/special guarantees are unaffected.
+    pub fn with_options(owner_secret: &[u8], preserve_trailing_zeros: bool) -> Trie<F> {
         let prf = Prf::new(owner_secret);
-        let mut depth_salts = [false; 33];
-        for (depth, salt) in depth_salts.iter_mut().enumerate() {
-            *salt = Self::depth_salt(&prf, depth as u8);
-        }
-        let mut a = IpAnonymizer {
-            prf,
-            nodes: Vec::with_capacity(1024),
-            preserve_trailing_zeros,
-            depth_salts,
-        };
-        a.nodes.push(Node {
-            flip: false, // depth-0 bit is class-defining: identity
+        // The depths a node can be created at; the root's is pinned.
+        let depth_salts = (1..F::Word::BITS)
+            .filter(|&depth| prf.bit(F::DEPTH_LABEL, &[depth]))
+            .fold(0u128, |salts, depth| salts | 1 << depth);
+        let mut nodes = Vec::with_capacity(1024);
+        nodes.push(Node {
+            flip: false, // depth 0 is pinned in both families
             child: [NONE, NONE],
         });
-        a
+        Trie {
+            prf,
+            nodes,
+            preserve_trailing_zeros,
+            depth_salts,
+            family: PhantomData,
+        }
     }
 
     /// Number of trie nodes allocated (size of the shared state the paper
@@ -115,154 +183,100 @@ impl IpAnonymizer {
         h
     }
 
-    /// Whether a freshly created node at `depth` (with input path
-    /// `path_bits`, the bits above `depth`) must have `flip = 0`.
-    fn forced_identity(path_bits: u32, depth: u8, trailing_zero_from: u8) -> bool {
-        // Class-defining bits: depth 0 always; depths 1..4 when every bit
-        // of the path so far is 1.
-        if depth == 0 {
-            return true;
-        }
-        if depth < 4 {
-            let ones = path_bits >> (32 - depth);
-            if ones == (1u32 << depth) - 1 {
-                return true;
-            }
-        }
-        // Proper prefix of a protected region.
-        for (bits, len) in REGIONS {
-            if depth < len && (path_bits ^ bits) >> (32 - depth) == 0 {
-                return true;
-            }
-        }
-        // Trailing-zero (subnet address) preservation.
-        depth >= trailing_zero_from
-    }
-
-    /// The raw trie map: prefix-, class-, and region-preserving, but with
-    /// no passthrough or collision handling. Exposed for the property
-    /// tests and benchmarks; production callers use
-    /// [`IpAnonymizer::anonymize`].
+    /// The raw trie map: prefix-preserving and pin-respecting, but with no
+    /// passthrough or collision handling. Exposed for the property tests
+    /// and benchmarks; production callers use [`Trie::anonymize`].
+    ///
+    /// A fresh node's keyed bit is a PRF bit of its left-aligned input
+    /// path, XORed with a keyed salt of its depth (the path `1` at depth 1
+    /// and `10` at depth 2 share the left-aligned encoding; the salt
+    /// removes the aliasing). A node reached by input bit 0 has its
+    /// parent's path, so the walk keeps the last path it keyed with its
+    /// raw bit and computes one keyed bit per distinct path, not one per
+    /// node.
     ///
     /// When the computed image collides with a *point* special (the
-    /// trailing-zero rule can steer an image onto `0.0.0.0` or a
-    /// mask-valued quad), the walk repairs itself **at creation time**:
-    /// it re-flips one freshly created node — deepest first, skipping
-    /// class/region-pinned depths — until the image is ordinary. Fresh
-    /// nodes are not yet shared with any other mapping, so the repair
-    /// never disturbs an established prefix relation; this is how the
-    /// paper's claim that collision handling "maintains the
-    /// structure-preserving property" is realized. (The recursive remap
-    /// in [`IpAnonymizer::anonymize`] remains as a last-resort fallback.)
-    ///
-    /// A fresh node's keyed bit is a pure function of its left-aligned
-    /// input path, and a node reached by input bit 0 has its parent's
-    /// path, so the walk keeps the last path it keyed with its raw bit
-    /// and computes one keyed bit per distinct path, not one per node.
-    pub fn map_raw(&mut self, ip: Ip) -> Ip {
-        // Depth at which the trailing zero run of `ip` begins (32 = none).
-        let tz = if self.preserve_trailing_zeros {
-            ip.0.trailing_zeros().min(32) as u8
+    /// trailing-zero rule can steer an image onto `0.0.0.0`, a mask-valued
+    /// quad or `::`), the walk repairs itself **at creation time**: it
+    /// re-flips one freshly created node — deepest first, skipping pinned
+    /// depths — so that the image is ordinary. Fresh nodes are not yet
+    /// shared with any other mapping, so the repair never disturbs an
+    /// established prefix relation; this is how the paper's claim that
+    /// collision handling "maintains the structure-preserving property" is
+    /// realized. A walk's fresh nodes are its deepest ones, created in
+    /// depth order, so the depth and id of the first locate them all.
+    pub fn map_raw(&mut self, addr: F::Addr) -> F::Addr {
+        let ip = F::word(addr);
+        let bits = F::Word::BITS;
+        let zero = F::Word::from(false);
+        // Depth at which the trailing zero run of `ip` begins (`bits` =
+        // none).
+        let trailing_zero_from = if self.preserve_trailing_zeros {
+            bits - ip.trailing_zeros() as u8
         } else {
-            0
+            bits
         };
-        let trailing_zero_from = 32 - tz;
 
-        let mut out = 0u32;
+        let mut out = ip;
         let mut node = 0usize;
-        let mut path = 0u32; // input bits consumed so far, left-aligned
-        // Node id visited at each depth, plus whether it was created by
-        // *this* walk (fresh nodes are repairable, below).
-        let mut visited: [(u32, bool); 32] = [(0, false); 32];
+        // The input bits above the next node, left-aligned.
+        let mut path = zero;
+        // The depth and id of the walk's first fresh node.
+        let mut fresh: Option<(u8, u32)> = None;
         // The last keyed path of this walk and its raw (unsalted) bit.
-        let mut keyed: Option<(u32, bool)> = None;
-        for depth in 0u8..32 {
-            let in_bit = ip.bit(depth);
-            visited[depth as usize].0 = node as u32;
-            let flip = self.nodes[node].flip;
-            let out_bit = in_bit ^ flip;
-            out = (out << 1) | u32::from(out_bit);
-
-            // Descend, creating the child if needed.
-            let idx = usize::from(in_bit);
-            let next_path = path | (u32::from(in_bit) << (31 - depth));
-            if depth < 31 {
-                if self.nodes[node].child[idx] == NONE {
-                    let flip = if Self::forced_identity(next_path, depth + 1, trailing_zero_from)
-                    {
-                        false
-                    } else {
-                        let raw = match keyed {
-                            Some((p, raw)) if p == next_path => raw,
-                            _ => self.prf.bit("iptrie", &next_path.to_be_bytes()[..]),
-                        };
-                        keyed = Some((next_path, raw));
-                        raw ^ self.depth_salts[usize::from(depth) + 1]
-                    };
-                    self.nodes.push(Node {
-                        flip,
-                        child: [NONE, NONE],
-                    });
-                    let new_id = (self.nodes.len() - 1) as u32;
-                    self.nodes[node].child[idx] = new_id;
-                    visited[depth as usize + 1].1 = true; // fresh
-                }
-                node = self.nodes[node].child[idx] as usize;
+        let mut keyed: Option<(F::Word, bool)> = None;
+        for depth in 0..bits {
+            if self.nodes[node].flip {
+                out = out ^ F::Word::at(depth);
             }
-            path = next_path;
+            if depth + 1 == bits {
+                break;
+            }
+            // Descend, creating the child if needed.
+            let in_bit = ip & F::Word::at(depth);
+            path = path | in_bit;
+            let idx = usize::from(in_bit != zero);
+            if self.nodes[node].child[idx] == NONE {
+                let flip = if F::pinned(path, depth + 1) || depth + 1 >= trailing_zero_from {
+                    false
+                } else {
+                    let raw = match keyed {
+                        Some((p, raw)) if p == path => raw,
+                        _ => self.prf.bit(F::LABEL, path.to_be_bytes().as_ref()),
+                    };
+                    keyed = Some((path, raw));
+                    raw ^ (self.depth_salts >> (depth + 1) & 1 == 1)
+                };
+                let id = self.nodes.len() as u32;
+                self.nodes.push(Node {
+                    flip,
+                    child: [NONE, NONE],
+                });
+                self.nodes[node].child[idx] = id;
+                fresh.get_or_insert((depth + 1, id));
+            }
+            node = self.nodes[node].child[idx] as usize;
         }
 
         // Point-special escape: re-flip one fresh, unpinned node (deepest
-        // first). Never touches class bits, protected regions, or any
-        // node another mapping already walked.
-        if special_kind(Ip(out)).is_some() {
-            for depth in (0u8..32).rev() {
-                let (node_id, fresh) = visited[depth as usize];
-                if !fresh || Self::pinned(ip, depth) {
-                    continue;
-                }
-                let candidate = out ^ (1u32 << (31 - depth));
-                if special_kind(Ip(candidate)).is_none() {
-                    self.nodes[node_id as usize].flip ^= true;
-                    out = candidate;
-                    break;
-                }
+        // first). Never touches a pinned bit or any node another mapping
+        // already walked.
+        if let Some((from, first)) = fresh.filter(|_| F::is_special(out)) {
+            let repairs =
+                |&depth: &u8| !F::pinned(ip, depth) && !F::is_special(out ^ F::Word::at(depth));
+            if let Some(depth) = (from..bits).rev().find(repairs) {
+                self.nodes[(first + u32::from(depth - from)) as usize].flip ^= true;
+                out = out ^ F::Word::at(depth);
             }
         }
-        Ip(out)
-    }
-
-    /// Whether the node at `depth` on `ip`'s path is pinned by the class
-    /// or protected-region rules (and therefore may never be re-flipped).
-    fn pinned(ip: Ip, depth: u8) -> bool {
-        if depth == 0 {
-            return true;
-        }
-        let path = if depth == 0 { 0 } else { ip.0 & (u32::MAX << (32 - depth)) };
-        if depth < 4 && path >> (32 - depth) == (1u32 << depth) - 1 {
-            return true;
-        }
-        for (bits, len) in REGIONS {
-            if depth < len && (path ^ bits) >> (32 - depth) == 0 {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Extra keyed diffusion so `flip` is not a function of the path bits
-    /// alone across different depths with equal left-aligned paths (e.g.
-    /// the path `1` at depth 1 vs `10` at depth 2 share the left-aligned
-    /// encoding; mixing the depth in removes the aliasing).
-    fn depth_salt(prf: &Prf, depth: u8) -> bool {
-        prf.bit("iptrie-depth", &[depth])
+        F::addr(out)
     }
 
     /// The full §4.3 scheme: specials pass through unchanged; ordinary
     /// addresses go through the trie; if the image collides with a special
     /// value it is recursively re-mapped until ordinary.
     ///
-    /// **Termination**: the realized trie map is a bijection on `u32`
+    /// **Termination**: the realized trie map is a bijection on the words
     /// (each level XORs a path-determined bit), so iterating it from `a`
     /// walks a finite cycle through `a`; because `a` itself is ordinary,
     /// the walk meets an ordinary value after at most
@@ -270,23 +284,72 @@ impl IpAnonymizer {
     /// inputs reached the same final image, the earlier one on the shared
     /// cycle suffix would itself have been an (ordinary) intermediate of
     /// the other — contradicting that only special values are re-mapped.
-    pub fn anonymize(&mut self, ip: Ip) -> Ip {
-        if special_kind(ip).is_some() {
-            return ip;
+    pub fn anonymize(&mut self, addr: F::Addr) -> F::Addr {
+        if F::is_special(F::word(addr)) {
+            return addr;
         }
-        let mut out = self.map_raw(ip);
+        let mut out = self.map_raw(addr);
         let mut guard = 0;
-        while special_kind(out).is_some() {
+        while F::is_special(F::word(out)) {
             out = self.map_raw(out);
             guard += 1;
             assert!(
-                guard <= 128,
-                "collision remapping failed to terminate for {ip}"
+                guard <= F::REMAP_GUARD,
+                "collision remapping failed to terminate for {addr}"
             );
         }
         out
     }
 }
+
+/// The IPv4 family: classful pins and the paper's specials.
+#[derive(Clone)]
+pub enum V4 {}
+
+/// The two special *prefix regions* that must map to themselves and that
+/// ordinary traffic must therefore avoid: loopback and link-local.
+/// Encoded as (bits, length). Multicast 224/4 and reserved 240/4 are
+/// already pinned by the class bits.
+const REGIONS: [(u32, u8); 2] = [
+    (0x7F00_0000, 8),  // 127.0.0.0/8
+    (0xA9FE_0000, 16), // 169.254.0.0/16
+];
+
+impl Family for V4 {
+    type Addr = Ip;
+    type Word = u32;
+    const LABEL: &'static str = "iptrie";
+    const DEPTH_LABEL: &'static str = "iptrie-depth";
+    const REMAP_GUARD: u32 = 128;
+
+    fn word(addr: Ip) -> u32 {
+        addr.0
+    }
+
+    fn addr(word: u32) -> Ip {
+        Ip(word)
+    }
+
+    fn is_special(word: u32) -> bool {
+        special_kind(Ip(word)).is_some()
+    }
+
+    fn pinned(path: u32, depth: u8) -> bool {
+        // Class-defining bits: depth 0 always; depths 1..4 while every bit
+        // of the path so far is 1.
+        if depth == 0 {
+            return true;
+        }
+        let top = path >> (32 - depth);
+        (depth < 4 && top == (1 << depth) - 1)
+            || REGIONS
+                .iter()
+                .any(|&(bits, len)| depth < len && top == bits >> (32 - depth))
+    }
+}
+
+/// The paper's IPv4 anonymizer.
+pub type IpAnonymizer = Trie<V4>;
 
 #[cfg(test)]
 mod reference;
@@ -451,6 +514,74 @@ mod tests {
             if special_kind(ip).is_none() {
                 let out = a.anonymize(ip);
                 assert!(special_kind(out).is_none());
+            }
+        }
+    }
+
+    /// [`V4::pinned`] against the two predicates it replaced, copied here
+    /// as they were: creation's `forced_identity` (with no trailing-zero
+    /// run) on the path above the node, and repair's `pinned` on the
+    /// whole address, at every depth of every class and region boundary
+    /// and of seeded paths.
+    #[test]
+    fn pinned_matches_the_creation_and_repair_predicates_it_replaced() {
+        const REGIONS: [(u32, u8); 2] = [(0x7F00_0000, 8), (0xA9FE_0000, 16)];
+        fn forced_identity(path_bits: u32, depth: u8, trailing_zero_from: u8) -> bool {
+            if depth == 0 {
+                return true;
+            }
+            if depth < 4 {
+                let ones = path_bits >> (32 - depth);
+                if ones == (1u32 << depth) - 1 {
+                    return true;
+                }
+            }
+            for (bits, len) in REGIONS {
+                if depth < len && (path_bits ^ bits) >> (32 - depth) == 0 {
+                    return true;
+                }
+            }
+            depth >= trailing_zero_from
+        }
+        fn pinned(ip: Ip, depth: u8) -> bool {
+            if depth == 0 {
+                return true;
+            }
+            let path = if depth == 0 { 0 } else { ip.0 & (u32::MAX << (32 - depth)) };
+            if depth < 4 && path >> (32 - depth) == (1u32 << depth) - 1 {
+                return true;
+            }
+            for (bits, len) in REGIONS {
+                if depth < len && (path ^ bits) >> (32 - depth) == 0 {
+                    return true;
+                }
+            }
+            false
+        }
+
+        use confanon_testkit::rng::{Rng, SeedableRng, XorShift64Star};
+        let boundaries: Vec<u32> = [0x7F00_0000u32, 0xA9FE_0000]
+            .iter()
+            .flat_map(|&r| [r, r - 1, r | 0xFFFF, r + 0x1_0000, r | 0xFF_FFFF])
+            .chain([0, 0x7FFF_FFFF, 0x8000_0000, 0xBFFF_FFFF, 0xC000_0000])
+            .chain([0xDFFF_FFFF, 0xE000_0000, 0xEFFF_FFFF, 0xF000_0000, u32::MAX])
+            .collect();
+        let mut rng = XorShift64Star::seed_from_u64(0x9113);
+        let near: Vec<u32> = boundaries
+            .iter()
+            .map(|&b| b ^ rng.gen::<u32>() >> 12)
+            .collect();
+        let uniform: Vec<u32> = (0..4096).map(|_| rng.gen()).collect();
+        for path in boundaries.into_iter().chain(near).chain(uniform) {
+            for depth in 0..32u8 {
+                let above = path & !(u32::MAX >> depth);
+                let at = format!("{path:#x} @ {depth}");
+                assert_eq!(
+                    V4::pinned(above, depth),
+                    forced_identity(above, depth, 32),
+                    "{at}"
+                );
+                assert_eq!(V4::pinned(path, depth), pinned(Ip(path), depth), "{at}");
             }
         }
     }

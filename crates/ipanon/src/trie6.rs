@@ -1,34 +1,19 @@
-//! IPv6 prefix-preserving anonymization — the 128-bit generalization of
-//! the paper's extended `-a50` scheme.
+//! The IPv6 family of the prefix-preserving trie — the 128-bit
+//! generalization of the paper's extended `-a50` scheme.
 //!
-//! Identical construction to [`crate::IpAnonymizer`], minus classful
-//! addressing (IPv6 has none) and plus the IPv6 special regions: the
-//! global-unicast `2000::/3` leading bits are pinned (so anonymized
-//! addresses remain plausibly global unicast), link-local `fe80::/10`
-//! and multicast `ff00::/8` regions map to themselves, and trailing
-//! zeros are preserved at first sight (subnet-address readability, §3.2).
+//! The walk is [`crate::Trie`]'s; this family drops classful addressing
+//! (IPv6 has none) and pins the IPv6 regions instead: the global-unicast
+//! `2000::/3` leading bits (so anonymized addresses remain plausibly
+//! global unicast), and link-local `fe80::/10` and multicast `ff00::/8`,
+//! which map to themselves. Trailing zeros are preserved at first sight
+//! (subnet-address readability, §3.2).
 
-use confanon_crypto::Prf;
+use crate::trie::{Family, Trie};
 use confanon_netprim::{special6_kind, Ip6};
 
-/// Sentinel for "no child".
-const NONE: u32 = u32::MAX;
-
-#[derive(Clone, Copy)]
-struct Node {
-    flip: bool,
-    child: [u32; 2],
-}
-
-/// The IPv6 trie anonymizer.
+/// The IPv6 family.
 #[derive(Clone)]
-pub struct Ip6Anonymizer {
-    prf: Prf,
-    nodes: Vec<Node>,
-    /// Per-depth PRF salt, precomputed once (pure function of the secret
-    /// and depth — see [`crate::IpAnonymizer`]'s identical cache).
-    depth_salts: [bool; 129],
-}
+pub enum V6 {}
 
 /// Protected prefix regions: (leading bits left-aligned in u128, length).
 /// Inputs inside them are special (passthrough); the pinning guarantees
@@ -38,167 +23,37 @@ const REGIONS6: [(u128, u8); 2] = [
     (0xffu128 << 120, 8),    // ff00::/8 multicast
 ];
 
-impl Ip6Anonymizer {
-    /// Creates an anonymizer keyed by the owner secret.
-    pub fn new(owner_secret: &[u8]) -> Ip6Anonymizer {
-        let prf = Prf::new(owner_secret);
-        let mut depth_salts = [false; 129];
-        for (depth, salt) in depth_salts.iter_mut().enumerate() {
-            *salt = prf.bit("ip6trie-depth", &[depth as u8]);
-        }
-        let mut a = Ip6Anonymizer {
-            prf,
-            nodes: Vec::with_capacity(1024),
-            depth_salts,
-        };
-        a.nodes.push(Node {
-            flip: false, // bit 0 pinned (see `forced_identity`)
-            child: [NONE, NONE],
-        });
-        a
+impl Family for V6 {
+    type Addr = Ip6;
+    type Word = u128;
+    const LABEL: &'static str = "ip6trie";
+    const DEPTH_LABEL: &'static str = "ip6trie-depth";
+    const REMAP_GUARD: u32 = 256;
+
+    fn word(addr: Ip6) -> u128 {
+        addr.0
     }
 
-    /// Number of trie nodes allocated.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
+    fn addr(word: u128) -> Ip6 {
+        Ip6(word)
     }
 
-    /// FNV-1a digest of the node table (see
-    /// [`crate::IpAnonymizer::structure_digest`]): the post-replay check
-    /// that persisted state reconstructed this trie node-for-node.
-    pub fn structure_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |byte: u8| {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x1_0000_0000_01b3);
-        };
-        for node in &self.nodes {
-            mix(u8::from(node.flip));
-            for child in node.child {
-                for b in child.to_be_bytes() {
-                    mix(b);
-                }
-            }
-        }
-        h
+    fn is_special(word: u128) -> bool {
+        special6_kind(Ip6(word)).is_some()
     }
 
-    /// Whether a fresh node must have `flip = 0`.
-    fn forced_identity(path_bits: u128, depth: u8, trailing_zero_from: u8) -> bool {
-        // Pin the first three bits: `2000::/3` (global unicast) maps to
+    fn pinned(path: u128, depth: u8) -> bool {
+        // The first three bits: `2000::/3` (global unicast) maps to
         // itself, the address-family analogue of v4 class preservation.
-        if depth < 3 {
-            return true;
-        }
-        for (bits, len) in REGIONS6 {
-            if depth < len && (path_bits ^ bits) >> (128 - depth) == 0 {
-                return true;
-            }
-        }
-        depth >= trailing_zero_from
-    }
-
-    /// The raw trie map (no passthrough / collision handling). Like the
-    /// v4 walk, it computes one keyed bit per distinct input path.
-    pub fn map_raw(&mut self, ip: Ip6) -> Ip6 {
-        let tz = ip.0.trailing_zeros().min(128) as u8;
-        let trailing_zero_from = 128 - tz;
-
-        let mut out: u128 = 0;
-        let mut node = 0usize;
-        let mut path: u128 = 0;
-        // The last keyed path of this walk and its raw (unsalted) bit.
-        let mut keyed: Option<(u128, bool)> = None;
-        let mut visited: [(u32, bool); 128] = [(0, false); 128];
-        for depth in 0u8..128 {
-            let in_bit = ip.bit(depth);
-            visited[depth as usize].0 = node as u32;
-            let flip = self.nodes[node].flip;
-            out = (out << 1) | u128::from(in_bit ^ flip);
-
-            let idx = usize::from(in_bit);
-            let next_path = path | (u128::from(in_bit) << (127 - depth));
-            if depth < 127 {
-                if self.nodes[node].child[idx] == NONE {
-                    let flip = if Self::forced_identity(next_path, depth + 1, trailing_zero_from)
-                    {
-                        false
-                    } else {
-                        let raw = match keyed {
-                            Some((p, raw)) if p == next_path => raw,
-                            _ => self.prf.bit("ip6trie", &next_path.to_be_bytes()[..]),
-                        };
-                        keyed = Some((next_path, raw));
-                        raw ^ self.depth_salts[usize::from(depth) + 1]
-                    };
-                    self.nodes.push(Node {
-                        flip,
-                        child: [NONE, NONE],
-                    });
-                    let new_id = (self.nodes.len() - 1) as u32;
-                    self.nodes[node].child[idx] = new_id;
-                    visited[depth as usize + 1].1 = true;
-                }
-                node = self.nodes[node].child[idx] as usize;
-            }
-            path = next_path;
-        }
-
-        // Point-special escape at creation time (same argument as the v4
-        // trie: fresh nodes are unshared, so one deep re-flip preserves
-        // every established prefix relation).
-        if special6_kind(Ip6(out)).is_some() {
-            for depth in (0u8..128).rev() {
-                let (node_id, fresh) = visited[depth as usize];
-                if !fresh || Self::pinned(ip, depth) {
-                    continue;
-                }
-                let candidate = out ^ (1u128 << (127 - depth));
-                if special6_kind(Ip6(candidate)).is_none() {
-                    self.nodes[node_id as usize].flip ^= true;
-                    out = candidate;
-                    break;
-                }
-            }
-        }
-        Ip6(out)
-    }
-
-    /// Whether the node at `depth` on `ip`'s path is pinned (address-family
-    /// bits or a protected region) and may never be re-flipped.
-    fn pinned(ip: Ip6, depth: u8) -> bool {
-        if depth < 3 {
-            return true;
-        }
-        let path = ip.0 & (u128::MAX << (128 - depth));
-        for (bits, len) in REGIONS6 {
-            if depth < len && (path ^ bits) >> (128 - depth) == 0 {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The full scheme: specials pass through; ordinary addresses map,
-    /// with recursive remapping on (point-)special collisions. The same
-    /// bijection-orbit argument as the v4 scheme bounds the loop.
-    pub fn anonymize(&mut self, ip: Ip6) -> Ip6 {
-        if special6_kind(ip).is_some() {
-            return ip;
-        }
-        let mut out = self.map_raw(ip);
-        let mut guard = 0;
-        while special6_kind(out).is_some() {
-            out = self.map_raw(out);
-            guard += 1;
-            assert!(guard <= 256, "collision remapping failed for {ip}");
-        }
-        out
+        depth < 3
+            || REGIONS6
+                .iter()
+                .any(|&(bits, len)| depth < len && (path ^ bits) >> (128 - depth) == 0)
     }
 }
 
-#[cfg(test)]
-mod reference;
+/// The IPv6 trie anonymizer.
+pub type Ip6Anonymizer = Trie<V6>;
 
 #[cfg(test)]
 mod tests {
@@ -281,6 +136,64 @@ mod tests {
         for i in 0..2000u128 {
             let addr = Ip6((0x2400u128 << 112) | (i * 0x0001_0001_0001));
             assert!(seen.insert(a.anonymize(addr)));
+        }
+    }
+
+    /// [`V6::pinned`] against the two predicates it replaced, copied here
+    /// as they were: creation's `forced_identity` (with no trailing-zero
+    /// run) on the path above the node, and repair's `pinned` on the
+    /// whole address, at every depth of every region boundary and of
+    /// seeded paths.
+    #[test]
+    fn pinned_matches_the_creation_and_repair_predicates_it_replaced() {
+        const REGIONS6: [(u128, u8); 2] = [(0xfe80u128 << 112, 10), (0xffu128 << 120, 8)];
+        fn forced_identity(path_bits: u128, depth: u8, trailing_zero_from: u8) -> bool {
+            if depth < 3 {
+                return true;
+            }
+            for (bits, len) in REGIONS6 {
+                if depth < len && (path_bits ^ bits) >> (128 - depth) == 0 {
+                    return true;
+                }
+            }
+            depth >= trailing_zero_from
+        }
+        fn pinned(ip: Ip6, depth: u8) -> bool {
+            if depth < 3 {
+                return true;
+            }
+            let path = ip.0 & (u128::MAX << (128 - depth));
+            for (bits, len) in REGIONS6 {
+                if depth < len && (path ^ bits) >> (128 - depth) == 0 {
+                    return true;
+                }
+            }
+            false
+        }
+
+        use confanon_testkit::rng::{Rng, SeedableRng, XorShift64Star};
+        let boundaries: Vec<u128> = [1u128 << 125, 0xfe80 << 112, 0xff << 120]
+            .iter()
+            .flat_map(|&r| [r, r - 1, r | ((1 << 112) - 1), r + (1 << 118)])
+            .chain([0, 0x3fff << 112, 0xe000 << 112, 0xfec0 << 112, u128::MAX])
+            .collect();
+        let mut rng = XorShift64Star::seed_from_u64(0x9116);
+        let near: Vec<u128> = boundaries
+            .iter()
+            .map(|&b| b ^ rng.gen::<u128>() >> 12)
+            .collect();
+        let uniform: Vec<u128> = (0..1024).map(|_| rng.gen()).collect();
+        for path in boundaries.into_iter().chain(near).chain(uniform) {
+            for depth in 0..128u8 {
+                let above = path & !(u128::MAX >> depth);
+                let at = format!("{path:#x} @ {depth}");
+                assert_eq!(
+                    V6::pinned(above, depth),
+                    forced_identity(above, depth, 128),
+                    "{at}"
+                );
+                assert_eq!(V6::pinned(path, depth), pinned(Ip6(path), depth), "{at}");
+            }
         }
     }
 }

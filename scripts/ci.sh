@@ -208,11 +208,14 @@ ls "$chaos_dir/asn32-out" | grep -q '\.anon$' && {
 # 3b. A dotted quad inside a compound token (a URL, an `a.b.c.d:nn`
 #     route target, a prefix with an out-of-range length, a quad with a
 #     dot beside it) is mapped, so the release holds no copy of it; so
-#     is the ASN after `redistribute bgp`. An asdot 4-byte ASN is
-#     recorded, and a recorded ASN with a dot beside it is found, so the
-#     gate withholds each of those files.
+#     is the ASN after `redistribute bgp`, `match source-protocol bgp`
+#     and `set origin egp`. The repeat count after `last-as` is kept and
+#     not recorded, so `Serial0/2` beside it is released. An asdot 4-byte
+#     ASN is recorded, and a recorded ASN with a dot beside it is found,
+#     so the gate withholds each of those files.
 mkdir -p "$chaos_dir/quad-in" "$chaos_dir/asdot-in" "$chaos_dir/redist-in" \
-    "$chaos_dir/asndot-in"
+    "$chaos_dir/asndot-in" "$chaos_dir/lastas-in" "$chaos_dir/srcproto-in" \
+    "$chaos_dir/origin-in"
 printf ' ip address 12.1.1.1 255.255.255.252\nboot host tftp://12.1.1.1/cfg\n set extcommunity rt 12.1.1.1:100\nip route 12.1.1.1/33 Null0\nlogging 12.1.1.1.\n' \
     > "$chaos_dir/quad-in/a.cfg"
 printf 'router bgp 4.10\n' > "$chaos_dir/asdot-in/a.cfg"
@@ -220,6 +223,12 @@ printf 'router bgp 701\n neighbor 12.1.1.2 remote-as 702\nrouter ospf 1\n redist
     > "$chaos_dir/redist-in/a.cfg"
 printf 'router bgp 701\n neighbor 12.1.1.2 remote-as 702\n neighbor 12.1.1.2 description peer 702.\n' \
     > "$chaos_dir/asndot-in/a.cfg"
+printf 'router bgp 701\nroute-map OUT permit 10\n set as-path prepend last-as 2\ninterface Serial0/2\n' \
+    > "$chaos_dir/lastas-in/a.cfg"
+printf 'router bgp 701\n neighbor 12.1.1.2 remote-as 702\nroute-map M permit 10\n match source-protocol bgp 702\n' \
+    > "$chaos_dir/srcproto-in/a.cfg"
+printf 'router bgp 701\n neighbor 12.1.1.2 remote-as 702\nroute-map M permit 10\n set origin egp 702\n' \
+    > "$chaos_dir/origin-in/a.cfg"
 set +e
 ./target/release/confanon batch "$chaos_dir/quad-in" --jobs 1 \
     --out-dir "$chaos_dir/quad-out" --quarantine-dir "$chaos_dir/quad-q"
@@ -233,6 +242,15 @@ redist_code=$?
 ./target/release/confanon batch "$chaos_dir/asndot-in" --jobs 1 \
     --out-dir "$chaos_dir/asndot-out" --quarantine-dir "$chaos_dir/asndot-q"
 asndot_code=$?
+./target/release/confanon batch "$chaos_dir/lastas-in" --jobs 1 \
+    --out-dir "$chaos_dir/lastas-out" --quarantine-dir "$chaos_dir/lastas-q"
+lastas_code=$?
+./target/release/confanon batch "$chaos_dir/srcproto-in" --jobs 1 \
+    --out-dir "$chaos_dir/srcproto-out" --quarantine-dir "$chaos_dir/srcproto-q"
+srcproto_code=$?
+./target/release/confanon batch "$chaos_dir/origin-in" --jobs 1 \
+    --out-dir "$chaos_dir/origin-out" --quarantine-dir "$chaos_dir/origin-q"
+origin_code=$?
 set -e
 [ "$code" -eq 0 ] || { echo "compound quads: expected exit 0, got $code"; exit 1; }
 grep -rwF 12.1.1.1 "$chaos_dir/quad-out" && {
@@ -259,6 +277,24 @@ grep -rw 701 "$chaos_dir/redist-out" && {
 }
 ls "$chaos_dir/asndot-out" | grep -q '\.anon$' && {
     echo "ASN beside a dot: batch released a file"; exit 1;
+}
+[ "$lastas_code" -eq 0 ] || {
+    echo "prepend last-as: expected exit 0, got $lastas_code"; exit 1;
+}
+grep -qx ' set as-path prepend last-as 2' "$chaos_dir/lastas-out/a.cfg.anon" || {
+    echo "prepend last-as: the repeat count was not kept"; exit 1;
+}
+[ "$srcproto_code" -eq 0 ] || {
+    echo "match source-protocol bgp: expected exit 0, got $srcproto_code"; exit 1;
+}
+grep -rw 702 "$chaos_dir/srcproto-out" && {
+    echo "match source-protocol bgp: the release holds 702"; exit 1;
+}
+[ "$origin_code" -eq 0 ] || {
+    echo "set origin egp: expected exit 0, got $origin_code"; exit 1;
+}
+grep -rw 702 "$chaos_dir/origin-out" && {
+    echo "set origin egp: the release holds 702"; exit 1;
 }
 
 # 4. 64 chaos-mutated hostile configs never crash the pipeline or escape

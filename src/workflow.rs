@@ -229,8 +229,8 @@ impl GatedCorpusRun {
                 counters_with_prefixes(
                     &self.obs,
                     // `discovery.` (unlike `phase.discover.`) holds the
-                    // shard-layout-dependent values: shard count and
-                    // prefilter cache hits vary with `--jobs`.
+                    // shard-layout-dependent value: the shard count
+                    // varies with `--jobs`.
                     &["phase.rewrite.", "phase.publish.", "gate.", "discovery."],
                 ),
             )

@@ -403,6 +403,50 @@ fn redistribute_bgp_maps_the_process_asn() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+#[test]
+fn prepend_last_as_keeps_its_repeat_count() {
+    // R08 permuted the count after `last-as` as an ASN (IOS takes 1–10
+    // there) and recorded it, so `Serial0/2` withheld the file (exit 4).
+    let root = tmpdir("prepend-last-as");
+    let (code, released, report) = batch_one_file(
+        &root,
+        "router bgp 701\nroute-map OUT permit 10\n set as-path prepend last-as 2\n\
+         interface Serial0/2\n",
+    );
+    assert_eq!((code, released), (Some(0), 1), "{report}");
+    let out = std::fs::read_to_string(root.join("out").join("a.cfg.anon")).expect("released");
+    assert!(out.contains(" set as-path prepend last-as 2\n"), "{out}");
+    assert!(out.contains("interface Serial0/2\n"), "{out}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Batches `router bgp 701`, `remote-as 702` and a route-map holding
+/// `line`, and demands exit 0 with no whole-word `702` released. No
+/// anchor located the ASN on these lines, so the gate found the `702`
+/// that `remote-as 702` recorded and withheld the file (exit 4).
+fn route_map_asn_is_mapped(name: &str, line: &str) {
+    let root = tmpdir(name);
+    let (code, released, report) = batch_one_file(
+        &root,
+        format!("router bgp 701\n neighbor 12.1.1.2 remote-as 702\nroute-map M permit 10\n{line}\n"),
+    );
+    assert_eq!((code, released), (Some(0), 1), "{report}");
+    let out = std::fs::read_to_string(root.join("out").join("a.cfg.anon")).expect("released");
+    let mut words = out.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+    assert!(!words.any(|w| w == "702"), "702 released: {out}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn match_source_protocol_bgp_maps_the_process_asn() {
+    route_map_asn_is_mapped("source-protocol-bgp", " match source-protocol bgp 702");
+}
+
+#[test]
+fn set_origin_egp_maps_the_asn() {
+    route_map_asn_is_mapped("origin-egp", " set origin egp 702");
+}
+
 /// Files with extension `ext` under `dir`, recursively.
 fn count_files(dir: &Path, ext: &str) -> usize {
     std::fs::read_dir(dir)
