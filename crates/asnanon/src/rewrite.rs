@@ -35,7 +35,7 @@
 
 use confanon_regexlang::ast::Ast;
 use confanon_regexlang::dfa::dfa_for;
-use confanon_regexlang::lang::{accepted_asns, alternation_of};
+use confanon_regexlang::lang::{accepted_asns, alternation_of, count_accepted_asns};
 use confanon_regexlang::synth::synthesize;
 use confanon_regexlang::{parse, CharClass, ParseErr};
 
@@ -195,17 +195,16 @@ impl Ctx<'_> {
     }
 
     fn rewrite_atom(&mut self, atom: &Ast, domain: Domain) -> Ast {
+        // An atom that accepts nothing in the 16-bit universe (e.g. a 6+
+        // digit pattern) names nothing to anonymize, and a universal one
+        // (e.g. `[0-9]+`) has the image set equal to the pre-image set
+        // under any permutation: both stay, decided by a count that never
+        // lists the 2^16 members.
+        let size = count_accepted_asns(atom);
+        if size == 0 || size == 1 << 16 {
+            return atom.clone();
+        }
         let lang = accepted_asns(atom);
-        if lang.is_empty() {
-            // Accepts nothing in the 16-bit universe (e.g. a 6+ digit
-            // pattern): nothing to anonymize.
-            return atom.clone();
-        }
-        if lang.len() == 1 << 16 {
-            // Universal over the universe (e.g. `[0-9]+`): the image set
-            // equals the pre-image set under any permutation.
-            return atom.clone();
-        }
         let mapped: Vec<u16> = match domain {
             Domain::AsPath | Domain::CommunityAsn => {
                 if lang.iter().all(|&a| !is_public(a)) {
@@ -401,6 +400,20 @@ mod tests {
         let pat = "701:[0-9]+";
         let out = rewrite_community_regex(pat, &cm, RewriteOptions::default()).unwrap();
         assert!(out.ends_with(":[0-9]+"), "{out}");
+    }
+
+    #[test]
+    fn universal_atoms_stay_and_near_universal_ones_map() {
+        let (m, _) = maps();
+        let opts = RewriteOptions::default();
+        for pat in ["_[0-9]+_", "_[0-9]*_", "_(0|[1-9][0-9]{0,4})_"] {
+            let out = rewrite_aspath_regex(pat, &m, opts).unwrap();
+            assert_eq!(out, parse(pat).unwrap().to_pattern(), "{pat}");
+        }
+        // Every ASN but 0: one member short of universal, so every member
+        // maps and the atom becomes a 65,535-member alternation.
+        let out = rewrite_aspath_regex("_[1-9][0-9]*_", &m, opts).unwrap();
+        assert_eq!(out.matches('|').count(), 65_534);
     }
 
     #[test]

@@ -26,6 +26,7 @@ use confanon_netprim::{special6_kind, special_kind, Ip, Ip6};
 
 use crate::discover::{ObservationLog, ObservedIp};
 use crate::error::BatchPhase;
+use crate::fasthash::FastMap;
 use crate::leak::LeakRecord;
 use crate::passlist::PassList;
 use crate::rules::{
@@ -251,7 +252,7 @@ pub struct Anonymizer {
     /// and the token — identifiers repeat heavily in real configs, so
     /// most SHA-1 invocations are answered by one lookup). Capped at
     /// [`HASH_MEMO_CAP`].
-    hash_memo: HashMap<String, String>,
+    hash_memo: FastMap<String, String>,
     /// Interned regexp-language rewrites, shared with every clone (see
     /// [`RegexMemo`]); like `hash_memo`, a cache that persisted state
     /// never serializes.
@@ -283,8 +284,8 @@ pub struct Anonymizer {
 /// one hash probe instead of a trie walk.
 #[derive(Clone, Default)]
 struct IdJournal {
-    images4: HashMap<u32, Ip>,
-    images6: HashMap<u128, Ip6>,
+    images4: FastMap<u32, Ip>,
+    images6: FastMap<u128, Ip6>,
     order: Vec<ObservedIp>,
 }
 
@@ -335,7 +336,7 @@ impl Anonymizer {
             total_stats: AnonymizationStats::default(),
             emit: true,
             prefilter_stats: PrefilterStats::default(),
-            hash_memo: HashMap::new(),
+            hash_memo: FastMap::default(),
             regex_memo: Arc::default(),
             rewrite_stats: RewriteStats::default(),
             observe: None,
@@ -365,6 +366,13 @@ impl Anonymizer {
     /// describes.
     pub fn emitted_exclusions(&self) -> Vec<String> {
         self.emitted.iter().cloned().collect()
+    }
+
+    /// The emitted images [`Anonymizer::emitted_exclusions`] copies, as
+    /// the set itself: what [`crate::leak::LeakScanner::borrowing`]
+    /// takes.
+    pub fn emitted(&self) -> &BTreeSet<String> {
+        &self.emitted
     }
 
     /// Aggregate statistics across every config processed so far.
@@ -682,6 +690,13 @@ impl Anonymizer {
                         self.asn_at(pos + 1, texts, out, stats, rule);
                     }
                 }
+                Locator::AsnAfterEachBgp(from) => {
+                    for (i, word) in lower.iter().enumerate().skip(from) {
+                        if *word == "bgp" {
+                            self.asn_at(i + 1, texts, out, stats, rule);
+                        }
+                    }
+                }
                 Locator::AsnThenAlternates(i) => {
                     self.asn_at(i, texts, out, stats, rule);
                     let rest = lower.get(i + 1..).unwrap_or_default();
@@ -730,7 +745,7 @@ impl Anonymizer {
                     out[i] = Some(image);
                 }
                 // A server address is left to the per-token IP rule.
-                Locator::ServerName(i) if i < n && texts[i].parse::<Ip>().is_ok() => {}
+                Locator::ServerName(i) if i < n && Ip::parse_quad(texts[i]).is_some() => {}
                 Locator::HashWhole(i) | Locator::Secret(i) | Locator::ServerName(i) if i < n => {
                     stats.fire(rule);
                     if matches!(anchor.locator, Locator::Secret(_)) {
@@ -1003,7 +1018,7 @@ impl Anonymizer {
         let first = tok.as_bytes().first().copied().unwrap_or(b' ');
         if BYTE_CLASS[usize::from(first)] & CLASS_DIGIT != 0 {
             // R22/R24/R25: IPv4 literal.
-            if let Ok(ip) = tok.parse::<Ip>() {
+            if let Some(ip) = Ip::parse_quad(tok) {
                 if self.enabled(RuleId::R22Ipv4Literal) {
                     let mapped = self.map_ip(ip, stats);
                     return self.emit.then(|| mapped.to_string());
@@ -1014,7 +1029,7 @@ impl Anonymizer {
             // prefix: the token falls through to the compound-token pass,
             // which maps its quad under R22 and keeps `/len` as written.
             if let Some((addr, len)) = tok.split_once('/') {
-                if let (Ok(ip), Ok(len)) = (addr.parse::<Ip>(), len.parse::<u8>()) {
+                if let (Some(ip), Ok(len)) = (Ip::parse_quad(addr), len.parse::<u8>()) {
                     if !self.enabled(RuleId::R23PrefixToken) {
                         return None;
                     }
@@ -1537,7 +1552,7 @@ fn quads_in(seg: &str) -> impl Iterator<Item = (std::ops::Range<usize>, Ip)> + '
             }
             // The shortest quad is `0.0.0.0`.
             if end - start >= 7 {
-                if let Ok(ip) = seg[start..end].parse::<Ip>() {
+                if let Some(ip) = Ip::parse_quad(&seg[start..end]) {
                     return Some((start..end, ip));
                 }
             }

@@ -310,7 +310,7 @@ fn mutated(mutator: &mut ChaosMutator, text: &str) -> String {
 /// Strategy: a small config whose lines are biased toward the shapes the
 /// rules care about (addresses, also inside compound tokens, beside dots
 /// and before an out-of-range prefix length, ASNs in asplain and asdot
-/// and after `redistribute bgp`, `match source-protocol bgp` and `set
+/// and after `redistribute bgp`, `match source-protocol … bgp` and `set
 /// origin egp`, a prepend's `last-as` count, hostnames, pass-list
 /// keywords).
 fn config_text() -> impl Strategy<Value = String> {
@@ -319,7 +319,7 @@ fn config_text() -> impl Strategy<Value = String> {
             any::<u32>(),
             1u16..64000,
             pattern("[a-zA-Z][a-zA-Z0-9.-]{0,12}"),
-            0u8..15,
+            0u8..16,
         )
             .prop_map(|(raw, asn, word, shape)| {
                 let ip = Ip(raw);
@@ -338,6 +338,7 @@ fn config_text() -> impl Strategy<Value = String> {
                     11 => format!(" set as-path prepend last-as {}", asn % 10 + 1),
                     12 => format!(" match source-protocol bgp {asn}"),
                     13 => format!(" set origin egp {asn}"),
+                    14 => format!(" match source-protocol ospf {} bgp {asn}", asn % 100),
                     _ => format!(" snmp-server community {word} RO"),
                 }
             })

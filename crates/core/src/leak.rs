@@ -33,11 +33,13 @@
 //! false positives, which is exactly what the human reviewer of §6.1 does
 //! with context.
 
-use std::collections::{BTreeSet, HashSet};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 
 use confanon_testkit::json::Json;
 
 use crate::error::BatchFailure;
+use crate::fasthash::FastSet;
 
 /// Everything the anonymizer saw that must not appear in the output.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -183,11 +185,13 @@ pub fn leak_report_json<'r>(
 /// membership checks are then O(1) instead of a string-compare walk of
 /// a `BTreeSet`.
 pub struct LeakScanner<'a> {
-    excluded: BTreeSet<String>,
+    /// The legitimate images, borrowed from the anonymizer that emitted
+    /// them or collected from the caller's list.
+    excluded: Cow<'a, BTreeSet<String>>,
     /// Hash views over the record's sets (borrowing the record).
-    ips: HashSet<&'a str>,
-    asns: HashSet<&'a str>,
-    words: HashSet<&'a str>,
+    ips: FastSet<&'a str>,
+    asns: FastSet<&'a str>,
+    words: FastSet<&'a str>,
 }
 
 impl<'a> LeakScanner<'a> {
@@ -203,8 +207,19 @@ impl<'a> LeakScanner<'a> {
         record: &'a LeakRecord,
         legitimate_images: impl IntoIterator<Item = String>,
     ) -> LeakScanner<'a> {
+        LeakScanner::excluding(record, Cow::Owned(legitimate_images.into_iter().collect()))
+    }
+
+    /// [`LeakScanner::with_exclusions`] over a set it borrows instead of
+    /// copying: the gate's scanner over an anonymizer's own record and
+    /// images ([`crate::Anonymizer::emitted`]).
+    pub fn borrowing(record: &'a LeakRecord, excluded: &'a BTreeSet<String>) -> LeakScanner<'a> {
+        LeakScanner::excluding(record, Cow::Borrowed(excluded))
+    }
+
+    fn excluding(record: &'a LeakRecord, excluded: Cow<'a, BTreeSet<String>>) -> LeakScanner<'a> {
         LeakScanner {
-            excluded: legitimate_images.into_iter().collect(),
+            excluded,
             ips: record.ips.iter().map(String::as_str).collect(),
             asns: record.asns.iter().map(String::as_str).collect(),
             words: record.words.iter().map(String::as_str).collect(),
@@ -326,7 +341,7 @@ impl<'a> LeakScanner<'a> {
     }
 
     /// `item` is in `set` and is not a legitimate image.
-    fn hit(&self, set: &HashSet<&str>, item: &str) -> bool {
+    fn hit(&self, set: &FastSet<&str>, item: &str) -> bool {
         set.contains(item) && !self.excluded.contains(item)
     }
 }
@@ -529,6 +544,43 @@ mod tests {
             "router bgp 701 appears as someone else's image",
         );
         assert!(clean.is_clean());
+    }
+
+    #[test]
+    fn borrowing_and_owned_scanners_agree_on_generated_and_chaos_corpora() {
+        use crate::anonymizer::{Anonymizer, AnonymizerConfig};
+        use confanon_confgen::{generate_dataset, DatasetSpec};
+        use confanon_testkit::chaos::ChaosMutator;
+        let clean: Vec<String> = generate_dataset(&DatasetSpec {
+            seed: 0x1ea5,
+            networks: 2,
+            mean_routers: 3,
+            backbone_fraction: 0.5,
+        })
+        .networks
+        .into_iter()
+        .flat_map(|n| n.routers.into_iter().map(|r| r.config))
+        .collect();
+        let mut chaos = ChaosMutator::new(0x1ea5);
+        let hostile: Vec<String> = clean
+            .iter()
+            .map(|t| crate::input::sanitize_bytes(&chaos.mutate(t.as_bytes()).bytes).0)
+            .collect();
+        for corpus in [clean, hostile] {
+            let mut a = Anonymizer::new(AnonymizerConfig::new(b"gate".to_vec()));
+            let released: Vec<String> = corpus.iter().map(|t| a.anonymize_config(t).text).collect();
+            let owned = LeakScanner::with_exclusions(a.leak_record(), a.emitted_exclusions());
+            let borrowing = LeakScanner::borrowing(a.leak_record(), a.emitted());
+            // The inputs themselves flag, so both verdicts are compared
+            // on leaking lines as well as on the clean releases.
+            let mut flagged = 0;
+            for text in released.iter().chain(&corpus) {
+                let (want, got) = (owned.scan(text), borrowing.scan(text));
+                assert_eq!(got.leaks, want.leaks);
+                flagged += want.leaks.len();
+            }
+            assert!(flagged > 0);
+        }
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub mod anonymizer;
 pub mod batch;
 pub mod discover;
 pub mod error;
+mod fasthash;
 pub mod figure1;
 pub mod fsx;
 pub mod input;

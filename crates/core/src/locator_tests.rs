@@ -32,6 +32,39 @@ fn r06_router_bgp() {
 }
 
 #[test]
+fn r06_match_source_protocol_maps_the_asn_after_every_bgp() {
+    // BGP first, after another protocol, or twice: each ASN after `bgp`
+    // moves, and the OSPF process id and the EIGRP AS number stay.
+    let (i702, i703) = (image(702), image(703));
+    for (line, want) in [
+        (" match source-protocol bgp 702\n", format!("bgp {i702}")),
+        (
+            " match source-protocol ospf 1 bgp 702\n",
+            format!("ospf 1 bgp {i702}"),
+        ),
+        (
+            " match source-protocol eigrp 100 bgp 702 connected bgp 703\n",
+            format!("eigrp 100 bgp {i702} connected bgp {i703}"),
+        ),
+    ] {
+        let mut a = anon();
+        let out = a.anonymize_config(line);
+        assert!(out.text.contains(&want), "{line:?} -> {:?}", out.text);
+        assert!(out.stats.fires(RuleId::R06RouterBgpAsn) > 0, "{line:?}");
+    }
+    // With no BGP on the line, R06 maps nothing and does not fire.
+    for line in [
+        " match source-protocol ospf 1\n",
+        " match source-protocol bgp\n",
+    ] {
+        let mut a = anon();
+        let out = a.anonymize_config(line);
+        assert_eq!(out.text, line, "{line:?}");
+        assert_eq!(out.stats.fires(RuleId::R06RouterBgpAsn), 0, "{line:?}");
+    }
+}
+
+#[test]
 fn r07_neighbor_remote_as() {
     let out = run(" neighbor 9.9.9.9 remote-as 1239\n");
     assert!(out.contains(&format!("remote-as {}", image(1239))), "{out}");

@@ -15,9 +15,14 @@
 //! tokens exactly as the paper describes, so a deployment can regenerate
 //! its pass-list from local command references.
 
-use std::collections::HashSet;
-
 use confanon_iosparse::{segment, Segment};
+
+use crate::fasthash::FastSet;
+
+/// Bytes of the stack buffer [`PassList::contains`] lowercases a
+/// mixed-case word into; a longer word is lowercased into a `String`.
+/// The longest builtin word (`tengigabitethernet`) has 18.
+const LOWER_BUF: usize = 32;
 
 /// IOS command vocabulary: every keyword the anonymizer should recognize
 /// as structure rather than identity. Matching is case-insensitive.
@@ -95,13 +100,16 @@ const GUIDE_ENGLISH: &[&str] = &[
 /// The pass-list: a case-insensitive set of unprivileged words.
 #[derive(Debug, Clone)]
 pub struct PassList {
-    words: HashSet<String>,
+    words: FastSet<String>,
 }
 
 impl PassList {
     /// The builtin list (IOS vocabulary + guide English).
     pub fn builtin() -> PassList {
-        let mut words = HashSet::with_capacity(IOS_KEYWORDS.len() + GUIDE_ENGLISH.len());
+        let mut words = FastSet::with_capacity_and_hasher(
+            IOS_KEYWORDS.len() + GUIDE_ENGLISH.len(),
+            Default::default(),
+        );
         for w in IOS_KEYWORDS.iter().chain(GUIDE_ENGLISH) {
             words.insert((*w).to_ascii_lowercase());
         }
@@ -111,7 +119,7 @@ impl PassList {
     /// An empty list (useful for worst-case tests: everything hashes).
     pub fn empty() -> PassList {
         PassList {
-            words: HashSet::new(),
+            words: FastSet::default(),
         }
     }
 
@@ -137,14 +145,22 @@ impl PassList {
         pl
     }
 
-    /// Case-insensitive membership test.
+    /// Case-insensitive membership test. A lowercase word is looked up
+    /// as it is; a mixed-case one (`Ethernet`) is lowercased into a stack
+    /// buffer, and only one longer than `LOWER_BUF` (32) bytes into a
+    /// `String`.
     pub fn contains(&self, word: &str) -> bool {
-        // Avoid allocating when the word is already lowercase.
-        if word.bytes().any(|b| b.is_ascii_uppercase()) {
-            self.words.contains(&word.to_ascii_lowercase())
-        } else {
-            self.words.contains(word)
+        if !word.bytes().any(|b| b.is_ascii_uppercase()) {
+            return self.words.contains(word);
         }
+        let mut buf = [0u8; LOWER_BUF];
+        let Some(lower) = buf.get_mut(..word.len()) else {
+            return self.words.contains(&word.to_ascii_lowercase());
+        };
+        lower.copy_from_slice(word.as_bytes());
+        lower.make_ascii_lowercase();
+        // ASCII lowercasing keeps UTF-8 valid, so this never declines.
+        std::str::from_utf8(lower).is_ok_and(|w| self.words.contains(w))
     }
 
     /// Inserts one word (lowercased).
@@ -233,6 +249,69 @@ mod tests {
         assert_eq!(pl.len(), 1);
         pl.insert("foobar");
         assert_eq!(pl.len(), 1, "case-folded duplicates collapse");
+    }
+
+    /// The lookup [`PassList::contains`] replaced: the oracle for its
+    /// stack-buffer lowercasing.
+    fn contains_by_string(pl: &PassList, word: &str) -> bool {
+        if word.bytes().any(|b| b.is_ascii_uppercase()) {
+            pl.words.contains(&word.to_ascii_lowercase())
+        } else {
+            pl.words.contains(word)
+        }
+    }
+
+    #[test]
+    fn contains_equals_the_string_lookup() {
+        let mut pl = PassList::builtin();
+        let long = "x".repeat(LOWER_BUF - 1) + "Yz";
+        pl.insert(&long);
+        pl.insert("Ärger");
+        pl.insert(&"ß".repeat(LOWER_BUF));
+        let mut words: Vec<String> = [
+            "Ethernet",
+            "GigabitEthernet",
+            "TenGigabitEthernet",
+            "ETHERNET",
+            "eThErNeT",
+            "uunet",
+            "UUNET",
+            "",
+            "A",
+            "a",
+            "Ärger",
+            "ärger",
+            "ÄRGER",
+            "Straße",
+            "STRASSE",
+            "Ethernet\u{0130}",
+            "\u{212A}ey",
+        ]
+        .iter()
+        .map(|w| w.to_string())
+        .collect();
+        words.extend([
+            long.clone(),
+            long.to_ascii_uppercase(),
+            long[1..].to_string(),
+        ]);
+        words.extend([
+            "x".repeat(LOWER_BUF),
+            "X".repeat(LOWER_BUF),
+            "X".repeat(LOWER_BUF + 1),
+            "ß".repeat(LOWER_BUF),
+            "ß".repeat(LOWER_BUF / 2) + "A",
+        ]);
+        for w in IOS_KEYWORDS.iter().chain(GUIDE_ENGLISH) {
+            let upper = w.to_ascii_uppercase();
+            let title = upper[..1].to_string() + &w[1..];
+            words.extend([w.to_string(), upper.clone(), title, upper + "X"]);
+        }
+        for w in &words {
+            assert_eq!(pl.contains(w), contains_by_string(&pl, w), "{w:?}");
+        }
+        assert!(pl.contains(&long.to_ascii_uppercase()));
+        assert!(pl.contains("ÄRGER"));
     }
 
     #[test]

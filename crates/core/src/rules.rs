@@ -14,6 +14,7 @@
 //! locator, watch the leak scanner light up, re-enable it, converge.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Rule categories, matching the paper's breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,6 +122,14 @@ pub enum Locator {
     AsnsFrom(usize),
     /// [`Locator::Asn`] after the line's first `remote-as`, if any.
     AsnAfterRemoteAs,
+    /// [`Locator::Asn`] on the token after every `bgp` from the position
+    /// on: a `match source-protocol` line may name several protocols,
+    /// BGP's with its ASN (`match source-protocol ospf 1 bgp 702`).
+    /// Declines the numbers of the other protocols, an OSPF process id
+    /// (`ospf 1`) or an EIGRP autonomous-system number (`eigrp 100`),
+    /// which are local numbers and name no BGP network, and declines as
+    /// [`Locator::Asn`] does.
+    AsnAfterEachBgp(usize),
     /// [`Locator::Asn`] at the position, then on every token after the
     /// first `alternate-as` past it, if any: the other ASNs a dynamic
     /// neighbor may take (`neighbor x remote-as 702 alternate-as 703
@@ -211,12 +220,12 @@ pub const ALL_RULES: [RuleInfo; 28] = [
         id: RuleId::R06RouterBgpAsn,
         category: RuleCategory::AsnLocation,
         name: "router-bgp-asn",
-        description: "`router bgp <asn>`, `redistribute bgp <asn>`, `match source-protocol bgp \
-                      <asn>`: permute the process ASN.",
+        description: "`router bgp <asn>`, `redistribute bgp <asn>`, `match source-protocol … \
+                      bgp <asn>`: permute the process ASN.",
         anchors: &[
             at(&["router", "bgp"], Locator::Asn(2)),
             at(&["redistribute", "bgp"], Locator::Asn(2)),
-            at(&["match", "source-protocol", "bgp"], Locator::Asn(3)),
+            at(&["match", "source-protocol"], Locator::AsnAfterEachBgp(2)),
         ],
     },
     RuleInfo {
@@ -465,6 +474,20 @@ pub(crate) fn anchor_for(words: &[&str]) -> Option<(RuleId, &'static Anchor)> {
     anchors().find(|(_, a)| a.head[0] == first && a.matches(words))
 }
 
+/// The distinct first words of the anchors, derived once from
+/// [`ALL_RULES`]: several anchors share a first word (`ip`, `set`,
+/// `neighbor`), and the prefilter compares each line's first word with
+/// each head word once.
+fn anchor_heads() -> &'static [&'static str] {
+    static HEADS: OnceLock<Vec<&'static str>> = OnceLock::new();
+    HEADS.get_or_init(|| {
+        let mut heads: Vec<&'static str> = anchors().map(|(_, a)| a.head[0]).collect();
+        heads.sort_unstable();
+        heads.dedup();
+        heads
+    })
+}
+
 /// Verdict of the rule-engine prefilter for one command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LineClass {
@@ -527,7 +550,9 @@ impl Prefilter {
         let Some(first) = line.as_bytes().split(is_ws).find(|w| !w.is_empty()) else {
             return false;
         };
-        anchors().any(|(_, a)| first.eq_ignore_ascii_case(a.head[0].as_bytes()))
+        anchor_heads()
+            .iter()
+            .any(|h| first.eq_ignore_ascii_case(h.as_bytes()))
     }
 
     /// Single pass over the line: one [`SECRET_CANDIDATE`] load per byte;
@@ -621,6 +646,7 @@ mod tests {
         let arg = match anchor.locator {
             Locator::Asn(_) | Locator::AsnsFrom(_) => "701",
             Locator::AsnAfterRemoteAs => "10.0.0.0/8 peer-group pg remote-as 701",
+            Locator::AsnAfterEachBgp(_) => "ospf 1 bgp 701",
             Locator::AsnThenAlternates(_) => "701 alternate-as 702",
             Locator::CommunitiesFrom(_) | Locator::CommunityList(_) => "701:120",
             Locator::AsPathRegex(_) => "_701_",
@@ -713,6 +739,52 @@ mod tests {
                 Prefilter::classify(line),
                 LineClass::TokenLocal,
                 "prefilter slow-pathed {line:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn head_words_answer_as_the_anchor_walk_did() {
+        // The check `head_can_anchor_rule` made before the head words were
+        // derived: every anchor's first word, compared in table order.
+        let walk = |line: &str| {
+            use confanon_iosparse::{BYTE_CLASS, CLASS_WS};
+            let is_ws = |b: &u8| BYTE_CLASS[*b as usize] & CLASS_WS != 0;
+            line.as_bytes()
+                .split(is_ws)
+                .find(|w| !w.is_empty())
+                .is_some_and(|first| {
+                    anchors().any(|(_, a)| first.eq_ignore_ascii_case(a.head[0].as_bytes()))
+                })
+        };
+        let heads = anchor_heads();
+        assert!(heads.len() < anchors().count(), "anchors share first words");
+        let mut lines = vec![String::new(), " ".into(), "\t".into(), "!".into()];
+        for (_, a) in anchors() {
+            let h = a.head[0];
+            let near = [&h[1..], &h[..h.len() - 1]];
+            for w in [
+                h.to_string(),
+                h.to_ascii_uppercase(),
+                format!("{h}x"),
+                format!("x{h}"),
+            ]
+            .into_iter()
+            .chain(near.map(str::to_string))
+            {
+                lines.extend([
+                    w.clone(),
+                    format!(" {w} 701"),
+                    format!("\t{w}\x0b7"),
+                    format!("no {w}"),
+                ]);
+            }
+        }
+        for line in &lines {
+            assert_eq!(
+                Prefilter::head_can_anchor_rule(line),
+                walk(line),
+                "{line:?}"
             );
         }
     }

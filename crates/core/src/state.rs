@@ -281,7 +281,7 @@ impl AnonState {
             perm_params: anonymizer.perm_fingerprint(),
             journal: anonymizer.journal().to_vec(),
             record: anonymizer.leak_record().clone(),
-            emitted: anonymizer.emitted_exclusions().into_iter().collect(),
+            emitted: anonymizer.emitted().clone(),
             trie4_nodes: n4 as u64,
             trie6_nodes: n6 as u64,
             trie4_digest: d4,

@@ -291,11 +291,7 @@ impl Tenant {
                 return (Status::Error, msg.into_bytes());
             }
         };
-        let scan = LeakScanner::scan_excluding(
-            warmed.leak_record(),
-            warmed.emitted_exclusions(),
-            &out.text,
-        );
+        let scan = LeakScanner::borrowing(warmed.leak_record(), warmed.emitted()).scan(&out.text);
         if !scan.is_clean() {
             self.obs.count("serve.leak_quarantines", 1);
             let reason = format!(

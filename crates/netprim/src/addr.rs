@@ -72,12 +72,56 @@ impl Ip {
     pub const fn common_prefix_len(self, other: Ip) -> u8 {
         (self.0 ^ other.0).leading_zeros() as u8
     }
+
+    /// [`Ip::from_str`] without the error: one pass over the bytes and no
+    /// allocation, for callers that only ask whether a token is an
+    /// address.
+    pub fn parse_quad(s: &str) -> Option<Ip> {
+        let mut v = 0u32;
+        let mut octet = 0u32;
+        let mut digits = 0;
+        let mut dots = 0;
+        for &b in s.as_bytes() {
+            if b.is_ascii_digit() && digits < 3 {
+                octet = octet * 10 + u32::from(b - b'0');
+                digits += 1;
+            } else if b == b'.' && digits > 0 && octet <= 255 && dots < 3 {
+                v = (v << 8) | octet;
+                octet = 0;
+                digits = 0;
+                dots += 1;
+            } else {
+                return None;
+            }
+        }
+        (dots == 3 && digits > 0 && octet <= 255).then_some(Ip((v << 8) | octet))
+    }
 }
 
 impl fmt::Display for Ip {
+    /// The dotted quad, built in a stack buffer and handed over in one
+    /// `write_str`: no `fmt` machinery per octet. Width and fill are
+    /// ignored, as they always were.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let [a, b, c, d] = self.octets();
-        write!(f, "{a}.{b}.{c}.{d}")
+        let mut buf = [0u8; 15];
+        let mut n = 0;
+        for (i, o) in self.octets().into_iter().enumerate() {
+            if i > 0 {
+                buf[n] = b'.';
+                n += 1;
+            }
+            if o >= 100 {
+                buf[n] = b'0' + o / 100;
+                n += 1;
+            }
+            if o >= 10 {
+                buf[n] = b'0' + o / 10 % 10;
+                n += 1;
+            }
+            buf[n] = b'0' + o % 10;
+            n += 1;
+        }
+        f.write_str(std::str::from_utf8(&buf[..n]).expect("ASCII digits and dots"))
     }
 }
 
@@ -90,23 +134,29 @@ impl FromStr for Ip {
     /// longer than 3 digits is rejected so tokens like `1234.5.6.7` are
     /// *not* mistaken for addresses.
     fn from_str(s: &str) -> Result<Ip, ParseError> {
-        let parts: Vec<&str> = s.split('.').collect();
-        if parts.len() != 4 {
-            return Err(ParseError::WrongComponentCount(parts.len()));
-        }
-        let mut v: u32 = 0;
-        for p in parts {
-            if p.is_empty() || p.len() > 3 || !p.bytes().all(|b| b.is_ascii_digit()) {
-                return Err(ParseError::BadOctet(p.to_string()));
-            }
-            let o: u32 = p.parse().expect("digits only");
-            if o > 255 {
-                return Err(ParseError::OctetOutOfRange(o));
-            }
-            v = (v << 8) | o;
-        }
-        Ok(Ip(v))
+        Ip::parse_quad(s).ok_or_else(|| quad_error(s))
     }
+}
+
+/// Why `s`, which [`Ip::parse_quad`] refused, is no dotted quad: a wrong
+/// component count first, else the first component that is empty, not
+/// one to three ASCII digits, or above 255.
+#[cold]
+fn quad_error(s: &str) -> ParseError {
+    let parts = s.bytes().filter(|&b| b == b'.').count() + 1;
+    if parts != 4 {
+        return ParseError::WrongComponentCount(parts);
+    }
+    for p in s.split('.') {
+        if p.is_empty() || p.len() > 3 || !p.bytes().all(|b| b.is_ascii_digit()) {
+            return ParseError::BadOctet(p.to_string());
+        }
+        let o: u32 = p.parse().expect("one to three digits");
+        if o > 255 {
+            return ParseError::OctetOutOfRange(o);
+        }
+    }
+    unreachable!("four components of one to three digits, each at most 255, parse")
 }
 
 impl From<u32> for Ip {
@@ -176,6 +226,117 @@ mod tests {
         let ip = Ip::ZERO.with_bit(0, true).with_bit(31, true);
         assert_eq!(ip.to_string(), "128.0.0.1");
         assert_eq!(ip.with_bit(0, false).to_string(), "0.0.0.1");
+    }
+
+    /// The parse this module shipped before [`Ip::parse_quad`]: the
+    /// oracle both parses are checked against.
+    fn split_parse(s: &str) -> Result<Ip, ParseError> {
+        let parts: Vec<&str> = s.split('.').collect();
+        if parts.len() != 4 {
+            return Err(ParseError::WrongComponentCount(parts.len()));
+        }
+        let mut v: u32 = 0;
+        for p in parts {
+            if p.is_empty() || p.len() > 3 || !p.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(ParseError::BadOctet(p.to_string()));
+            }
+            let o: u32 = p.parse().expect("digits only");
+            if o > 255 {
+                return Err(ParseError::OctetOutOfRange(o));
+            }
+            v = (v << 8) | o;
+        }
+        Ok(Ip(v))
+    }
+
+    /// One string near the dotted-quad grammar: three to five parts of
+    /// digits (up to four, leading zeros and values past 255 included),
+    /// with now and then an empty part, a sign, whitespace, a letter or a
+    /// non-ASCII digit in place of a part or beside one.
+    fn quad_like(src: &mut confanon_testkit::props::Source) -> String {
+        use confanon_testkit::rng::Rng;
+        const ODD: [&str; 10] = [
+            "", "+1", "-4", " 1", "1 ", "a", "\u{663}", "1\u{663}", "0x1", "\t",
+        ];
+        let parts: Vec<String> = (0..src.gen_range(3usize..6))
+            .map(|_| match src.gen_range(0u32..10) {
+                0 => ODD[src.gen_range(0usize..ODD.len())].to_string(),
+                1 => format!("{:03}", src.gen_range(0u32..300)),
+                2 => src.gen_range(0u32..10_000).to_string(),
+                3 => ["0", "9", "10", "99", "100", "255", "256"][src.gen_range(0usize..7)]
+                    .to_string(),
+                _ => src.gen_range(0u32..256).to_string(),
+            })
+            .collect();
+        parts.join(".")
+    }
+
+    confanon_testkit::props! {
+        cases = 2048;
+
+        /// Both parses give the old split parse's answer, down to the
+        /// error variant and its payload.
+        fn parses_equal_the_split_parse(s in confanon_testkit::props::from_fn(quad_like)) {
+            let want = split_parse(&s);
+            assert_eq!(s.parse::<Ip>(), want, "{s:?}");
+            assert_eq!(Ip::parse_quad(&s), want.ok(), "{s:?}");
+        }
+
+        /// The stack-buffer formatter writes what `write!` wrote.
+        fn display_equals_write(v in confanon_testkit::props::any::<u32>()) {
+            let [a, b, c, d] = Ip(v).octets();
+            assert_eq!(Ip(v).to_string(), format!("{a}.{b}.{c}.{d}"));
+        }
+    }
+
+    #[test]
+    fn parses_equal_the_split_parse_on_edge_shapes() {
+        for s in [
+            "",
+            ".",
+            "...",
+            "....",
+            "1.2.3",
+            "1.2.3.4.5",
+            "1..2.3",
+            ".1.2.3",
+            "1.2.3.",
+            "256.1.1.1",
+            "1.2.3.256",
+            "999.1.1.1",
+            "1.2.3.0255",
+            "0001.1.1.1",
+            "01.02.03.04",
+            "1.2.3.4/24",
+            "1.2.3.4 ",
+            "+1.2.3.4",
+            "1.2.-3.4",
+            "1.2.3.\u{663}",
+            "a.b.c.d",
+            "300.a.1.1",
+            "1.a.300.1",
+            "1.2.3.4a",
+            "12.1.1.1:100",
+        ] {
+            let want = split_parse(s);
+            assert_eq!(s.parse::<Ip>(), want, "{s:?}");
+            assert_eq!(Ip::parse_quad(s), want.ok(), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn display_equals_write_at_every_octet_boundary() {
+        let edges = [0u8, 9, 10, 99, 100, 255];
+        for a in edges {
+            for b in edges {
+                for (c, d) in edges.iter().zip(edges.iter().rev()) {
+                    let ip = Ip::from_octets(a, b, *c, *d);
+                    assert_eq!(ip.to_string(), format!("{a}.{b}.{c}.{d}"));
+                }
+            }
+        }
+        // Width and fill are ignored, as with the old `write!`.
+        assert_eq!(format!("{:>20}", Ip::from_octets(1, 2, 3, 4)), "1.2.3.4");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! every ASN is kept as the test oracle the walk is checked against.
 
 use crate::ast::Ast;
-use crate::dfa::dfa_for;
+use crate::dfa::{dfa_for, Dfa};
 
 /// Enumerates the ASNs (0..=65535) whose decimal representation is
 /// accepted (full match) by `ast`, in ascending order.
@@ -24,6 +24,61 @@ pub fn accepted_asns(ast: &Ast) -> Vec<u16> {
         .into_iter()
         .map(|n| u16::try_from(n).expect("the walk stays within u16::MAX"))
         .collect()
+}
+
+/// How many ASNs (0..=65535) `ast` accepts: the length of
+/// [`accepted_asns`], counted without listing them. The §4.4 rewrite
+/// leaves an atom whose language is empty or universal unchanged, and a
+/// universal one (`[0-9]+`, the value side of `N:[0-9]+`) would list all
+/// 65,536. The count walks the decimal digit tree through the DFA
+/// memoized on (state, digits left) below the bound `65535`, so it visits
+/// each state at most once per length instead of every number.
+pub fn count_accepted_asns(ast: &Ast) -> u32 {
+    /// Digit strings of length `left` that lead from `state` to an
+    /// accepting state (no bound applies).
+    fn free(dfa: &Dfa, memo: &mut [[Option<u32>; 5]], state: u32, left: usize) -> u32 {
+        if left == 0 {
+            return u32::from(dfa.is_accepting(state));
+        }
+        if let Some(n) = memo[state as usize][left] {
+            return n;
+        }
+        let n = (b'0'..=b'9')
+            .filter_map(|d| dfa.step(state, d))
+            .map(|next| free(dfa, memo, next, left - 1))
+            .sum();
+        memo[state as usize][left] = Some(n);
+        n
+    }
+    const BOUND: &[u8] = b"65535";
+    let dfa = dfa_for(ast);
+    let mut memo = vec![[None; 5]; dfa.len()];
+    let start = dfa.start_state();
+    // "0" is the only representation with a leading zero.
+    let mut count = dfa
+        .step(start, b'0')
+        .map_or(0, |s| u32::from(dfa.is_accepting(s)));
+    // Fewer digits than the bound: any non-zero first digit, then free.
+    for len in 1..BOUND.len() {
+        for d in b'1'..=b'9' {
+            if let Some(s) = dfa.step(start, d) {
+                count += free(&dfa, &mut memo, s, len - 1);
+            }
+        }
+    }
+    // As many digits: follow the bound's digits; a smaller digit at any
+    // position frees the rest.
+    let mut at_bound = Some(start);
+    for (pos, &top) in BOUND.iter().enumerate() {
+        let Some(state) = at_bound else { break };
+        for d in if pos == 0 { b'1' } else { b'0' }..top {
+            if let Some(s) = dfa.step(state, d) {
+                count += free(&dfa, &mut memo, s, BOUND.len() - pos - 1);
+            }
+        }
+        at_bound = dfa.step(state, top);
+    }
+    count + at_bound.map_or(0, |s| u32::from(dfa.is_accepting(s)))
 }
 
 /// The paper's enumeration, verbatim: apply the regexp to the decimal
@@ -106,6 +161,67 @@ mod tests {
         fn digit_walk_equals_brute_force(pattern in atom_strategy()) {
             let ast = parse(&pattern).expect("generated atoms parse");
             assert_eq!(accepted_asns(&ast), brute_force_asns(&ast), "{pattern}");
+        }
+    }
+
+    /// A pattern accepting every number but `n`: other lengths, or the
+    /// same length with some digit differing from `n`'s.
+    fn all_but(n: u32) -> String {
+        let digits = n.to_string();
+        let k = digits.len();
+        let mut arms = vec![format!("[0-9]{{{},}}", k + 1)];
+        if k > 1 {
+            arms.push(format!("[0-9]{{1,{}}}", k - 1));
+        }
+        for (i, d) in digits.bytes().enumerate() {
+            let others: String = (b'0'..=b'9').filter(|&o| o != d).map(char::from).collect();
+            arms.push(format!("{}[{others}][0-9]{{{}}}", &digits[..i], k - i - 1));
+        }
+        arms.join("|")
+    }
+
+    /// Universal and near-universal atoms, or any generated one.
+    fn wide_atom(src: &mut Source) -> String {
+        match src.gen_range(0u32..6) {
+            0 => ["[0-9]+", "[0-9]*", "[1-9][0-9]*", "0|[1-9][0-9]{0,4}"][src.gen_range(0usize..4)]
+                .to_string(),
+            1 | 2 => all_but(src.gen_range(0u32..=65535)),
+            3 => format!("({})[0-9]*", gen_atom(src, 2)),
+            _ => gen_atom(src, 3),
+        }
+    }
+
+    confanon_testkit::props! {
+        cases = 128;
+
+        /// The count is the length of the brute-force language, on
+        /// universal, near-universal and generated atoms.
+        fn count_equals_brute_force_size(pattern in from_fn(wide_atom)) {
+            let ast = parse(&pattern).expect("generated atoms parse");
+            let size = brute_force_asns(&ast).len();
+            assert_eq!(count_accepted_asns(&ast) as usize, size, "{pattern}");
+        }
+    }
+
+    #[test]
+    fn count_decides_empty_and_universal_atoms() {
+        for (pat, size) in [
+            ("[0-9]+", 65536),
+            ("[0-9]*", 65536),
+            ("0|[1-9][0-9]{0,4}", 65536),
+            ("[1-9][0-9]*", 65535),
+            ("123456", 0),
+            ("0[0-9]", 0),
+            ("6553[5-9]", 1),
+            ("70[1-3]", 3),
+        ] {
+            assert_eq!(count_accepted_asns(&parse(pat).unwrap()), size, "{pat}");
+        }
+        for n in [0, 7, 10, 65535, 65534, 9999, 10000] {
+            let pat = all_but(n);
+            let ast = parse(&pat).unwrap();
+            assert_eq!(count_accepted_asns(&ast), 65535, "{pat}");
+            assert!(!brute_force_asns(&ast).contains(&(n as u16)), "{pat}");
         }
     }
 

@@ -208,9 +208,10 @@ ls "$chaos_dir/asn32-out" | grep -q '\.anon$' && {
 # 3b. A dotted quad inside a compound token (a URL, an `a.b.c.d:nn`
 #     route target, a prefix with an out-of-range length, a quad with a
 #     dot beside it) is mapped, so the release holds no copy of it; so
-#     is the ASN after `redistribute bgp`, `match source-protocol bgp`
-#     and `set origin egp`. The repeat count after `last-as` is kept and
-#     not recorded, so `Serial0/2` beside it is released. An asdot 4-byte
+#     is the ASN after `redistribute bgp`, after every `bgp` of a
+#     `match source-protocol` line and after `set origin egp`. The
+#     repeat count after `last-as` is kept and not recorded, so
+#     `Serial0/2` beside it is released. An asdot 4-byte
 #     ASN is recorded, and a recorded ASN with a dot beside it is found,
 #     so the gate withholds each of those files.
 mkdir -p "$chaos_dir/quad-in" "$chaos_dir/asdot-in" "$chaos_dir/redist-in" \
@@ -225,7 +226,7 @@ printf 'router bgp 701\n neighbor 12.1.1.2 remote-as 702\n neighbor 12.1.1.2 des
     > "$chaos_dir/asndot-in/a.cfg"
 printf 'router bgp 701\nroute-map OUT permit 10\n set as-path prepend last-as 2\ninterface Serial0/2\n' \
     > "$chaos_dir/lastas-in/a.cfg"
-printf 'router bgp 701\n neighbor 12.1.1.2 remote-as 702\nroute-map M permit 10\n match source-protocol bgp 702\n' \
+printf 'router bgp 701\n neighbor 12.1.1.2 remote-as 702\nroute-map M permit 10\n match source-protocol bgp 702\nroute-map M permit 20\n match source-protocol ospf 1 bgp 702\n' \
     > "$chaos_dir/srcproto-in/a.cfg"
 printf 'router bgp 701\n neighbor 12.1.1.2 remote-as 702\nroute-map M permit 10\n set origin egp 702\n' \
     > "$chaos_dir/origin-in/a.cfg"
@@ -285,10 +286,10 @@ grep -qx ' set as-path prepend last-as 2' "$chaos_dir/lastas-out/a.cfg.anon" || 
     echo "prepend last-as: the repeat count was not kept"; exit 1;
 }
 [ "$srcproto_code" -eq 0 ] || {
-    echo "match source-protocol bgp: expected exit 0, got $srcproto_code"; exit 1;
+    echo "match source-protocol ... bgp: expected exit 0, got $srcproto_code"; exit 1;
 }
 grep -rw 702 "$chaos_dir/srcproto-out" && {
-    echo "match source-protocol bgp: the release holds 702"; exit 1;
+    echo "match source-protocol ... bgp: the release holds 702"; exit 1;
 }
 [ "$origin_code" -eq 0 ] || {
     echo "set origin egp: expected exit 0, got $origin_code"; exit 1;

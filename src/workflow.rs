@@ -62,7 +62,7 @@ pub fn ground_truth_record(net: &Network) -> LeakRecord {
 pub fn audit_network(net: &Network, run: &NetworkRun) -> LeakReport {
     let record = ground_truth_record(net);
     let text = run.anonymized.join("\n");
-    LeakScanner::scan_excluding(&record, run.anonymizer.emitted_exclusions(), &text)
+    LeakScanner::borrowing(&record, run.anonymizer.emitted()).scan(&text)
 }
 
 /// Runs validation suite 1 (independent characteristics) pre vs post.
@@ -340,9 +340,9 @@ fn gated_run_on(
     let mut quarantined = Vec::new();
     let t_gate = obs.span_start();
     // One scanner for the whole corpus: the hash views over the leak
-    // record and the exclusion set are built once, not per file.
-    let scanner =
-        LeakScanner::with_exclusions(anonymizer.leak_record(), anonymizer.emitted_exclusions());
+    // record are built once, not per file, and the exclusion set is the
+    // anonymizer's own, borrowed.
+    let scanner = LeakScanner::borrowing(anonymizer.leak_record(), anonymizer.emitted());
     for output in report.outputs {
         let t_file = obs.span_start();
         let scan = scanner.scan(&output.text);

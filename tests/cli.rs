@@ -443,6 +443,14 @@ fn match_source_protocol_bgp_maps_the_process_asn() {
 }
 
 #[test]
+fn match_source_protocol_maps_the_asn_after_another_protocol() {
+    route_map_asn_is_mapped(
+        "source-protocol-ospf-bgp",
+        " match source-protocol ospf 1 bgp 702",
+    );
+}
+
+#[test]
 fn set_origin_egp_maps_the_asn() {
     route_map_asn_is_mapped("origin-egp", " set origin egp 702");
 }
